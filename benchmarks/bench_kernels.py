@@ -5,6 +5,12 @@ the comparison in a single process regardless of LIDARMAPS_NO_NUMBA.
 Each pair is warmed up once (triggering JIT compilation), checked for
 identical output, then timed best-of-N with perf_counter.
 
+Besides typical inputs, two cases time the worst inputs of the numpy
+nearest fill and labelling: a grid void but for one corner cell, where
+every cell searches out to its distance from that corner (run at a third
+of --size to keep it short), and a serpentine mask, one component that
+winds through every other row.
+
 Usage:
     python3 benchmarks/bench_kernels.py [--size N] [--points N] [--repeats N]
 """
@@ -57,6 +63,16 @@ def _cases(size: int, n_points: int, rng: np.random.Generator) -> list:
 
     steps = np.round(surface / 4.0).astype(np.int64)
 
+    side = max(1, size // 3)
+    corner = np.zeros((side, side), bool)
+    corner[0, 0] = True
+    corner_vals = np.where(corner, surface[:side, :side], np.nan)
+
+    serpentine = np.zeros((h, w), bool)
+    serpentine[::2] = True
+    serpentine[1::4, -1] = True
+    serpentine[3::4, 0] = True
+
     return [
         (
             "rasterize_min",
@@ -71,6 +87,13 @@ def _cases(size: int, n_points: int, rng: np.random.Generator) -> list:
             kernels.nearest_fill_numba,
             kernels.nearest_fill_numpy,
             (voids, valid),
+        ),
+        (
+            "nearest_fill",
+            f"{side}x{side}, one corner source",
+            kernels.nearest_fill_numba,
+            kernels.nearest_fill_numpy,
+            (corner_vals, corner),
         ),
         (
             "erode_square",
@@ -106,6 +129,13 @@ def _cases(size: int, n_points: int, rng: np.random.Generator) -> list:
             kernels.label_components_numba,
             kernels.label_components_numpy,
             (speckle, True),
+        ),
+        (
+            "label_components",
+            f"{w}x{h}, serpentine, 4-conn",
+            kernels.label_components_numba,
+            kernels.label_components_numpy,
+            (serpentine, False),
         ),
         (
             "distinct_count",
@@ -162,15 +192,15 @@ def main() -> int:
         )
         rows.append((name, desc, t_np, t_nb))
 
-    header = f"{'kernel':<18} {'input':<26} {'numpy':>10} {'numba':>10} {'speedup':>8}"
+    header = f"{'kernel':<18} {'input':<30} {'numpy':>10} {'numba':>10} {'speedup':>8}"
     print(header)
     print("-" * len(header))
     for name, desc, t_np, t_nb in rows:
         if t_nb is None:
-            print(f"{name:<18} {desc:<26} {t_np:>9.4f}s {'n/a':>10} {'n/a':>8}")
+            print(f"{name:<18} {desc:<30} {t_np:>9.4f}s {'n/a':>10} {'n/a':>8}")
         else:
             print(
-                f"{name:<18} {desc:<26} {t_np:>9.4f}s {t_nb:>9.4f}s "
+                f"{name:<18} {desc:<30} {t_np:>9.4f}s {t_nb:>9.4f}s "
                 f"{t_np / t_nb:>7.1f}x"
             )
     return 0

@@ -69,6 +69,17 @@ def rasterize_min_numpy(xs, ys, zs, ox, oy, gsd, col0, row0, width, height):
 # Distances are Euclidean between cell centers; in cell units every squared
 # distance is an integer, so the search compares exact (d2, row, col) keys
 # and ties resolve to the source earliest in row-major order.
+#
+# Both paths first find, per column, the nearest source row to every cell
+# (the column pass).  A void cell then looks at columns c - k and c + k for
+# k = 0, 1, 2, ...: the candidate there is that column's nearest source, at
+# d2 = column distance^2 + k^2.  Every source beyond column offset k is at
+# least k^2 away, so once k^2 > best_d2 no later column can win or tie, and
+# the cell stops.  The numpy path keeps only the void cells, as flat
+# indices, in its active arrays; each round it writes the cells that met
+# the stop rule to the output and compacts the rest, so a round costs the
+# cells still searching rather than the whole grid.  The (row, col) part of
+# the key is compared as the source's flat index, which orders the same.
 
 
 def _nearest_columns_src(valid):
@@ -155,39 +166,40 @@ def _nearest_columns_numpy(valid):
 
 
 def nearest_fill_numpy(values, valid):
-    frow, fdist = _nearest_columns_numpy(valid)
     h, w = values.shape
-    void = ~valid
-    if not void.any():
-        return values.copy()
-    fd2 = fdist * fdist
-    no_src = frow < 0
-    cols = np.arange(w, dtype=np.int64)[None, :]
-    best_d2 = np.full((h, w), _BIG)
-    best_rf = np.full((h, w), np.int64(h))
-    best_cf = np.full((h, w), np.int64(w))
-    for k in range(w):
-        k2 = np.int64(k) * np.int64(k)
-        if k2 > best_d2[void].max():
-            break
-        for dj in ((-k,) if k == 0 else (-k, k)):
-            cand_rf = _shift2(frow, 0, -dj, -1)
-            cand_d2 = _shift2(fd2, 0, -dj, _BIG) + k2
-            cand_d2[_shift2(no_src, 0, -dj, True)] = _BIG
-            cand_cf = cols + dj
-            better = (cand_d2 < best_d2) | (
-                (cand_d2 == best_d2)
-                & (
-                    (cand_rf < best_rf)
-                    | ((cand_rf == best_rf) & (cand_cf < best_cf))
-                )
-            )
-            better &= cand_rf >= 0
-            best_d2 = np.where(better, cand_d2, best_d2)
-            best_rf = np.where(better, cand_rf, best_rf)
-            best_cf = np.where(better, cand_cf, best_cf)
     out = values.copy()
-    out[void] = values[best_rf[void], best_cf[void]]
+    cell = np.flatnonzero(~valid)
+    if cell.size == 0:
+        return out
+    frow, fdist = _nearest_columns_numpy(valid)
+    has_src = frow >= 0
+    src_d2 = np.where(has_src, fdist * fdist, _BIG).reshape(-1)
+    src_at = np.where(
+        has_src, frow * w + np.arange(w, dtype=np.int64), np.int64(h * w)
+    ).reshape(-1)
+    out_flat = out.reshape(-1)
+    vals_flat = values.reshape(-1)
+    col = cell % w
+    best_d2 = src_d2[cell]
+    best_at = src_at[cell]
+    for k in range(1, w):
+        k2 = np.int64(k) * np.int64(k)
+        done = best_d2 < k2
+        if done.any():
+            out_flat[cell[done]] = vals_flat[best_at[done]]
+            keep = ~done
+            cell, col = cell[keep], col[keep]
+            best_d2, best_at = best_d2[keep], best_at[keep]
+            if cell.size == 0:
+                return out
+        for j, ok in ((cell - k, col >= k), (cell + k, col < w - k)):
+            j = j.clip(0, h * w - 1)
+            d2 = np.where(ok, src_d2[j], _BIG) + k2
+            at = src_at[j]
+            better = (d2 < best_d2) | ((d2 == best_d2) & (at < best_at))
+            best_d2 = np.where(better, d2, best_d2)
+            best_at = np.where(better, at, best_at)
+    out_flat[cell] = vals_flat[best_at]
     return out
 
 
@@ -342,6 +354,17 @@ def dilate_diamond_numpy(mask, radius):
 # ---------------------------------------------------------------------------
 # Output labels are 1..n in order of first encounter scanning row-major,
 # which both paths reproduce exactly.
+#
+# The numpy path is run based (Wu, Otoo & Suzuki 2009).  Each row splits
+# into runs of true cells, numbered in row-major order.  A run joins every
+# run of the row above whose columns overlap it, widened by one column on
+# each side for 8-connectivity; a binary search over the runs' row-major
+# start and end keys finds those as one contiguous range.  Joins hook the
+# larger root onto the smaller, then pointer jumping flattens every tree,
+# and this repeats until no join links two roots.  Parents only ever point
+# to smaller indices, so each root is the smallest run index in its
+# component: the run holding the component's first cell in row-major order.
+# Ranking the roots therefore gives the first-encounter labels.
 
 
 def _uf_find_src(parent, x):
@@ -410,34 +433,41 @@ def _label_components_src(mask, eight, parent):
 
 def label_components_numpy(mask, eight):
     h, w = mask.shape
-    n = h * w
-    lab = np.arange(n, dtype=np.int64).reshape(h, w)
-    shifts = [(0, 1), (0, -1), (1, 0), (-1, 0)]
-    if eight:
-        shifts += [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-    while True:
-        prev = lab
-        for di, dj in shifts:
-            nbv = _shift2(lab, di, dj, np.int64(n))
-            pair = mask & _shift2(mask, di, dj, False)
-            lab = np.where(pair & (nbv < lab), nbv, lab)
-        while True:
-            jumped = lab.reshape(-1)[lab]
-            if np.array_equal(jumped, lab):
-                break
-            lab = jumped
-        if np.array_equal(lab, prev):
-            break
     out = np.zeros((h, w), np.int32)
-    vals = lab[mask]
-    if vals.size:
-        uniq, first = np.unique(vals, return_index=True)
-        rank = np.empty(uniq.size, np.int32)
-        rank[np.argsort(first, kind="stable")] = np.arange(
-            1, uniq.size + 1, dtype=np.int32
-        )
-        out[mask] = rank[np.searchsorted(uniq, vals)]
-    return out, int(vals.size and out.max())
+    edges = np.zeros((h, w + 2), np.int8)
+    edges[:, 1:-1] = mask
+    step = np.diff(edges, axis=1)
+    run_row, run_start = np.nonzero(step == 1)
+    run_end = np.nonzero(step == -1)[1]
+    n = run_start.size
+    if n == 0:
+        return out, 0
+    # Runs of the row above that overlap [start - reach, end + reach).
+    stride = w + 2
+    reach = int(eight)
+    above = (run_row - 1) * stride
+    lo = np.searchsorted(run_row * stride + run_end, above + run_start - reach, "right")
+    hi = np.searchsorted(run_row * stride + run_start, above + run_end + reach, "left")
+    fan = hi - lo
+    a = np.repeat(np.arange(n), fan)
+    b = np.arange(a.size) + np.repeat(lo - (np.cumsum(fan) - fan), fan)
+    parent = np.arange(n)
+    while True:
+        ra, rb = parent[a], parent[b]
+        join = ra != rb
+        if not join.any():
+            break
+        a, b, ra, rb = a[join], b[join], ra[join], rb[join]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+    is_root = parent == np.arange(n)
+    labels = np.cumsum(is_root, dtype=np.int32)[parent]
+    out[mask] = np.repeat(labels, run_end - run_start)
+    return out, int(np.count_nonzero(is_root))
 
 
 # ---------------------------------------------------------------------------

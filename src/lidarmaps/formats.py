@@ -43,9 +43,10 @@ def write_ascii_grid(path: str, raster: Raster) -> None:
     vals = raster.values
     flipped = vals[::-1]
     if vals.dtype == bool:
-        body = [" ".join("1" if v else "0" for v in row) for row in flipped]
+        body = [" ".join(row) for row in np.where(flipped, "1", "0").tolist()]
     elif np.issubdtype(vals.dtype, np.integer):
-        body = [" ".join(str(int(v)) for v in row) for row in flipped]
+        row_fmt = " ".join(["%d"] * spec.width)
+        body = [row_fmt % tuple(row) for row in flipped.tolist()]
     else:
         sentinel = _fmt_num(raster.nodata)
         body = [

@@ -126,14 +126,15 @@ def _sample_external(ext: Raster, sub: GridSpec) -> Raster:
 
 
 def _window_products(
-    points: np.ndarray,
+    sub: np.ndarray,
     spec: GridSpec,
     window: Window,
     cfg: PipelineConfig,
     external_dtm: Raster | None,
 ) -> dict | None:
+    """Run the stage chain on one window; `sub` holds exactly the points
+    that _select_window_points picked for the window's padded box."""
     pc0, pr0, pw, ph = window.padded
-    sub = _select_window_points(points, spec, window.padded)
     try:
         dsm_raw, occ = rasterize_min_window(sub, spec, pc0, pr0, pw, ph)
     except NoPointsInGrid:

@@ -130,14 +130,37 @@ def test_rasterize_window_slices_global_run():
 # ---------------------------------------------------------------------------
 
 
+def _fill_layouts(rng):
+    """Source layouts that stress the void-only search: long searches,
+    single-row and single-column grids, and exact distance ties."""
+    yy, xx = np.mgrid[:60, :60]
+    round_void = np.hypot(yy - 30, xx - 27) > 22
+    corner = np.zeros((40, 40), bool)
+    corner[-1, -1] = True
+    row = np.zeros((1, 37), bool)
+    row[0, [5, 20]] = True
+    col = np.zeros((31, 1), bool)
+    col[[0, 17], 0] = True
+    lattice = np.zeros((17, 17), bool)
+    lattice[::4, ::4] = True
+    corners = np.zeros((9, 11), bool)
+    corners[::8, ::10] = True
+    sparse = rng.random((100, 100)) < 0.02
+    return [round_void, corner, row, col, np.ones((5, 7), bool), lattice, corners, sparse]
+
+
 def test_interpolate_matches_allpairs():
     rng = np.random.default_rng(22)
+    layouts = []
     for _ in range(50):
         shape = (int(rng.integers(1, 24)), int(rng.integers(1, 24)))
         valid = rng.random(shape) < rng.uniform(0.1, 0.9)
         if not valid.any():
             valid[tuple(rng.integers(0, shape))] = True
-        vals = np.where(valid, rng.normal(0, 10, shape), np.nan)
+        layouts.append((valid, rng.normal(0, 10, shape)))
+    layouts += [(valid, rng.normal(0, 10, valid.shape)) for valid in _fill_layouts(rng)]
+    for valid, z in layouts:
+        vals = np.where(valid, z, np.nan)
         got = interpolate_nearest(raster_of(vals))
         np.testing.assert_array_equal(got.values, nearest_fill_scan(vals, valid))
 
@@ -245,11 +268,51 @@ def test_k1_identity_and_small_blob_examples():
 # ---------------------------------------------------------------------------
 
 
+def _spiral(n: int) -> np.ndarray:
+    """One-cell-wide square spiral winding inward, arms one cell apart."""
+    m = np.zeros((n, n), bool)
+    r, c, dr, dc = 0, 0, 0, 1
+    m[r, c] = True
+    while True:
+        for _ in range(2):  # straight on, else turn once
+            nr, nc, ar, ac = r + dr, c + dc, r + 2 * dr, c + 2 * dc
+            ahead_free = not (0 <= ar < n and 0 <= ac < n and m[ar, ac])
+            if 0 <= nr < n and 0 <= nc < n and not m[nr, nc] and ahead_free:
+                r, c = nr, nc
+                m[r, c] = True
+                break
+            dr, dc = dc, -dr
+        else:
+            return m
+
+
+def _component_layouts(rng):
+    """Masks whose components merge late or need many union rounds."""
+    u = np.zeros((7, 9), bool)
+    u[:, 1] = u[:, 7] = True
+    u[-1, 1:8] = True
+    comb = np.zeros((6, 11), bool)
+    comb[:, ::2] = True
+    comb[-1] = True
+    serpentine = np.zeros((21, 15), bool)
+    serpentine[::2] = True
+    serpentine[1::4, -1] = True
+    serpentine[3::4, 0] = True
+    return [
+        _spiral(41), u, comb, serpentine,
+        rng.random((1, 40)) < 0.6, rng.random((40, 1)) < 0.6,
+        np.ones((6, 5), bool), np.zeros((6, 5), bool),
+        rng.random((100, 100)) < 0.58,
+    ]
+
+
 def test_components_match_flood_fill():
     rng = np.random.default_rng(26)
+    masks = []
     for _ in range(60):
         shape = (int(rng.integers(1, 32)), int(rng.integers(1, 32)))
-        m = rng.random(shape) < rng.uniform(0.3, 0.7)
+        masks.append(rng.random(shape) < rng.uniform(0.3, 0.7))
+    for m in masks + _component_layouts(rng):
         for conn in (4, 8):
             labels, count = connected_components(raster_of(m), conn)
             ref, nref = flood_labels(m, conn == 8)

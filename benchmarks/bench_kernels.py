@@ -1,15 +1,12 @@
-"""Benchmark the compiled kernels against the pure-numpy fallback.
+"""Time each raster kernel alone on synthetic inputs.
 
-Both flavours of every kernel are imported directly, so the script runs
-the comparison in a single process regardless of LIDARMAPS_NO_NUMBA.
-Each pair is warmed up once (triggering JIT compilation), checked for
-identical output, then timed best-of-N with perf_counter.
-
-Besides typical inputs, two cases time the worst inputs of the numpy
-nearest fill and labelling: a grid void but for one corner cell, where
-every cell searches out to its distance from that corner (run at a third
-of --size to keep it short), and a serpentine mask, one component that
-winds through every other row.
+Every case runs its kernel once untimed, then best-of-N with
+perf_counter.  Besides typical inputs, two cases time the worst inputs of
+the nearest fill and the labelling: a grid void but for one corner cell,
+where every cell searches out to its distance from that corner (run at a
+third of --size to keep it short), and a serpentine mask, one component
+that winds through every other row.  Correctness is not checked here;
+the test suite compares every kernel with a brute-force oracle.
 
 Usage:
     python3 benchmarks/bench_kernels.py [--size N] [--points N] [--repeats N]
@@ -22,17 +19,6 @@ import time
 import numpy as np
 
 from lidarmaps import _kernels as kernels
-from lidarmaps._accel import HAS_NUMBA, using_numba
-
-
-def _outputs_match(a: object, b: object) -> bool:
-    if isinstance(a, tuple):
-        return len(a) == len(b) and all(
-            _outputs_match(x, y) for x, y in zip(a, b)
-        )
-    if isinstance(a, np.ndarray):
-        return np.array_equal(a, np.asarray(b), equal_nan=a.dtype.kind == "f")
-    return a == b
 
 
 def _best_of(fn, args: tuple, repeats: int) -> float:
@@ -77,87 +63,74 @@ def _cases(size: int, n_points: int, rng: np.random.Generator) -> list:
         (
             "rasterize_min",
             f"{n_points / 1e6:.1f}M pts -> {w}x{h}",
-            kernels.rasterize_min_numba,
-            kernels.rasterize_min_numpy,
+            kernels.rasterize_min,
             (xs, ys, zs, 0.0, 0.0, 1.0, 0, 0, w, h),
         ),
         (
             "nearest_fill",
             f"{w}x{h}, {100 - int(round(100 * valid.mean()))}% void",
-            kernels.nearest_fill_numba,
-            kernels.nearest_fill_numpy,
+            kernels.nearest_fill,
             (voids, valid),
         ),
         (
             "nearest_fill",
             f"{side}x{side}, one corner source",
-            kernels.nearest_fill_numba,
-            kernels.nearest_fill_numpy,
+            kernels.nearest_fill,
             (corner_vals, corner),
         ),
         (
             "erode_square",
             f"{w}x{h}, k=7",
-            kernels.erode_square_numba,
-            kernels.erode_square_numpy,
+            kernels.erode_square,
             (blobs, 3),
         ),
         (
             "dilate_square",
             f"{w}x{h}, k=7",
-            kernels.dilate_square_numba,
-            kernels.dilate_square_numpy,
+            kernels.dilate_square,
             (blobs, 3),
         ),
         (
             "erode_diamond",
             f"{w}x{h}, k=7",
-            kernels.erode_diamond_numba,
-            kernels.erode_diamond_numpy,
+            kernels.erode_diamond,
             (blobs, 3),
         ),
         (
             "dilate_diamond",
             f"{w}x{h}, k=7",
-            kernels.dilate_diamond_numba,
-            kernels.dilate_diamond_numpy,
+            kernels.dilate_diamond,
             (blobs, 3),
         ),
         (
             "label_components",
             f"{w}x{h}, 8-conn",
-            kernels.label_components_numba,
-            kernels.label_components_numpy,
+            kernels.label_components,
             (speckle, True),
         ),
         (
             "label_components",
             f"{w}x{h}, serpentine, 4-conn",
-            kernels.label_components_numba,
-            kernels.label_components_numpy,
+            kernels.label_components,
             (serpentine, False),
         ),
         (
             "distinct_count",
             f"{w}x{h}, k=5",
-            kernels.distinct_count_numba,
-            kernels.distinct_count_numpy,
+            kernels.distinct_count,
             (steps, 5),
         ),
         (
             "masked_median",
             f"{w}x{h}, k=5, {int(round(100 * blobs.mean()))}% mask",
-            kernels.masked_median_numba,
-            kernels.masked_median_numpy,
+            kernels.masked_median,
             (surface, blobs, 5),
         ),
     ]
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(
-        description="compare compiled and pure-numpy kernel timings"
-    )
+    parser = argparse.ArgumentParser(description="time the raster kernels")
     parser.add_argument("--size", type=int, default=768, help="grid side in cells")
     parser.add_argument(
         "--points", type=int, default=1_500_000, help="points for rasterization"
@@ -168,41 +141,14 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    path = "compiled (numba)" if using_numba() else "pure numpy"
-    print(f"package kernel path at import: {path}")
-    if not HAS_NUMBA:
-        print("numba is not installed; timing the numpy fallback only")
-    print()
-
     rng = np.random.default_rng(args.seed)
-    rows = []
-    for name, desc, fn_nb, fn_np, call_args in _cases(
-        args.size, args.points, rng
-    ):
-        ref = fn_np(*call_args)
-        if fn_nb is not None:
-            got = fn_nb(*call_args)  # first call also compiles
-            if not _outputs_match(ref, got):
-                raise SystemExit(f"{name}: compiled and numpy outputs differ")
-        t_np = _best_of(fn_np, call_args, args.repeats)
-        t_nb = (
-            _best_of(fn_nb, call_args, args.repeats)
-            if fn_nb is not None
-            else None
-        )
-        rows.append((name, desc, t_np, t_nb))
-
-    header = f"{'kernel':<18} {'input':<30} {'numpy':>10} {'numba':>10} {'speedup':>8}"
+    header = f"{'kernel':<18} {'input':<30} {'numpy':>10}"
     print(header)
     print("-" * len(header))
-    for name, desc, t_np, t_nb in rows:
-        if t_nb is None:
-            print(f"{name:<18} {desc:<30} {t_np:>9.4f}s {'n/a':>10} {'n/a':>8}")
-        else:
-            print(
-                f"{name:<18} {desc:<30} {t_np:>9.4f}s {t_nb:>9.4f}s "
-                f"{t_np / t_nb:>7.1f}x"
-            )
+    for name, desc, fn, call_args in _cases(args.size, args.points, rng):
+        fn(*call_args)
+        t = _best_of(fn, call_args, args.repeats)
+        print(f"{name:<18} {desc:<30} {t:>9.4f}s")
     return 0
 
 

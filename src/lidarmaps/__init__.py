@@ -6,7 +6,6 @@ planarity, and emits 2D/3D building rasters; the eval side scores such
 maps against reference footprints.
 """
 
-from ._accel import HAS_NUMBA, USE_NUMBA, using_numba
 from .config import OUTPUT_NAMES, PipelineConfig, load_config, parse_config, serialize_config
 from .errors import (
     BadKernel,
@@ -71,6 +70,16 @@ from .terrain import TerrainSet, derive_terrain
 
 __version__ = "0.1.0"
 
+
+def using_numba() -> bool:
+    """Report whether compiled kernels are in use: always False.
+
+    Every kernel has a single numpy implementation; the function stays so
+    that callers recording the kernel path keep working.
+    """
+    return False
+
+
 __all__ = [
     "AREA_BANDS",
     "BadKernel",
@@ -85,7 +94,6 @@ __all__ = [
     "ExtractParams",
     "ExtractResult",
     "GridSpec",
-    "HAS_NUMBA",
     "InstanceReport",
     "IoFailure",
     "LidarMapsError",
@@ -108,7 +116,6 @@ __all__ = [
     "Truncated",
     "UnsupportedPointFormat",
     "UnsupportedVersion",
-    "USE_NUMBA",
     "WaterMask",
     "WaterParams",
     "Window",

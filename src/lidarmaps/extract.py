@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import BadKernel, ConfigError
+from .errors import ConfigError
 from .grid import (
     Raster,
+    _check_kernel,
     connected_components,
     dilate,
     opening,
@@ -117,8 +118,7 @@ def roughness_layer(ndhm: Raster, k2: int = 5) -> Raster:
 
     Halves round away from zero; windows clip at the raster border.
     """
-    if not isinstance(k2, (int, np.integer)) or k2 < 1 or k2 % 2 == 0:
-        raise BadKernel(f"k2 must be a positive odd integer, got {k2!r}")
+    k2 = _check_kernel(k2, "k2")
     ints = round_half_away(ndhm.values)
     return ndhm.with_values(_kernels.distinct_count(ints, k2))
 

@@ -110,9 +110,10 @@ def require_same_spec(a: Raster, b: Raster, what: str = "rasters") -> None:
         raise SpecMismatch(f"{what} are on different grids: {a.spec} vs {b.spec}")
 
 
-def _check_kernel(k: int) -> int:
+def _check_kernel(k: int, name: str = "kernel size") -> int:
+    """Validate an odd window size; `name` opens the BadKernel message."""
     if not isinstance(k, (int, np.integer)) or k < 1 or k % 2 == 0:
-        raise BadKernel(f"kernel size must be a positive odd integer, got {k!r}")
+        raise BadKernel(f"{name} must be a positive odd integer, got {k!r}")
     return int(k)
 
 
@@ -139,23 +140,10 @@ def rasterize_min(
 
     The lowest return per cell suppresses vegetation over penetrable canopy
     while solid surfaces keep their own elevation.  Cells with no points
-    come back NaN; points outside the grid are ignored but tallied.
+    come back NaN; points outside the grid are ignored but tallied.  This
+    is rasterize_min_window over the whole grid.
     """
-    xs = np.ascontiguousarray(points[:, 0], np.float64)
-    ys = np.ascontiguousarray(points[:, 1], np.float64)
-    zs = np.ascontiguousarray(points[:, 2], np.float64)
-    zmin, counts, oob = _kernels.rasterize_min(
-        xs, ys, zs,
-        spec.origin_x, spec.origin_y, spec.gsd,
-        0, 0, spec.width, spec.height,
-    )
-    if int(counts.sum()) == 0:
-        raise NoPointsInGrid("no point fell inside the grid")
-    dsm = np.where(counts > 0, zmin, np.nan)
-    return (
-        Raster(spec, dsm),
-        OccupancyCount(Raster(spec, counts), int(oob)),
-    )
+    return rasterize_min_window(points, spec, 0, 0, spec.width, spec.height)
 
 
 def rasterize_min_window(
@@ -200,11 +188,7 @@ def interpolate_nearest(raster: Raster) -> Raster:
     valid = np.isfinite(raster.values)
     if not valid.any():
         raise NoPointsInGrid("cannot interpolate a raster with no valued cell")
-    filled = _kernels.nearest_fill(
-        np.ascontiguousarray(raster.values, np.float64),
-        np.ascontiguousarray(valid),
-    )
-    return raster.with_values(filled)
+    return raster.with_values(nearest_fill_from(raster.values, valid))
 
 
 def nearest_fill_from(values: np.ndarray, sources: np.ndarray) -> np.ndarray:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadKernel, DegenerateOccupancy
-from .grid import OccupancyCount, Raster, connected_components, dilate
+from .errors import DegenerateOccupancy
+from .grid import OccupancyCount, Raster, _check_kernel, connected_components, dilate
 
 DEFAULT_WINDOW = 9
 DEFAULT_SIGMA_K = 2.0
@@ -39,12 +39,6 @@ class WaterMask:
     params: WaterParams
 
 
-def _check_window(window: int) -> int:
-    if not isinstance(window, (int, np.integer)) or window < 1 or window % 2 == 0:
-        raise BadKernel(f"window must be a positive odd integer, got {window!r}")
-    return int(window)
-
-
 def _box_sum(arr: np.ndarray, radius: int) -> np.ndarray:
     """Sum over the centered (2r+1)^2 window, clipped at the borders."""
     h, w = arr.shape
@@ -64,14 +58,14 @@ def _box_sum(arr: np.ndarray, radius: int) -> np.ndarray:
 
 def occupied_cell_count(counts: OccupancyCount, window: int = DEFAULT_WINDOW) -> Raster:
     """Occupied-cell tally over the centered window, clipped at borders."""
-    radius = _check_window(window) // 2
+    radius = _check_kernel(window, "window") // 2
     occ = (counts.counts.values > 0).astype(np.int64)
     return counts.counts.with_values(_box_sum(occ, radius))
 
 
 def window_cell_count(counts: OccupancyCount, window: int = DEFAULT_WINDOW) -> Raster:
     """In-bounds cell total of the centered window (smaller near borders)."""
-    radius = _check_window(window) // 2
+    radius = _check_kernel(window, "window") // 2
     ones = np.ones(counts.counts.values.shape, np.int64)
     return counts.counts.with_values(_box_sum(ones, radius))
 
@@ -88,7 +82,7 @@ def classify_water(
     p == 0 leaves the model undefined (DegenerateOccupancy); p == 1 cannot
     flag anything and returns an empty mask with a warning.
     """
-    _check_window(window)
+    _check_kernel(window, "window")
     occ = counts.counts.values > 0
     occupied = int(np.count_nonzero(occ))
     if occupied == 0:

@@ -230,6 +230,8 @@ def run_pipeline(
         for w in windows
     )
     empty = 0
+    # A pool for one window would only pickle the whole cloud to one worker.
+    workers = min(workers, len(windows))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(_run_window_task, tasks))

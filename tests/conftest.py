@@ -12,33 +12,10 @@ import struct
 from collections import deque
 
 import numpy as np
-import pytest
 
-from lidarmaps import _kernels
 from lidarmaps.grid import GridSpec, Raster
 
 GSD = 0.5
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Touch every dispatched kernel once so timed tests pay no compile."""
-    z = np.zeros((4, 4))
-    m = np.zeros((4, 4), bool)
-    m[1, 1] = True
-    _kernels.rasterize_min(
-        np.array([0.1]), np.array([0.1]), np.array([1.0]),
-        0.0, 0.0, 0.5, 0, 0, 4, 4,
-    )
-    _kernels.nearest_fill(z, m)
-    _kernels.erode_square(m, 1)
-    _kernels.dilate_square(m, 1)
-    _kernels.erode_diamond(m, 1)
-    _kernels.dilate_diamond(m, 1)
-    _kernels.label_components(m, True)
-    _kernels.label_components(m, False)
-    _kernels.distinct_count(np.zeros((4, 4), np.int64), 3)
-    _kernels.masked_median(z, m, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import distinct_scan, raster_of
+from conftest import distinct_scan, masked_median_scan, raster_of
 from lidarmaps.errors import BadKernel, ConfigError, SpecMismatch
 from lidarmaps.extract import (
     DIFF_DILATION,
@@ -253,6 +253,19 @@ def test_build_3d_median_ignores_outside_heights():
     field[footprint] = 5.0
     out = build_3d(raster_of(field), raster_of(footprint), median_roof=3).values
     assert (out[footprint] == 5.0).all()
+
+
+def test_build_3d_median_matches_oracle():
+    rng = np.random.default_rng(12)
+    for _ in range(120):
+        shape = (int(rng.integers(1, 32)), int(rng.integers(1, 32)))
+        vals = rng.normal(0, 10, shape)
+        mask = rng.random(shape) < rng.uniform(0.2, 0.9)
+        k = int(rng.choice([1, 3, 5, 7]))
+        got = build_3d(raster_of(vals), raster_of(mask), median_roof=k).values
+        np.testing.assert_array_equal(
+            got, masked_median_scan(vals, mask, k), err_msg=f"k={k}"
+        )
 
 
 def test_build_3d_requires_same_grid():

@@ -118,11 +118,28 @@ def test_rasterize_window_slices_global_run():
         rng.normal(0, 5, 800),
     ])
     full, occ_full = rasterize_min(pts, spec)
-    win, occ_win = rasterize_min_window(pts, spec, 5, 4, 10, 8)
-    np.testing.assert_array_equal(win.values, full.values[4:12, 5:15])
-    np.testing.assert_array_equal(occ_win.counts.values, occ_full.counts.values[4:12, 5:15])
-    assert win.spec.origin_x == spec.origin_x + 5 * GSD
-    assert win.spec.origin_y == spec.origin_y + 4 * GSD
+    gc = np.floor((pts[:, 0] - spec.origin_x) / GSD)
+    gr = np.floor((pts[:, 1] - spec.origin_y) / GSD)
+    boxes = [(5, 4, 10, 8)]
+    for _ in range(40):
+        c0, r0 = int(rng.integers(0, spec.width)), int(rng.integers(0, spec.height))
+        w = int(rng.integers(1, spec.width - c0 + 1))
+        h = int(rng.integers(1, spec.height - r0 + 1))
+        boxes.append((c0, r0, w, h))
+    for c0, r0, w, h in boxes:
+        inside = (gc >= c0) & (gc < c0 + w) & (gr >= r0) & (gr < r0 + h)
+        if not inside.any():
+            with pytest.raises(NoPointsInGrid):
+                rasterize_min_window(pts, spec, c0, r0, w, h)
+            continue
+        win, occ_win = rasterize_min_window(pts, spec, c0, r0, w, h)
+        sl = (slice(r0, r0 + h), slice(c0, c0 + w))
+        np.testing.assert_array_equal(win.values, full.values[sl])
+        np.testing.assert_array_equal(occ_win.counts.values, occ_full.counts.values[sl])
+        assert occ_win.out_of_bounds == int(np.count_nonzero(~inside))
+        assert win.spec.origin_x == spec.origin_x + c0 * GSD
+        assert win.spec.origin_y == spec.origin_y + r0 * GSD
+        assert win.spec.shape == (h, w)
 
 
 # ---------------------------------------------------------------------------

@@ -222,11 +222,21 @@ def test_mosaic_matches_single_window():
     assert_products_equal(tiled.products, mono.products)
 
 
-def test_parallel_workers_match_serial():
+def test_parallel_workers_match_serial(monkeypatch):
     cloud = cloud_of(straddle_field())
     serial = run_pipeline(small_cfg(window_size_m=20.0), [cloud], workers=1)
     parallel = run_pipeline(small_cfg(window_size_m=20.0), [cloud], workers=2)
     assert_products_equal(serial.products, parallel.products)
+
+    # One window runs in-process whatever `workers` asks for: no pool.
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-window run started a process pool")
+
+    monkeypatch.setattr("lidarmaps.pipeline.ProcessPoolExecutor", no_pool)
+    one = run_pipeline(small_cfg(), [cloud], workers=1)
+    assert one.windows == 1
+    one_parallel = run_pipeline(small_cfg(), [cloud], workers=2)
+    assert_products_equal(one.products, one_parallel.products)
 
 
 def test_empty_window_core_stays_nodata(caplog):

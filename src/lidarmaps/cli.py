@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
+from dataclasses import fields
 
 from .config import (
     OUTPUT_NAMES,
@@ -46,39 +48,33 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dt", type=float, help="minimum planarity ratio to keep")
     p.add_argument("--k3", type=int, help="boundary dilation kernel in cells")
     p.add_argument("--slope-threshold", type=float, help="break-line step in meters")
-    p.add_argument("--window-size", type=float, help="processing window size in meters")
-    p.add_argument("--overlap", type=float, help="window overlap in meters")
+    p.add_argument("--window-size", type=float, dest="window_size_m", metavar="WINDOW_SIZE",
+                   help="processing window size in meters")
+    p.add_argument("--overlap", type=float, dest="overlap_m", metavar="OVERLAP",
+                   help="window overlap in meters")
     p.add_argument("--median-roof", type=int, metavar="N", help="roof median window, 0=off")
     p.add_argument("--kernel-shape", choices=("square", "diamond"))
     p.add_argument("--map3d-source", choices=("ndhm", "dsm"), help="roof height source")
-    p.add_argument("--emit", metavar="LIST", help=f"comma list of {','.join(OUTPUT_NAMES)}")
-
-
-_FLAG_TO_FIELD = {
-    "gsd": "gsd",
-    "ht": "ht",
-    "k1": "k1",
-    "k2": "k2",
-    "rt": "rt",
-    "dt": "dt",
-    "k3": "k3",
-    "slope_threshold": "slope_threshold",
-    "window_size": "window_size_m",
-    "overlap": "overlap_m",
-    "median_roof": "median_roof",
-    "kernel_shape": "kernel_shape",
-    "map3d_source": "map3d_source",
-}
+    p.add_argument("--emit", type=lambda raw: _coerce("outputs", raw), dest="outputs",
+                   metavar="LIST", help=f"comma list of {','.join(OUTPUT_NAMES)}")
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
+    """Defaults, then --config, then the flags given; a flag's dest is its field."""
     cfg = PipelineConfig()
     if args.config:
         cfg = load_config(args.config, cfg)
-    overrides = {field: getattr(args, flag) for flag, field in _FLAG_TO_FIELD.items()}
-    if args.emit is not None:
-        overrides["outputs"] = tuple(s.strip() for s in args.emit.split(",") if s.strip())
-    return apply_overrides(cfg, overrides)
+    return apply_overrides(cfg, {f.name: getattr(args, f.name, None) for f in fields(cfg)})
+
+
+def _tile_size(raw: str) -> float:
+    try:
+        v = float(raw)
+    except ValueError:
+        v = math.nan
+    if not (math.isfinite(v) and v > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {raw!r}")
+    return v
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
@@ -105,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--truth", required=True, metavar="PATH", help="GeoJSON footprints or a grid"
     )
-    p_eval.add_argument("--tile-size", type=float, default=500.0, help="tile edge in meters")
+    p_eval.add_argument("--tile-size", type=_tile_size, default=500.0, metavar="TILE_SIZE",
+                        help="tile edge in meters")
     p_eval.add_argument("--out", metavar="DIR", required=True, help="report directory")
 
     p_sweep = sub.add_parser("sweep", help="rerun the pipeline over parameter values")

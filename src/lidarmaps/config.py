@@ -17,9 +17,6 @@ from .hydro import WaterParams
 #: Raster products the pipeline can emit, in canonical output order.
 OUTPUT_NAMES = ("map2d", "map3d", "dsm", "dtm", "ndhm", "water", "diff")
 
-_INT_FIELDS = frozenset({"k1", "k2", "rt", "k3", "water_window", "median_roof"})
-_STR_FIELDS = frozenset({"kernel_shape", "map3d_source"})
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -60,20 +57,11 @@ class PipelineConfig:
             "window_size_m",
         ):
             positive(name)
-        for name in ("k1", "k2", "k3", "water_window"):
-            v = getattr(self, name)
-            if not (isinstance(v, int) and v >= 1 and v % 2 == 1):
-                raise ConfigError(f"{name} must be a positive odd integer, got {v!r}")
-        if not (isinstance(self.rt, int) and self.rt >= 1):
-            raise ConfigError(f"rt must be an integer >= 1, got {self.rt!r}")
-        if not 0.0 <= self.dt <= 1.0:
-            raise ConfigError(f"dt must lie in [0, 1], got {self.dt!r}")
-        if self.kernel_shape not in ("square", "diamond"):
-            raise ConfigError(f"kernel_shape must be square or diamond, got {self.kernel_shape!r}")
-        if self.median_roof != 0 and (self.median_roof < 1 or self.median_roof % 2 == 0):
-            raise ConfigError(f"median_roof must be 0 (off) or odd, got {self.median_roof!r}")
-        if self.map3d_source not in ("ndhm", "dsm"):
-            raise ConfigError(f"map3d_source must be ndhm or dsm, got {self.map3d_source!r}")
+        v = self.water_window
+        if not (isinstance(v, int) and v >= 1 and v % 2 == 1):
+            raise ConfigError(f"water_window must be a positive odd integer, got {v!r}")
+        # The extraction settings have one validator, ExtractParams.
+        self.extract_params()
         min_overlap = (self.k1 + self.water_window) * self.gsd
         if self.overlap_m < min_overlap:
             raise ConfigError(
@@ -88,17 +76,8 @@ class PipelineConfig:
             object.__setattr__(self, "outputs", canon)
 
     def extract_params(self) -> ExtractParams:
-        return ExtractParams(
-            ht=self.ht,
-            k1=self.k1,
-            k2=self.k2,
-            rt=self.rt,
-            dt=self.dt,
-            k3=self.k3,
-            kernel_shape=self.kernel_shape,
-            median_roof=self.median_roof,
-            map3d_source=self.map3d_source,
-        )
+        """The extraction settings: every ExtractParams field, by name."""
+        return ExtractParams(**{f.name: getattr(self, f.name) for f in fields(ExtractParams)})
 
     def water_params(self) -> WaterParams:
         return WaterParams(
@@ -107,6 +86,10 @@ class PipelineConfig:
             min_area=self.water_min_area,
             buffer=self.water_buffer,
         )
+
+
+_INT_FIELDS = frozenset(f.name for f in fields(PipelineConfig) if type(f.default) is int)
+_STR_FIELDS = frozenset(f.name for f in fields(PipelineConfig) if type(f.default) is str)
 
 
 def _coerce(name: str, raw: str) -> object:

@@ -120,8 +120,8 @@ def tiling_comparison(
 ) -> TileReport:
     """Confusion per tile_size x tile_size ground tile, worst tiles first."""
     require_same_spec(pred, truth, "pred and truth")
-    if tile_size <= 0:
-        raise ValueError(f"tile size must be positive, got {tile_size}")
+    if not (math.isfinite(tile_size) and tile_size > 0):
+        raise ValueError(f"tile size must be positive and finite, got {tile_size}")
     spec = pred.spec
     tiles_x = math.ceil(spec.width * spec.gsd / tile_size)
     tiles_y = math.ceil(spec.height * spec.gsd / tile_size)
@@ -402,10 +402,15 @@ def load_geojson_polygons(path: str) -> list[list[np.ndarray]]:
 
     geoms: list[dict] = []
 
-    def collect(obj: dict) -> None:
+    def collect(obj: object) -> None:
+        if not isinstance(obj, dict):
+            raise IoFailure(f"{path}: expected a GeoJSON object, got {type(obj).__name__}")
         kind = obj.get("type")
         if kind == "FeatureCollection":
-            for feat in obj.get("features", []):
+            features = obj.get("features", [])
+            if not isinstance(features, list):
+                raise IoFailure(f"{path}: FeatureCollection features must be a list")
+            for feat in features:
                 collect(feat)
         elif kind == "Feature":
             geom = obj.get("geometry")
@@ -419,10 +424,13 @@ def load_geojson_polygons(path: str) -> list[list[np.ndarray]]:
     collect(doc)
     polygons: list[list[np.ndarray]] = []
     for geom in geoms:
-        coords = geom["coordinates"]
-        parts = [coords] if geom["type"] == "Polygon" else coords
-        for rings in parts:
-            polygons.append(
-                [np.asarray([pt[:2] for pt in ring], np.float64) for ring in rings]
-            )
+        try:
+            coords = geom["coordinates"]
+            parts = [coords] if geom["type"] == "Polygon" else coords
+            for rings in parts:
+                polygons.append(
+                    [np.asarray([pt[:2] for pt in ring], np.float64) for ring in rings]
+                )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise IoFailure(f"{path}: malformed {geom['type']} coordinates: {exc}") from exc
     return polygons

@@ -6,6 +6,10 @@ window's core region is written back, so any seam effect from a stage's
 finite support stays inside the discarded padding.  Cell indexing always
 refers to the one global grid, making the mosaic bit-identical to a
 single-window run away from the global boundary.
+
+The chain splits at terrain: the surface stages run once per window, then
+extraction once per ExtractParams, one for `map` and one per value for
+`sweep`, both in one windowed pass (`_run_windows`).
 """
 
 from __future__ import annotations
@@ -14,7 +18,9 @@ import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -31,7 +37,7 @@ from .evaluate import (
     rasterize_polygons,
     tiling_comparison,
 )
-from .extract import extract_buildings
+from .extract import ExtractParams, extract_buildings
 from .formats import read_ascii_grid, write_ascii_grid
 from .grid import (
     GridSpec,
@@ -112,6 +118,10 @@ def _select_window_points(points: np.ndarray, spec: GridSpec, box: tuple[int, in
 # ---------------------------------------------------------------------------
 
 PRODUCT_NAMES = ("dsm", "dtm", "ndhm", "water", "map2d", "map3d", "diff")
+_NODATA = {
+    "dsm": np.nan, "dtm": np.nan, "ndhm": np.nan, "water": False,
+    "map2d": False, "map3d": np.nan, "diff": np.uint8(0),
+}
 
 
 def _sample_external(ext: Raster, sub: GridSpec) -> Raster:
@@ -127,44 +137,40 @@ def _sample_external(ext: Raster, sub: GridSpec) -> Raster:
 
 def _window_products(
     sub: np.ndarray,
-    spec: GridSpec,
     window: Window,
+    spec: GridSpec,
     cfg: PipelineConfig,
+    params: list[ExtractParams],
+    names: tuple[str, ...],
     external_dtm: Raster | None,
-) -> dict | None:
-    """Run the stage chain on one window; `sub` holds exactly the points
-    that _select_window_points picked for the window's padded box."""
+) -> list[dict[str, np.ndarray]] | None:
+    """Surface stages once, then extraction once per entry of `params`, on
+    the points _select_window_points picked for the window's padded box.
+    Returns, per entry of `params`, the core slices of the grids in
+    `names`; None for an empty window.
+    """
     pc0, pr0, pw, ph = window.padded
     try:
         dsm_raw, occ = rasterize_min_window(sub, spec, pc0, pr0, pw, ph)
     except NoPointsInGrid:
         log.warning("window %d is empty; its core stays nodata", window.index)
         return None
+    c0, r0, w, h = window.core
+    sl = (slice(r0 - pr0, r0 - pr0 + h), slice(c0 - pc0, c0 - pc0 + w))
     try:
         dsm = interpolate_nearest(dsm_raw)
         water = detect_water(occ, cfg.water_params())
         ext = _sample_external(external_dtm, dsm.spec) if external_dtm is not None else None
         terrain = derive_terrain(dsm, occ, cfg.slope_threshold, ext)
-        result = extract_buildings(terrain, water, cfg.extract_params())
+        grids = {"dsm": terrain.dsm, "dtm": terrain.dtm, "ndhm": terrain.ndhm, "water": water.mask}
+        out = []
+        for p in params:
+            res = extract_buildings(terrain, water, p)
+            grids.update(map2d=res.map2d, map3d=res.map3d, diff=res.difference)
+            out.append({n: grids[n].values[sl] for n in names})
     except LidarMapsError as exc:
         raise type(exc)(f"window {window.index} {window.core}: {exc}") from exc
-    cc0 = window.core[0] - pc0
-    cr0 = window.core[1] - pr0
-    sl = (slice(cr0, cr0 + window.core[3]), slice(cc0, cc0 + window.core[2]))
-    return {
-        "dsm": terrain.dsm.values[sl],
-        "dtm": terrain.dtm.values[sl],
-        "ndhm": terrain.ndhm.values[sl],
-        "water": water.mask.values[sl],
-        "map2d": result.map2d.values[sl],
-        "map3d": result.map3d.values[sl],
-        "diff": result.difference.values[sl],
-    }
-
-
-def _run_window_task(task) -> tuple[int, dict | None]:
-    points, spec, window, cfg, external_dtm = task
-    return window.index, _window_products(points, spec, window, cfg, external_dtm)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -182,16 +188,61 @@ class PipelineResult:
     empty_windows: int
 
 
-def _empty_products(spec: GridSpec) -> dict[str, np.ndarray]:
-    return {
-        "dsm": np.full(spec.shape, np.nan),
-        "dtm": np.full(spec.shape, np.nan),
-        "ndhm": np.full(spec.shape, np.nan),
-        "water": np.zeros(spec.shape, bool),
-        "map2d": np.zeros(spec.shape, bool),
-        "map3d": np.full(spec.shape, np.nan),
-        "diff": np.zeros(spec.shape, np.uint8),
-    }
+def _run_windows(
+    cfg: PipelineConfig,
+    params: list[ExtractParams],
+    names: tuple[str, ...],
+    inputs: list,
+    workers: int,
+    external_dtm: Raster | str | None,
+    input_format: str,
+) -> tuple[PipelineResult, list[dict[str, Raster]]]:
+    """Load the inputs, plan and run the windows, and mosaic the cores of
+    the grids in `names` once per entry of `params`.  The PipelineResult
+    returned has no products; they are the list."""
+    if not inputs:
+        raise ConfigError("at least one input cloud is required")
+    clouds = [
+        c if isinstance(c, PointCloud) else load_points(c, input_format) for c in inputs
+    ]
+    cloud = merge_clouds(clouds)
+    if isinstance(external_dtm, str):
+        external_dtm = read_ascii_grid(external_dtm)
+    spec = grid_from_bounds(*cloud.bounds, cfg.gsd)
+    windows = plan_windows(spec, cfg.window_size_m, cfg.overlap_m)
+    log.info(
+        "grid %dx%d cells at %.3g m, %d window(s)",
+        spec.width, spec.height, cfg.gsd, len(windows),
+    )
+
+    mosaics = [{n: np.full(spec.shape, _NODATA[n]) for n in names} for _ in params]
+    run_window = partial(
+        _window_products, spec=spec, cfg=cfg, params=params, names=names,
+        external_dtm=external_dtm,
+    )
+    subs = (_select_window_points(cloud.points, spec, w.padded) for w in windows)
+    empty = 0
+    # A pool for one window would only pickle the whole cloud to one worker.
+    workers = min(workers, len(windows))
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for window, prod in zip(windows, (pool.map if pool else map)(run_window, subs, windows)):
+            if prod is None:
+                empty += 1
+                continue
+            c0, r0, w, h = window.core
+            for mosaic, window_cores in zip(mosaics, prod):
+                for name, values in window_cores.items():
+                    mosaic[name][r0:r0 + h, c0:c0 + w] = values
+
+    result = PipelineResult(
+        spec=spec,
+        products={},
+        windows=len(windows),
+        point_count=len(cloud),
+        dropped_nonfinite=cloud.dropped_nonfinite,
+        empty_windows=empty,
+    )
+    return result, [{n: Raster(spec, v) for n, v in m.items()} for m in mosaics]
 
 
 def run_pipeline(
@@ -208,53 +259,10 @@ def run_pipeline(
     configured outputs plus the canonical config and a run summary are
     written there; files are byte-identical across repeat runs.
     """
-    if not inputs:
-        raise ConfigError("at least one input cloud is required")
-    clouds = [
-        c if isinstance(c, PointCloud) else load_points(c, input_format) for c in inputs
-    ]
-    cloud = merge_clouds(clouds)
-    if isinstance(external_dtm, str):
-        external_dtm = read_ascii_grid(external_dtm)
-    min_x, min_y, max_x, max_y = cloud.bounds
-    spec = grid_from_bounds(min_x, min_y, max_x, max_y, cfg.gsd)
-    windows = plan_windows(spec, cfg.window_size_m, cfg.overlap_m)
-    log.info(
-        "grid %dx%d cells at %.3g m, %d window(s)",
-        spec.width, spec.height, cfg.gsd, len(windows),
+    result, (products,) = _run_windows(
+        cfg, [cfg.extract_params()], PRODUCT_NAMES, inputs, workers, external_dtm, input_format
     )
-
-    mosaic = _empty_products(spec)
-    tasks = (
-        (_select_window_points(cloud.points, spec, w.padded), spec, w, cfg, external_dtm)
-        for w in windows
-    )
-    empty = 0
-    # A pool for one window would only pickle the whole cloud to one worker.
-    workers = min(workers, len(windows))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_run_window_task, tasks))
-    else:
-        results = [_run_window_task(t) for t in tasks]
-    for idx, prod in results:
-        if prod is None:
-            empty += 1
-            continue
-        c0, r0, w, h = windows[idx].core
-        sl = (slice(r0, r0 + h), slice(c0, c0 + w))
-        for name in PRODUCT_NAMES:
-            mosaic[name][sl] = prod[name]
-
-    products = {name: Raster(spec, mosaic[name]) for name in PRODUCT_NAMES}
-    result = PipelineResult(
-        spec=spec,
-        products=products,
-        windows=len(windows),
-        point_count=len(cloud),
-        dropped_nonfinite=cloud.dropped_nonfinite,
-        empty_windows=empty,
-    )
+    result.products = products
     if out_dir is not None:
         _write_products(out_dir, cfg, result)
     return result
@@ -308,9 +316,7 @@ def load_truth_labels(path: str, spec: GridSpec) -> Raster:
     if path.lower().endswith((".geojson", ".json")):
         labels = rasterize_polygons(load_geojson_polygons(path), spec)
     else:
-        r = read_ascii_grid(path)
-        mask = Raster(r.spec, np.nan_to_num(r.values, nan=0.0) > 0.5)
-        labels, _ = connected_components(mask, 8)
+        labels, _ = connected_components(load_pred_mask(path), 8)
     require_same_spec(Raster(spec, np.zeros(spec.shape, bool)), labels, "pred and truth")
     return labels
 
@@ -422,29 +428,25 @@ def run_sweep(
     external_dtm: Raster | str | None = None,
     input_format: str = "auto",
 ) -> list[tuple[object, ConfusionMetrics]]:
-    """One pipeline+eval run per parameter value, everything else fixed.
+    """Score map2d once per parameter value, everything else fixed.
 
-    Returns (value, metrics) rows ordered by value; with out_dir set, a
-    sweep.txt table is written alongside.
+    All values are validated before any window runs, then share one
+    surface pass per window (every SWEEPABLE parameter is an extraction
+    setting).  Returns (value, metrics) rows ordered by value; with
+    out_dir set, a sweep.txt table is written alongside.
     """
     if param not in SWEEPABLE:
         raise ConfigError(f"sweep parameter must be one of {SWEEPABLE}, got {param!r}")
     if not values:
         raise ConfigError("sweep needs at least one value")
-    clouds = [
-        c if isinstance(c, PointCloud) else load_points(c, input_format) for c in inputs
-    ]
-    cloud = merge_clouds(clouds)
-    truth: Raster | None = None
-    rows: list[tuple[object, ConfusionMetrics]] = []
-    for v in sorted(values):
-        cfg_v = apply_overrides(cfg, {param: v})
-        res = run_pipeline(cfg_v, [cloud], workers=workers, external_dtm=external_dtm)
-        if truth is None:
-            truth = load_truth_labels(truth_path, res.spec)
-        pred = res.products["map2d"]
-        truth_mask = truth.with_values(truth.values > 0)
-        rows.append((v, confusion(pred, truth_mask)))
+    values = sorted(values)
+    params = [apply_overrides(cfg, {param: v}).extract_params() for v in values]
+    result, extracted = _run_windows(
+        cfg, params, ("map2d",), inputs, workers, external_dtm, input_format
+    )
+    truth = load_truth_labels(truth_path, result.spec)
+    truth_mask = truth.with_values(truth.values > 0)
+    rows = [(v, confusion(e["map2d"], truth_mask)) for v, e in zip(values, extracted)]
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         lines = [f"# sweep param={param}", "# value iou precision recall f1 tp fp fn tn"]

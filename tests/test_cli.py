@@ -4,6 +4,7 @@ subcommands run end to end through main()."""
 import json
 
 import numpy as np
+import pytest
 
 from lidarmaps.cli import main
 from lidarmaps.formats import write_ascii_grid
@@ -149,6 +150,47 @@ def test_eval_geojson_truth(tmp_path, capsys):
     )
     assert rc == 0
     assert "iou=1.0000" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tile_size", ["0", "-1", "nan", "inf"])
+def test_eval_rejects_bad_tile_size(tmp_path, capsys, tile_size):
+    pred = str(tmp_path / "pred.asc")
+    write_ascii_grid(pred, raster_of(np.ones((4, 4), bool), gsd=1.0))
+    rc = main(
+        ["eval", "--pred", pred, "--truth", pred, "--tile-size", tile_size,
+         "--out", str(tmp_path / "eval")]
+    )
+    assert rc == 1
+    assert "error: argument --tile-size: must be a positive finite number" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp_path / "eval").exists()
+
+
+SQUARE = [[2, 2], [6, 2], [6, 7], [2, 7], [2, 2]]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [{"type": "Polygon", "coordinates": [SQUARE]}],
+        {"type": "Polygon"},
+        {"type": "Polygon", "coordinates": [[[2, 2], [6], [6, 7], [2, 7], [2, 2]]]},
+        {"type": "Polygon", "coordinates": [[["a", "b"], [6, 2], [6, 7], [2, 7], ["a", "b"]]]},
+        {"type": "FeatureCollection", "features": [5]},
+        {"type": "FeatureCollection", "features": 5},
+    ],
+    ids=["top-level-list", "no-coordinates", "ragged", "non-numeric", "non-object-feature",
+         "non-list-features"],
+)
+def test_eval_malformed_geojson_exits_2(tmp_path, capsys, doc):
+    pred = str(tmp_path / "pred.asc")
+    write_ascii_grid(pred, raster_of(np.zeros((10, 10), bool), gsd=1.0))
+    truth = tmp_path / "truth.geojson"
+    truth.write_text(json.dumps(doc))
+    rc = main(["eval", "--pred", pred, "--truth", str(truth), "--out", str(tmp_path / "eval")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {truth}: ")
 
 
 # ---------------------------------------------------------------------------

@@ -162,8 +162,9 @@ def test_cells_assigned_by_lower_left_corner():
 
 def test_tile_size_must_be_positive():
     r = bool_raster((4, 4))
-    with pytest.raises(ValueError):
-        tiling_comparison(r, r, tile_size=0.0)
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            tiling_comparison(r, r, tile_size=bad)
 
 
 # ---------------------------------------------------------------------------

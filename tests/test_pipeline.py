@@ -4,18 +4,22 @@ the eval driver, and parameter sweeps."""
 import json
 import logging
 import os
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from lidarmaps import pipeline
 from lidarmaps.config import PipelineConfig, serialize_config
 from lidarmaps.errors import ConfigError, DegenerateScene, SpecMismatch
-from lidarmaps.evaluate import ConfusionMetrics
+from lidarmaps.evaluate import ConfusionMetrics, confusion
+from lidarmaps.extract import ExtractParams
 from lidarmaps.formats import read_ascii_grid, write_ascii_grid
 from lidarmaps.grid import GridSpec, Raster
 from lidarmaps.ingest import PointCloud, write_xyz_text
 from lidarmaps.pipeline import (
     PRODUCT_NAMES,
+    SWEEPABLE,
     Window,
     _sample_external,
     _select_window_points,
@@ -511,3 +515,58 @@ def test_sweep_k1_orders_values_and_reports(tmp_path):
     assert len(lines) == 5
     assert [row.split()[0] for row in lines[2:]] == ["3", "5", "7"]
     assert all(len(row.split()) == 9 for row in lines[2:])
+
+
+SWEEP_VALUES = {"k1": [7, 3, 5], "dt": [0.1, 0.95, 0.5], "k3": [1, 5, 3], "ht": [7.0, 1.0, 3.0]}
+
+
+def test_sweep_rows_match_pipeline_runs(tmp_path):
+    cloud, truth_path = sweep_scene(tmp_path)
+    # a rough narrow roof gives dt a component to drop
+    pts = cloud.points.copy()
+    narrow = (pts[:, 2] > 0) & (pts[:, 0] < 15)
+    pts[narrow, 2] += np.random.default_rng(3).integers(0, 5, np.count_nonzero(narrow))
+    cloud = PointCloud(pts, cloud.bounds, source="memory")
+    cfg = small_cfg(window_size_m=20.0, overlap_m=10.0)
+    assert set(SWEEP_VALUES) == set(SWEEPABLE)
+    for param, values in SWEEP_VALUES.items():
+        expected = []
+        for v in sorted(values):
+            res = run_pipeline(replace(cfg, **{param: v}), [cloud])
+            assert res.windows == 4
+            truth = load_truth_labels(truth_path, res.spec)
+            truth_mask = truth.with_values(truth.values > 0)
+            expected.append((v, confusion(res.products["map2d"], truth_mask)))
+        assert len({(m.tp, m.fp) for _, m in expected}) > 1, f"{param} changes nothing"
+        for workers in (1, 2):
+            assert run_sweep(cfg, param, values, [cloud], truth_path, workers=workers) == expected
+
+
+def test_sweep_runs_surface_once_per_window(tmp_path, monkeypatch):
+    field = np.zeros((10, 40))
+    field[:, 4:26] = np.nan  # the padded box of window 1 holds no point
+    field[2:8, 30:36] = 6.0
+    truth = tmp_path / "truth.geojson"
+    truth.write_text(json.dumps({"type": "Polygon", "coordinates": [
+        [[30.5, 2.5], [36.5, 2.5], [36.5, 8.5], [30.5, 8.5], [30.5, 2.5]]
+    ]}))
+    calls = []
+    real = pipeline.derive_terrain
+
+    def counted(dsm, *args, **kwargs):
+        calls.append(dsm.spec)
+        return real(dsm, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "derive_terrain", counted)
+    cfg = small_cfg(window_size_m=10.0)
+    rows = run_sweep(cfg, "k3", [1, 3, 5], [cloud_of(field)], str(truth))
+    assert [v for v, _ in rows] == [1, 3, 5]
+    assert rows[0][1].fp < rows[1][1].fp < rows[2][1].fp
+    # four windows, one empty: one terrain pass for each of the other three
+    assert len(calls) == 3 == len(set(calls))
+
+
+def test_sweepable_params_are_extraction_settings():
+    # The surface stages never see ExtractParams, so a sweep may share them
+    # between values only while every sweepable parameter is one of its fields.
+    assert set(SWEEPABLE) <= {f.name for f in fields(ExtractParams)}

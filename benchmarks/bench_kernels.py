@@ -79,28 +79,28 @@ def _cases(size: int, n_points: int, rng: np.random.Generator) -> list:
             (corner_vals, corner),
         ),
         (
-            "erode_square",
-            f"{w}x{h}, k=7",
-            kernels.erode_square,
-            (blobs, 3),
+            "morph_square",
+            f"{w}x{h}, k=7, erode",
+            kernels.morph_square,
+            (blobs, 3, np.logical_and),
         ),
         (
-            "dilate_square",
-            f"{w}x{h}, k=7",
-            kernels.dilate_square,
-            (blobs, 3),
+            "morph_square",
+            f"{w}x{h}, k=7, dilate",
+            kernels.morph_square,
+            (blobs, 3, np.logical_or),
         ),
         (
-            "erode_diamond",
-            f"{w}x{h}, k=7",
-            kernels.erode_diamond,
-            (blobs, 3),
+            "morph_diamond",
+            f"{w}x{h}, k=7, erode",
+            kernels.morph_diamond,
+            (blobs, 3, np.logical_and),
         ),
         (
-            "dilate_diamond",
-            f"{w}x{h}, k=7",
-            kernels.dilate_diamond,
-            (blobs, 3),
+            "morph_diamond",
+            f"{w}x{h}, k=7, dilate",
+            kernels.morph_diamond,
+            (blobs, 3, np.logical_or),
         ),
         (
             "label_components",

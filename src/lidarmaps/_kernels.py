@@ -116,56 +116,31 @@ def nearest_fill(values, valid):
 # binary morphology
 # ---------------------------------------------------------------------------
 # Erosion treats cells outside the raster as false (windows reaching past
-# the border erode away); dilation clips the window at the border.
+# the border erode away); dilation clips the window at the border.  One
+# body per footprint serves both: `op` is np.logical_and to erode and
+# np.logical_or to dilate, applied in place.  The square is a row pass then
+# a column pass over its result; the diamond is `radius` steps of the
+# 4-neighbour cross.
 
 
-def erode_square(mask, r):
+def morph_square(mask, r, op):
     out = mask.copy()
     for d in range(1, r + 1):
-        out &= _shift2(mask, 0, d, False)
-        out &= _shift2(mask, 0, -d, False)
+        op(out, _shift2(mask, 0, d, False), out=out)
+        op(out, _shift2(mask, 0, -d, False), out=out)
     tmp = out.copy()
     for d in range(1, r + 1):
-        out &= _shift2(tmp, d, 0, False)
-        out &= _shift2(tmp, -d, 0, False)
+        op(out, _shift2(tmp, d, 0, False), out=out)
+        op(out, _shift2(tmp, -d, 0, False), out=out)
     return out
 
 
-def dilate_square(mask, r):
-    out = mask.copy()
-    for d in range(1, r + 1):
-        out |= _shift2(mask, 0, d, False)
-        out |= _shift2(mask, 0, -d, False)
-    tmp = out.copy()
-    for d in range(1, r + 1):
-        out |= _shift2(tmp, d, 0, False)
-        out |= _shift2(tmp, -d, 0, False)
-    return out
-
-
-def erode_diamond(mask, radius):
+def morph_diamond(mask, radius, op):
     cur = mask.copy()
     for _ in range(radius):
-        cur = (
-            cur
-            & _shift2(cur, 1, 0, False)
-            & _shift2(cur, -1, 0, False)
-            & _shift2(cur, 0, 1, False)
-            & _shift2(cur, 0, -1, False)
-        )
-    return cur
-
-
-def dilate_diamond(mask, radius):
-    cur = mask.copy()
-    for _ in range(radius):
-        cur = (
-            cur
-            | _shift2(cur, 1, 0, False)
-            | _shift2(cur, -1, 0, False)
-            | _shift2(cur, 0, 1, False)
-            | _shift2(cur, 0, -1, False)
-        )
+        prev = cur.copy()
+        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            op(cur, _shift2(prev, di, dj, False), out=cur)
     return cur
 
 

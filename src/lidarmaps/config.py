@@ -62,6 +62,8 @@ class PipelineConfig:
             raise ConfigError(f"water_window must be a positive odd integer, got {v!r}")
         # The extraction settings have one validator, ExtractParams.
         self.extract_params()
+        if not math.isfinite(self.overlap_m):
+            raise ConfigError(f"overlap_m must be finite, got {self.overlap_m!r}")
         min_overlap = (self.k1 + self.water_window) * self.gsd
         if self.overlap_m < min_overlap:
             raise ConfigError(

@@ -48,11 +48,11 @@ def write_ascii_grid(path: str, raster: Raster) -> None:
         row_fmt = " ".join(["%d"] * spec.width)
         body = [row_fmt % tuple(row) for row in flipped.tolist()]
     else:
+        # %.3f prints every NaN, signed or not, as "nan" and no other cell
+        # contains it, so one replace per row writes the sentinel.
+        row_fmt = " ".join(["%.3f"] * spec.width)
         sentinel = _fmt_num(raster.nodata)
-        body = [
-            " ".join(sentinel if math.isnan(v) else f"{v:.3f}" for v in row)
-            for row in flipped
-        ]
+        body = [(row_fmt % tuple(row)).replace("nan", sentinel) for row in flipped.tolist()]
     try:
         with open(path, "w", encoding="ascii", newline="\n") as f:
             f.write("\n".join(lines + body))

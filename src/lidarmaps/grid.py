@@ -61,6 +61,17 @@ class GridSpec:
         row = int(np.floor((y - self.origin_y) / self.gsd))
         return row, col
 
+    def subgrid(self, col0: int, row0: int, width: int, height: int) -> "GridSpec":
+        """The width x height block of this grid whose lower-left cell is
+        (row0, col0), anchored on the same cell edges."""
+        return GridSpec(
+            self.origin_x + col0 * self.gsd,
+            self.origin_y + row0 * self.gsd,
+            self.gsd,
+            width,
+            height,
+        )
+
 
 def grid_from_bounds(
     min_x: float, min_y: float, max_x: float, max_y: float, gsd: float
@@ -165,13 +176,7 @@ def rasterize_min_window(
     )
     if int(counts.sum()) == 0:
         raise NoPointsInGrid("no point fell inside the window")
-    sub = GridSpec(
-        spec.origin_x + col0 * spec.gsd,
-        spec.origin_y + row0 * spec.gsd,
-        spec.gsd,
-        width,
-        height,
-    )
+    sub = spec.subgrid(col0, row0, width, height)
     dsm = np.where(counts > 0, zmin, np.nan)
     return (
         Raster(sub, dsm),
@@ -208,19 +213,20 @@ def nearest_fill_from(values: np.ndarray, sources: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _morph(mask: Raster, k: int, shape: str, op: np.ufunc) -> Raster:
+    k = _check_kernel(k)
+    square = _check_shape_name(shape) == "square"
+    kernel = _kernels.morph_square if square else _kernels.morph_diamond
+    return mask.with_values(kernel(np.ascontiguousarray(mask.values, bool), k // 2, op))
+
+
 def erode(mask: Raster, k: int, shape: str = "square") -> Raster:
     """Binary erosion by an odd k x k square (or inscribed diamond).
 
     Cells outside the raster count as false, so shapes touching the border
     erode away.
     """
-    k = _check_kernel(k)
-    m = np.ascontiguousarray(mask.values, bool)
-    if _check_shape_name(shape) == "square":
-        out = _kernels.erode_square(m, k // 2)
-    else:
-        out = _kernels.erode_diamond(m, k // 2)
-    return mask.with_values(out)
+    return _morph(mask, k, shape, np.logical_and)
 
 
 def dilate(mask: Raster, k: int, shape: str = "square") -> Raster:
@@ -228,13 +234,7 @@ def dilate(mask: Raster, k: int, shape: str = "square") -> Raster:
 
     The window clips at the border; outside cells contribute nothing.
     """
-    k = _check_kernel(k)
-    m = np.ascontiguousarray(mask.values, bool)
-    if _check_shape_name(shape) == "square":
-        out = _kernels.dilate_square(m, k // 2)
-    else:
-        out = _kernels.dilate_diamond(m, k // 2)
-    return mask.with_values(out)
+    return _morph(mask, k, shape, np.logical_or)
 
 
 def opening(mask: Raster, k: int, shape: str = "square") -> Raster:

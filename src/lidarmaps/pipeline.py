@@ -1,11 +1,13 @@
 """End-to-end orchestration: overlapped-window planning, the per-window
 stage chain, mosaicking, and the eval and sweep drivers.
 
-Windows are processed independently (optionally in parallel) and only each
-window's core region is written back, so any seam effect from a stage's
-finite support stays inside the discarded padding.  Cell indexing always
-refers to the one global grid, making the mosaic bit-identical to a
-single-window run away from the global boundary.
+The merged cloud is gridded once into a global min-z grid and a global
+count grid; each window cuts its padded box from those two grids and never
+sees a point.  Windows are processed independently (optionally in
+parallel) and only each window's core region is written back, so any seam
+effect from a stage's finite support stays inside the discarded padding.
+Cell indexing always refers to the one global grid, making the mosaic
+bit-identical to a single-window run away from the global boundary.
 
 The chain splits at terrain: the surface stages run once per window, then
 extraction once per ExtractParams, one for `map` and one per value for
@@ -25,7 +27,7 @@ from functools import partial
 import numpy as np
 
 from .config import PipelineConfig, apply_overrides, serialize_config
-from .errors import ConfigError, LidarMapsError, NoPointsInGrid
+from .errors import ConfigError, IoFailure, LidarMapsError
 from .evaluate import (
     ConfusionMetrics,
     InstanceReport,
@@ -41,11 +43,12 @@ from .extract import ExtractParams, extract_buildings
 from .formats import read_ascii_grid, write_ascii_grid
 from .grid import (
     GridSpec,
+    OccupancyCount,
     Raster,
     connected_components,
     grid_from_bounds,
     interpolate_nearest,
-    rasterize_min_window,
+    rasterize_min,
     require_same_spec,
 )
 from .hydro import detect_water
@@ -103,14 +106,15 @@ def plan_windows(spec: GridSpec, window_size_m: float, overlap_m: float) -> list
     return windows
 
 
-def _select_window_points(points: np.ndarray, spec: GridSpec, box: tuple[int, int, int, int]) -> np.ndarray:
-    """Points whose global cell lies in the box; same floor() as the
-    rasterizer, so selection can never disagree with gridding."""
+def _cut_window(
+    dsm: Raster, occ: OccupancyCount, box: tuple[int, int, int, int]
+) -> tuple[Raster, OccupancyCount]:
+    """The box of the global min-z and count grids as views on its own
+    sub-grid; the window counts no point out of bounds."""
     c0, r0, w, h = box
-    gc = np.floor((points[:, 0] - spec.origin_x) / spec.gsd)
-    gr = np.floor((points[:, 1] - spec.origin_y) / spec.gsd)
-    keep = (gc >= c0) & (gc < c0 + w) & (gr >= r0) & (gr < r0 + h)
-    return points[keep]
+    sub = dsm.spec.subgrid(c0, r0, w, h)
+    sl = (slice(r0, r0 + h), slice(c0, c0 + w))
+    return Raster(sub, dsm.values[sl]), OccupancyCount(Raster(sub, occ.counts.values[sl]))
 
 
 # ---------------------------------------------------------------------------
@@ -136,25 +140,23 @@ def _sample_external(ext: Raster, sub: GridSpec) -> Raster:
 
 
 def _window_products(
-    sub: np.ndarray,
+    gridded: tuple[Raster, OccupancyCount],
     window: Window,
-    spec: GridSpec,
     cfg: PipelineConfig,
     params: list[ExtractParams],
     names: tuple[str, ...],
     external_dtm: Raster | None,
 ) -> list[dict[str, np.ndarray]] | None:
     """Surface stages once, then extraction once per entry of `params`, on
-    the points _select_window_points picked for the window's padded box.
-    Returns, per entry of `params`, the core slices of the grids in
-    `names`; None for an empty window.
+    the min-z and count grids of the window's padded box.  Returns, per
+    entry of `params`, the core slices of the grids in `names`; None for
+    an empty window.
     """
-    pc0, pr0, pw, ph = window.padded
-    try:
-        dsm_raw, occ = rasterize_min_window(sub, spec, pc0, pr0, pw, ph)
-    except NoPointsInGrid:
+    dsm_raw, occ = gridded
+    if not occ.counts.values.any():
         log.warning("window %d is empty; its core stays nodata", window.index)
         return None
+    pc0, pr0 = window.padded[:2]
     c0, r0, w, h = window.core
     sl = (slice(r0 - pr0, r0 - pr0 + h), slice(c0 - pc0, c0 - pc0 + w))
     try:
@@ -197,9 +199,9 @@ def _run_windows(
     external_dtm: Raster | str | None,
     input_format: str,
 ) -> tuple[PipelineResult, list[dict[str, Raster]]]:
-    """Load the inputs, plan and run the windows, and mosaic the cores of
-    the grids in `names` once per entry of `params`.  The PipelineResult
-    returned has no products; they are the list."""
+    """Load the inputs, grid them once, plan and run the windows, and
+    mosaic the cores of the grids in `names` once per entry of `params`.
+    The PipelineResult returned has no products; they are the list."""
     if not inputs:
         raise ConfigError("at least one input cloud is required")
     clouds = [
@@ -215,17 +217,25 @@ def _run_windows(
         spec.width, spec.height, cfg.gsd, len(windows),
     )
 
+    dsm_raw, occ = rasterize_min(cloud.points, spec)
+    point_count, dropped = len(cloud), cloud.dropped_nonfinite
+    del clouds, cloud
+    # Serial windows get views into overlapping boxes of these two grids;
+    # read-only, so no stage can change a neighbouring window's input.
+    dsm_raw.values.flags.writeable = False
+    occ.counts.values.flags.writeable = False
+
     mosaics = [{n: np.full(spec.shape, _NODATA[n]) for n in names} for _ in params]
     run_window = partial(
-        _window_products, spec=spec, cfg=cfg, params=params, names=names,
-        external_dtm=external_dtm,
+        _window_products, cfg=cfg, params=params, names=names, external_dtm=external_dtm,
     )
-    subs = (_select_window_points(cloud.points, spec, w.padded) for w in windows)
+    cuts = (_cut_window(dsm_raw, occ, w.padded) for w in windows)
     empty = 0
-    # A pool for one window would only pickle the whole cloud to one worker.
+    # Each worker is sent only its window's padded box of the two grids;
+    # a pool for one window would only pickle the whole grid to one worker.
     workers = min(workers, len(windows))
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for window, prod in zip(windows, (pool.map if pool else map)(run_window, subs, windows)):
+        for window, prod in zip(windows, (pool.map if pool else map)(run_window, cuts, windows)):
             if prod is None:
                 empty += 1
                 continue
@@ -238,8 +248,8 @@ def _run_windows(
         spec=spec,
         products={},
         windows=len(windows),
-        point_count=len(cloud),
-        dropped_nonfinite=cloud.dropped_nonfinite,
+        point_count=point_count,
+        dropped_nonfinite=dropped,
         empty_windows=empty,
     )
     return result, [{n: Raster(spec, v) for n, v in m.items()} for m in mosaics]
@@ -268,12 +278,23 @@ def run_pipeline(
     return result
 
 
+def _write_report(out_dir: str, name: str, lines: list[str]) -> None:
+    """Write a text report into out_dir (created if missing), one "\n"
+    ending per line; any OSError becomes IoFailure."""
+    path = os.path.join(out_dir, name)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(path, "w", encoding="ascii", newline="\n") as f:
+            f.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
 def _write_products(out_dir: str, cfg: PipelineConfig, result: PipelineResult) -> None:
-    os.makedirs(out_dir, exist_ok=True)
+    # config.txt first: writing it creates out_dir for the grids.
+    _write_report(out_dir, "config.txt", serialize_config(cfg).splitlines())
     for name in cfg.outputs:
         write_ascii_grid(os.path.join(out_dir, f"{name}.asc"), result.products[name])
-    with open(os.path.join(out_dir, "config.txt"), "w", encoding="ascii", newline="\n") as f:
-        f.write(serialize_config(cfg))
     lines = [
         f"grid={result.spec.width}x{result.spec.height}",
         f"gsd={cfg.gsd!r}",
@@ -284,8 +305,7 @@ def _write_products(out_dir: str, cfg: PipelineConfig, result: PipelineResult) -
         f"map2d_cells={int(np.count_nonzero(result.products['map2d'].values))}",
         f"water_cells={int(np.count_nonzero(result.products['water'].values))}",
     ]
-    with open(os.path.join(out_dir, "summary.txt"), "w", encoding="ascii", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_report(out_dir, "summary.txt", lines)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +367,6 @@ def _fmt_ratio(v: float | None) -> str:
 
 
 def _write_eval_reports(out_dir: str, res: EvalResult, spec: GridSpec) -> None:
-    os.makedirs(out_dir, exist_ok=True)
     c = res.cells
     t = res.tiles
     inst = res.instances
@@ -382,8 +401,7 @@ def _write_eval_reports(out_dir: str, res: EvalResult, spec: GridSpec) -> None:
             f"rate={_fmt_ratio(b.detection_rate)} pred={b.pred_count} "
             f"commissions={b.commission_count} rate={_fmt_ratio(b.commission_rate)}"
         )
-    with open(os.path.join(out_dir, "eval_summary.txt"), "w", encoding="ascii", newline="\n") as f:
-        f.write("\n".join(summary) + "\n")
+    _write_report(out_dir, "eval_summary.txt", summary)
 
     rows = [
         f"# tile_size={t.tile_size:g} tiles_x={t.tiles_x} tiles_y={t.tiles_y}",
@@ -397,8 +415,7 @@ def _write_eval_reports(out_dir: str, res: EvalResult, spec: GridSpec) -> None:
             f"{t.tp[tid]} {t.fp[tid]} {t.fn[tid]} {t.tn[tid]} "
             f"{'nan' if np.isnan(iou) else f'{iou:.6f}'}"
         )
-    with open(os.path.join(out_dir, "tiles.txt"), "w", encoding="ascii", newline="\n") as f:
-        f.write("\n".join(rows) + "\n")
+    _write_report(out_dir, "tiles.txt", rows)
 
     rows = ["# band_lo band_hi gt_count detected_count detection_rate "
             "pred_count commission_count commission_rate"]
@@ -408,8 +425,7 @@ def _write_eval_reports(out_dir: str, res: EvalResult, spec: GridSpec) -> None:
             f"{b.lo:g} {hi} {b.gt_count} {b.detected} {_fmt_ratio(b.detection_rate)} "
             f"{b.pred_count} {b.commission_count} {_fmt_ratio(b.commission_rate)}"
         )
-    with open(os.path.join(out_dir, "instances.txt"), "w", encoding="ascii", newline="\n") as f:
-        f.write("\n".join(rows) + "\n")
+    _write_report(out_dir, "instances.txt", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -448,13 +464,11 @@ def run_sweep(
     truth_mask = truth.with_values(truth.values > 0)
     rows = [(v, confusion(e["map2d"], truth_mask)) for v, e in zip(values, extracted)]
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         lines = [f"# sweep param={param}", "# value iou precision recall f1 tp fp fn tn"]
         for v, m in rows:
             lines.append(
                 f"{v} {_fmt_ratio(m.iou)} {_fmt_ratio(m.precision)} "
                 f"{_fmt_ratio(m.recall)} {_fmt_ratio(m.f1)} {m.tp} {m.fp} {m.fn} {m.tn}"
             )
-        with open(os.path.join(out_dir, "sweep.txt"), "w", encoding="ascii", newline="\n") as f:
-            f.write("\n".join(lines) + "\n")
+        _write_report(out_dir, "sweep.txt", lines)
     return rows

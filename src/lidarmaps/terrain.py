@@ -93,8 +93,8 @@ def extract_objects(breaklines: Raster) -> Raster:
         is_ground[np.unique(edge[edge > 0])] = True
     ground = is_ground[lab]
     object_regions = ~br & ~ground
-    near_object = _kernels.dilate_square(object_regions, 1)
-    near_ground = _kernels.dilate_square(ground, 1)
+    near_object = _kernels.morph_square(object_regions, 1, np.logical_or)
+    near_ground = _kernels.morph_square(ground, 1, np.logical_or)
     objects = object_regions | (br & (near_object | ~near_ground))
     return breaklines.with_values(objects)
 

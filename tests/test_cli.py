@@ -58,6 +58,24 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.count("error:") == 2
 
 
+@pytest.mark.parametrize("command", ["map", "eval", "sweep"])
+def test_unwritable_out_exits_2(tmp_path, capsys, command):
+    scene, truth = sweep_inputs(tmp_path)
+    out = tmp_path / "taken"
+    out.write_text("a regular file\n")
+    if command == "eval":
+        pred = str(tmp_path / "pred.asc")
+        write_ascii_grid(pred, raster_of(np.ones((4, 4), bool), gsd=1.0))
+        argv = ["eval", "--pred", pred, "--truth", pred]
+    elif command == "map":
+        argv = ["map", scene] + MAP_FLAGS
+    else:
+        argv = ["sweep", scene, "--param", "k1", "--values", "3", "--truth", truth] + MAP_FLAGS
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
+    assert out.read_text() == "a regular file\n"
+
+
 # ---------------------------------------------------------------------------
 # map
 # ---------------------------------------------------------------------------

@@ -55,6 +55,8 @@ def test_robust_defaults():
         {"water_min_area": -1.0},
         {"window_size_m": 0.0},
         {"outputs": ("map2d", "shadow")},
+        {"overlap_m": float("nan")},
+        {"overlap_m": float("inf")},
     ],
 )
 def test_invalid_values_rejected(kwargs):

@@ -48,6 +48,27 @@ def test_nan_written_as_sentinel(tmp_path):
     assert back.values[0, 0] == pytest.approx(1.25)
     assert np.isnan(back.values[0, 1])
 
+    # Each body row must equal the cell-by-cell formula, sentinel if NaN
+    # else f"{v:.3f}", on signed zeros and NaNs, infinities, half-way
+    # roundings, all-NaN rows and other nodata values.
+    inf, nan = np.inf, np.nan
+    cases = [
+        ([[-0.0, -nan, inf, -inf], [0.0005, -0.0005, 0.0015, -2.5e6]], -9999.0, "-9999"),
+        ([[nan, nan, nan], [1.0, -nan, 2.0]], -9999.0, "-9999"),
+        ([[nan, -1.0, 0.25], [-nan, nan, -0.0]], -1.0, "-1"),
+        ([[nan, 0.5, 3.14159]], 0.5, "0.5"),
+        ([[nan, -nan, 7.0]], nan, "nan"),
+        (np.array([[1.2345, nan], [-0.0, 65504.0]], np.float32), -9999.0, "-9999"),
+    ]
+    for values, nodata, sentinel in cases:
+        vals = np.asarray(values)
+        write_ascii_grid(str(path), raster_of(vals, nodata=nodata))
+        expected = [
+            " ".join(sentinel if np.isnan(v) else f"{v:.3f}" for v in row)
+            for row in vals[::-1]
+        ]
+        assert path.read_text().splitlines()[6:] == expected, (values, nodata)
+
 
 def test_first_data_row_is_northernmost(tmp_path):
     path = tmp_path / "flip.asc"

@@ -22,7 +22,6 @@ from lidarmaps.pipeline import (
     SWEEPABLE,
     Window,
     _sample_external,
-    _select_window_points,
     load_pred_mask,
     load_truth_labels,
     plan_windows,
@@ -127,29 +126,6 @@ def test_plan_pad_in_cells():
     assert len(mid) == 1
     # pad = ceil(2.2 / 0.5) = 5 cells
     assert mid[0].padded == (5, 5, 20, 20)
-
-
-def test_select_points_floor_matches_grid():
-    rng = np.random.default_rng(7)
-    spec = GridSpec(3.0, -2.0, 0.5, 30, 25)
-    pts = np.column_stack(
-        [
-            rng.uniform(3.0, 18.0, 500),
-            rng.uniform(-2.0, 10.5, 500),
-            rng.normal(size=500),
-        ]
-    )
-    box = (4, 6, 9, 7)
-    sel = _select_window_points(pts, spec, box)
-    gc = np.floor((pts[:, 0] - spec.origin_x) / spec.gsd)
-    gr = np.floor((pts[:, 1] - spec.origin_y) / spec.gsd)
-    keep = (gc >= 4) & (gc < 13) & (gr >= 6) & (gr < 13)
-    np.testing.assert_array_equal(sel, pts[keep])
-    # a point exactly on the outer edge of the box belongs to the next window
-    edge = np.array([[3.0 + 13 * 0.5, -2.0 + 7 * 0.5, 1.0]])
-    assert _select_window_points(edge, spec, box).shape[0] == 0
-    inner = np.array([[3.0 + 12 * 0.5, -2.0 + 7 * 0.5, 1.0]])
-    assert _select_window_points(inner, spec, box).shape[0] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +491,29 @@ def test_sweep_k1_orders_values_and_reports(tmp_path):
     assert len(lines) == 5
     assert [row.split()[0] for row in lines[2:]] == ["3", "5", "7"]
     assert all(len(row.split()) == 9 for row in lines[2:])
+
+
+def test_cloud_gridded_once(tmp_path, monkeypatch):
+    grids = []
+    real = pipeline.rasterize_min
+
+    def counted(points, spec):
+        grids.append(real(points, spec))
+        return grids[-1]
+
+    monkeypatch.setattr(pipeline, "rasterize_min", counted)
+    res = run_pipeline(small_cfg(window_size_m=20.0), [cloud_of(straddle_field())])
+    assert res.windows == 4 and len(grids) == 1
+    # windows get views into overlapping boxes of the two global grids
+    dsm, occ = grids[0]
+    assert not dsm.values.flags.writeable and not occ.counts.values.flags.writeable
+
+    cloud, truth_path = sweep_scene(tmp_path)
+    grids.clear()
+    rows = run_sweep(small_cfg(window_size_m=20.0, overlap_m=10.0), "k1", [3, 5, 7],
+                     [cloud], truth_path)
+    assert len(rows) == 3 and len(grids) == 1
+    assert grids[0][0].spec.shape == (40, 40)  # 4 windows of 20 cells
 
 
 SWEEP_VALUES = {"k1": [7, 3, 5], "dt": [0.1, 0.95, 0.5], "k3": [1, 5, 3], "ht": [7.0, 1.0, 3.0]}

@@ -9,7 +9,6 @@ southernmost row, and cell (r, c) covers the half-open square
 """
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 _BIG = np.int64(2) ** 62
 
@@ -29,17 +28,26 @@ def _shift2(a: np.ndarray, di: int, dj: int, fill) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # minimum-z rasterization
 # ---------------------------------------------------------------------------
+# Each in-bounds point's cell is computed once as a flat index
+# row * width + col.  Counts are one np.bincount over those indices and the
+# minimum is a 1-D np.minimum.at, which numpy runs far faster than ufunc.at
+# with a (row, col) tuple index.  Points are applied in input order either
+# way, so the result is the same to the bit.
 
 
 def rasterize_min(xs, ys, zs, ox, oy, gsd, col0, row0, width, height):
     c = np.floor((xs - ox) / gsd).astype(np.int64) - col0
     r = np.floor((ys - oy) / gsd).astype(np.int64) - row0
     ok = (c >= 0) & (c < width) & (r >= 0) & (r < height)
-    zmin = np.full((height, width), np.inf, np.float64)
-    counts = np.zeros((height, width), np.int32)
-    np.minimum.at(zmin, (r[ok], c[ok]), zs[ok])
-    np.add.at(counts, (r[ok], c[ok]), 1)
-    return zmin, counts, int(xs.shape[0] - np.count_nonzero(ok))
+    flat = r[ok] * width + c[ok]
+    zmin = np.full(height * width, np.inf, np.float64)
+    np.minimum.at(zmin, flat, zs[ok])
+    counts = np.bincount(flat, minlength=height * width).astype(np.int32)
+    return (
+        zmin.reshape(height, width),
+        counts.reshape(height, width),
+        int(xs.shape[0] - np.count_nonzero(ok)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -201,49 +209,66 @@ def label_components(mask, eight):
 
 
 # ---------------------------------------------------------------------------
+# window gather (roughness and roof median)
+# ---------------------------------------------------------------------------
+# Both windowed kernels compute only the cells a caller asks for, given as
+# flat row-major indices `cells`.  The grid is padded once by r = k // 2
+# with a fill value; the k x k window of cell (i, j) then starts at flat
+# index i * (w + 2r) + j of the padded grid, and its values are that base
+# plus the fixed offsets di * (w + 2r) + dj, 0 <= di, dj < k.  Cells are
+# taken in blocks of about _BLOCK gathered values, so memory stays flat
+# however many cells are asked for.
+
+_BLOCK = 4_000_000
+
+
+def _window_blocks(vals, k, cells, fill):
+    """Yield (start, windows): the k*k window values of cells[start:...]."""
+    h, w = vals.shape
+    r = k // 2
+    stride = w + 2 * r
+    padded = np.full((h + 2 * r, stride), fill, vals.dtype)
+    padded[r:r + h, r:r + w] = vals
+    flat = padded.reshape(-1)
+    di, dj = np.divmod(np.arange(k * k, dtype=np.int64), k)
+    offsets = di * stride + dj
+    step = max(1, _BLOCK // (k * k))
+    for s in range(0, cells.size, step):
+        row, col = np.divmod(cells[s:s + step], w)
+        yield s, flat[(row * stride + col)[:, None] + offsets]
+
+
+# ---------------------------------------------------------------------------
 # windowed distinct-value count (surface roughness)
 # ---------------------------------------------------------------------------
 # Windows are clipped at the raster border; only in-bounds cells count.
+# The pad value _BIG lies above every rounded height, so after the sort a
+# window holds pad cells iff its last value is _BIG, and they add exactly
+# one distinct value, which is subtracted.
 
 
-def distinct_count(vals, k):
-    h, w = vals.shape
-    r = k // 2
-    padded = np.full((h + 2 * r, w + 2 * r), _BIG)
-    padded[r:r + h, r:r + w] = vals
-    win = sliding_window_view(padded, (k, k))
-    out = np.empty((h, w), np.int32)
-    step = max(1, 4_000_000 // (w * k * k))
-    for i0 in range(0, h, step):
-        i1 = min(h, i0 + step)
-        block = np.sort(win[i0:i1].reshape(i1 - i0, w, k * k), axis=-1)
-        distinct = 1 + np.count_nonzero(np.diff(block, axis=-1), axis=-1)
-        has_pad = block[..., -1] == _BIG
-        out[i0:i1] = distinct - has_pad
+def distinct_count(vals, k, cells):
+    """Distinct values in the border-clipped k x k window of each flat cell."""
+    out = np.empty(cells.size, np.int32)
+    for s, block in _window_blocks(vals, k, cells, _BIG):
+        block.sort(axis=1)
+        distinct = 1 + np.count_nonzero(block[:, 1:] != block[:, :-1], axis=1)
+        out[s:s + block.shape[0]] = distinct - (block[:, -1] == _BIG)
     return out
 
 
 # ---------------------------------------------------------------------------
 # median over masked window (roof smoothing)
 # ---------------------------------------------------------------------------
+# Cells outside the mask read as NaN, as does the pad, so nanmedian sees
+# exactly the masked in-bounds cells of each window.  Only mask cells are
+# computed; every other cell is NaN.
 
 
 def masked_median(vals, mask, k):
     h, w = vals.shape
-    r = k // 2
-    pv = np.full((h + 2 * r, w + 2 * r), np.nan)
-    pv[r:r + h, r:r + w] = vals
-    pm = np.zeros((h + 2 * r, w + 2 * r), np.bool_)
-    pm[r:r + h, r:r + w] = mask
-    win_v = sliding_window_view(pv, (k, k))
-    win_m = sliding_window_view(pm, (k, k))
-    out = np.full((h, w), np.nan)
-    ri, ci = np.nonzero(mask)
-    step = max(1, 4_000_000 // (k * k))
-    for s in range(0, ri.size, step):
-        rs, cs = ri[s:s + step], ci[s:s + step]
-        block = np.where(
-            win_m[rs, cs], win_v[rs, cs], np.nan
-        ).reshape(rs.size, k * k)
-        out[rs, cs] = np.nanmedian(block, axis=1)
-    return out
+    out = np.full(h * w, np.nan)
+    cells = np.flatnonzero(mask)
+    for s, block in _window_blocks(np.where(mask, vals, np.nan), k, cells, np.nan):
+        out[cells[s:s + block.shape[0]]] = np.nanmedian(block, axis=1)
+    return out.reshape(h, w)

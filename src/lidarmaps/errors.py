@@ -26,7 +26,7 @@ class UnsupportedVersion(LidarMapsError):
 
 
 class UnsupportedPointFormat(LidarMapsError):
-    """LAS point record format outside 0-3 (compressed formats included)."""
+    """LAS point record format outside 0-10 (compressed formats included)."""
 
 
 class Truncated(LidarMapsError):

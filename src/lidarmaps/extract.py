@@ -82,7 +82,7 @@ class CandidateSet:
     labels: Raster
     count: int
     cell_count: np.ndarray  # [count + 1], index 0 unused
-    planar_count: np.ndarray
+    planar_count: np.ndarray  # [count + 1], index 0 unused (always 0)
     planarity: np.ndarray
     kept: np.ndarray
 
@@ -113,14 +113,25 @@ def morphological_filter(
     return opening(candidates, k1, kernel_shape)
 
 
-def roughness_layer(ndhm: Raster, k2: int = 5) -> Raster:
+def roughness_layer(
+    ndhm: Raster, k2: int = 5, where: Raster | None = None
+) -> Raster:
     """Distinct rounded-integer heights in the k2 window around each cell.
 
-    Halves round away from zero; windows clip at the raster border.
+    Halves round away from zero; windows clip at the raster border.  With
+    `where` (a boolean raster on the same grid) only its true cells are
+    computed; every other cell holds 0, which means not computed.
     """
     k2 = _check_kernel(k2, "k2")
     ints = round_half_away(ndhm.values)
-    return ndhm.with_values(_kernels.distinct_count(ints, k2))
+    if where is None:
+        cells = np.arange(ints.size)
+    else:
+        require_same_spec(ndhm, where, "ndhm and where")
+        cells = np.flatnonzero(where.values)
+    out = np.zeros(ints.shape, np.int32)
+    out.reshape(-1)[cells] = _kernels.distinct_count(ints, k2, cells)
+    return ndhm.with_values(out)
 
 
 def planarity_filter(
@@ -129,14 +140,16 @@ def planarity_filter(
     """Keep components whose planar-cell share is at least dt.
 
     A cell is planar iff its roughness is strictly below rt; a component
-    is kept iff planar_cells / total_cells >= dt.
+    is kept iff planar_cells / total_cells >= dt.  Roughness is read only
+    at candidate cells, so it need not be computed anywhere else.
     """
     require_same_spec(candidates, roughness, "candidates and roughness")
     labels, count = connected_components(candidates, 8)
     lab = labels.values
+    inside = lab > 0
     total = np.bincount(lab.reshape(-1), minlength=count + 1)
     planar = np.bincount(
-        lab[roughness.values < rt].reshape(-1), minlength=count + 1
+        lab[inside][roughness.values[inside] < rt], minlength=count + 1
     )
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(total > 0, planar / np.maximum(total, 1), 0.0)
@@ -188,7 +201,7 @@ def extract_buildings(
     raw = threshold_candidates(terrain.ndhm, params.ht)
     after_water = apply_water_mask(raw, water) if water is not None else raw
     after_open = morphological_filter(after_water, params.k1, params.kernel_shape)
-    rough = roughness_layer(terrain.ndhm, params.k2)
+    rough = roughness_layer(terrain.ndhm, params.k2, where=after_open)
     cand = planarity_filter(after_open, rough, params.rt, params.dt)
     map2d = refine_boundary(cand.mask, params.k3)
     source = terrain.ndhm if params.map3d_source == "ndhm" else terrain.dsm

@@ -1,9 +1,9 @@
 """Point cloud ingest: LAS 1.1-1.4 subset and plain XYZ text.
 
-The LAS reader handles uncompressed point formats 0-3 only, which is all
-the pipeline needs: x/y/z are dequantized as raw * scale + offset and any
-per-point attributes are skipped.  Layout follows the public ASPRS LAS
-specification; everything is little-endian.
+The LAS reader handles the uncompressed point formats 0-10: every one
+starts with the raw x/y/z as three int32, which are dequantized as
+raw * scale + offset; the rest of each record is skipped.  Layout
+follows the public ASPRS LAS specification; everything is little-endian.
 """
 
 from __future__ import annotations
@@ -30,7 +30,10 @@ log = logging.getLogger(__name__)
 _HEADER_MIN = 227
 _HEADER_FMT = "<4sHH16sBB32s32sHHHIIBHI5I12d"
 _EXT_COUNT_OFFSET = 247  # LAS 1.4 64-bit point count
-_CORE_RECORD_SIZE = {0: 20, 1: 28, 2: 26, 3: 34}
+# Minimum record length per point format (ASPRS LAS 1.4 R15).
+_CORE_RECORD_SIZE = {
+    0: 20, 1: 28, 2: 26, 3: 34, 4: 57, 5: 63, 6: 30, 7: 36, 8: 38, 9: 59, 10: 67,
+}
 
 
 @dataclass(frozen=True)
@@ -90,7 +93,7 @@ def parse_las_header(buf: bytes) -> LasHeaderInfo:
             f"format {point_format:#x} has the compression bit set"
         )
     if point_format not in _CORE_RECORD_SIZE:
-        raise UnsupportedPointFormat(f"point format {point_format} (supported: 0-3)")
+        raise UnsupportedPointFormat(f"point format {point_format} (supported: 0-10)")
     if record_length < _CORE_RECORD_SIZE[point_format]:
         raise Truncated(
             f"record length {record_length} below the {point_format} core size"
@@ -140,7 +143,7 @@ def _as_cloud(pts: np.ndarray, source: str) -> PointCloud:
 
 
 def read_las(path: str) -> PointCloud:
-    """Read an uncompressed LAS file (versions 1.1-1.4, formats 0-3).
+    """Read an uncompressed LAS file (versions 1.1-1.4, formats 0-10).
 
     Horizontal bounds come from the points themselves, not from the header,
     so a stale header cannot skew the grid.

@@ -40,6 +40,10 @@ def points_from_field(zfield: np.ndarray, gsd: float = GSD, origin=(0.0, 0.0)) -
     return pts[np.isfinite(pts[:, 2])]
 
 
+# Minimum record size of each LAS point format, from ASPRS LAS 1.4 R15.
+LAS_CORE_SIZES = {0: 20, 1: 28, 2: 26, 3: 34, 4: 57, 5: 63, 6: 30, 7: 36, 8: 38, 9: 59, 10: 67}
+
+
 def build_las(
     points,
     *,
@@ -55,8 +59,9 @@ def build_las(
 ) -> bytes:
     """Assemble LAS bytes field by field, independent of the reader."""
     points = np.asarray(points, np.float64).reshape(-1, 3)
-    core = {0: 20, 1: 28, 2: 26, 3: 34}
-    rl = record_length if record_length is not None else core.get(point_format & 0x7F, 20)
+    rl = record_length
+    if rl is None:
+        rl = LAS_CORE_SIZES.get(point_format & 0x7F, 20)
     major, minor = version
     sizes = {1: 227, 2: 227, 3: 235, 4: 375}
     hs = header_size if header_size is not None else sizes.get(minor, 227)

@@ -145,6 +145,40 @@ def test_roughness_matches_distinct_oracle():
         assert np.array_equal(got, distinct_scan(ints, k2))
 
 
+def test_roughness_where_matches_oracle_on_its_cells():
+    rng = np.random.default_rng(23)
+    shapes = [(1, 17), (17, 1), (1, 1)]
+    for trial in range(200):
+        if trial < len(shapes):
+            shape = shapes[trial]
+        else:
+            shape = (int(rng.integers(1, 20)), int(rng.integers(1, 20)))
+        field = rng.uniform(-4.0, 6.0, shape)
+        k2 = int(rng.choice([1, 3, 5, 7]))
+        kind = trial % 4
+        if kind == 0:
+            m = np.zeros(shape, bool)
+        elif kind == 1:
+            m = np.ones(shape, bool)
+            m[1:-1, 1:-1] = False  # border cells only
+        else:
+            m = rng.random(shape) < rng.uniform(0.05, 0.6)
+        got = roughness_layer(raster_of(field), k2, where=raster_of(m)).values
+        want = distinct_scan(round_half_away(field), k2)
+        np.testing.assert_array_equal(got[m], want[m], err_msg=f"k2={k2}")
+        assert not got[~m].any()  # not computed
+        np.testing.assert_array_equal(
+            roughness_layer(raster_of(field), k2).values, want
+        )
+
+
+def test_roughness_where_requires_same_grid():
+    with pytest.raises(SpecMismatch):
+        roughness_layer(
+            raster_of(np.zeros((5, 5))), 3, where=raster_of(np.ones((5, 6), bool))
+        )
+
+
 def test_roughness_window_validation():
     ndhm = raster_of(np.zeros((5, 5)))
     for bad in (0, 2, -3):
@@ -204,6 +238,25 @@ def test_planarity_stats_are_consistent():
         assert cs.planarity[i] == pytest.approx(cs.planar_count[i] / cs.cell_count[i])
         assert cs.kept[i] == (cs.planarity[i] >= 0.3)
     assert np.array_equal(cs.labels.values > 0, cs.mask.values)
+
+
+def test_planarity_never_reads_roughness_outside_candidates():
+    rng = np.random.default_rng(9)
+    for trial in range(40):
+        shape = (int(rng.integers(1, 30)), int(rng.integers(1, 30)))
+        cand = rng.random(shape) < rng.uniform(0.1, 0.6)
+        rough = rng.integers(1, 9, shape)
+        rt = int(rng.integers(1, 8))
+        dt = float(rng.choice([0.0, 0.1, 0.5, 1.0]))
+        ref = planarity_filter(raster_of(cand), raster_of(rough), rt, dt)
+        assert ref.planar_count[0] == 0
+        for garbage in (-1, 10**6):
+            noisy = np.where(cand, rough, garbage)
+            cs = planarity_filter(raster_of(cand), raster_of(noisy), rt, dt)
+            np.testing.assert_array_equal(cs.kept[1:], ref.kept[1:])
+            np.testing.assert_array_equal(cs.planarity[1:], ref.planarity[1:])
+            np.testing.assert_array_equal(cs.mask.values, ref.mask.values)
+            np.testing.assert_array_equal(cs.labels.values, ref.labels.values)
 
 
 def test_boundary_dilation_examples():
@@ -363,7 +416,7 @@ def test_submerged_scene_marks_water_stage():
 
 def test_stages_shrink_then_dilation_grows():
     rng = np.random.default_rng(12)
-    for trial in range(8):
+    for trial in range(24):
         coarse = rng.uniform(0.0, 5.0, (8, 8))
         field = np.kron(coarse, np.ones((4, 4))) + rng.normal(0, 0.3, (32, 32))
         field = np.maximum(field, 0.0)
@@ -371,6 +424,8 @@ def test_stages_shrink_then_dilation_grows():
         params = ExtractParams(
             ht=float(rng.choice([1.0, 1.5])),
             k1=int(rng.choice([3, 5, 7])),
+            k2=int(rng.choice([1, 3, 5, 7])),
+            rt=int(rng.integers(1, 8)),
             k3=int(rng.choice([1, 3, 5])),
             dt=float(rng.choice([0.0, 0.1, 0.5])),
             kernel_shape="diamond" if trial % 2 else "square",

@@ -109,6 +109,40 @@ def test_rasterize_cell_edges_half_open():
     assert np.isnan(dsm.values[0, 0])
 
 
+def test_rasterize_crowded_cell_ties_and_max_edge():
+    spec = GridSpec(0.0, 0.0, GSD, 5, 4)
+    rng = np.random.default_rng(22)
+    n = 600
+    crowd = np.column_stack([
+        rng.uniform(spec.origin_x, spec.origin_x + GSD, n),
+        rng.uniform(spec.origin_y, spec.origin_y + GSD, n),
+        rng.choice([0.0, -0.0, 0.0, 1.5, -0.0], n),
+    ])
+    crowd[0, 2], crowd[-1, 2] = 0.0, -0.0
+    below_x = np.nextafter(spec.x_max, -np.inf)
+    below_y = np.nextafter(spec.y_max, -np.inf)
+    edges = np.array([
+        [spec.x_max, spec.origin_y + 0.1, 1.0],  # on the max edge: outside
+        [spec.origin_x + 0.1, spec.y_max, 1.0],
+        [spec.x_max, spec.y_max, 1.0],
+        [below_x, below_y, -0.0],  # just inside the last cell
+        [below_x, below_y, 0.0],
+        [below_x, spec.origin_y, 2.0],
+        [spec.origin_x, below_y, -3.0],
+    ])
+    pts = np.concatenate([crowd[:n // 2], edges, crowd[n // 2:]])
+    dsm, occ = rasterize_min(pts, spec)
+    zmin, counts, oob = rasterize_scan(pts, spec)
+    np.testing.assert_array_equal(dsm.values, np.where(counts > 0, zmin, np.nan))
+    np.testing.assert_array_equal(occ.counts.values, counts)
+    assert occ.out_of_bounds == oob == 3
+    assert counts[0, 0] == n and counts[-1, -1] == 2
+    # 0.0 and -0.0 compare equal; of tied minima the last point in input
+    # order is kept, which decides the sign the grid writer prints.
+    assert np.signbit(dsm.values[0, 0])
+    assert not np.signbit(dsm.values[-1, -1])
+
+
 def test_rasterize_window_slices_global_run():
     rng = np.random.default_rng(21)
     spec = GridSpec(3.0, -7.0, GSD, 24, 18)

@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import build_las
+from conftest import LAS_CORE_SIZES, build_las
 from lidarmaps.errors import (
     BadSignature,
     EmptyCloud,
@@ -56,7 +56,24 @@ def test_supported_versions_and_formats(minor, fmt):
     info = parse_las_header(buf)
     assert info.version == (1, minor)
     assert info.point_format == fmt
-    assert info.record_length == {0: 20, 1: 28, 2: 26, 3: 34}[fmt]
+    assert info.record_length == LAS_CORE_SIZES[fmt]
+
+
+@pytest.mark.parametrize("fmt", [4, 5, 6, 7, 8, 9, 10])
+def test_point_formats_4_to_10_read(tmp_path, fmt):
+    buf = build_las(PTS, version=(1, 3 if fmt < 6 else 4), point_format=fmt)
+    info = parse_las_header(buf)
+    assert (info.point_format, info.record_length) == (fmt, LAS_CORE_SIZES[fmt])
+    path = _write(tmp_path, f"f{fmt}.las", buf)
+    np.testing.assert_allclose(read_las(path).points, PTS, atol=1e-9)
+
+
+def test_format_6_with_zero_legacy_count(tmp_path):
+    buf = build_las(PTS, version=(1, 4), point_format=6, use_extended_count=True)
+    assert struct.unpack_from("<I", buf, 107)[0] == 0  # legacy count
+    assert struct.unpack_from("<Q", buf, 247)[0] == 3
+    path = _write(tmp_path, "f6.las", buf)
+    np.testing.assert_allclose(read_las(path).points, PTS, atol=1e-9)
 
 
 def test_bad_signature():
@@ -83,7 +100,7 @@ def test_unsupported_versions():
 
 def test_unsupported_point_formats():
     with pytest.raises(UnsupportedPointFormat):
-        parse_las_header(build_las(PTS, point_format=4, record_length=57))
+        parse_las_header(build_las(PTS, point_format=11, record_length=67))
     with pytest.raises(UnsupportedPointFormat):
         parse_las_header(build_las(PTS, point_format=0x80 | 1, record_length=28))
 
@@ -91,6 +108,9 @@ def test_unsupported_point_formats():
 def test_record_length_below_core_size():
     with pytest.raises(Truncated):
         parse_las_header(build_las(PTS, point_format=3, record_length=20))
+    for fmt, size in LAS_CORE_SIZES.items():
+        with pytest.raises(Truncated):
+            parse_las_header(build_las(PTS, point_format=fmt, record_length=size - 1))
 
 
 def test_declared_header_size_too_small():

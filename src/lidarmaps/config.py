@@ -12,6 +12,7 @@ from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
 from .extract import ExtractParams
+from .grid import _check_positive
 from .hydro import WaterParams
 
 #: Raster products the pipeline can emit, in canonical output order.
@@ -42,26 +43,12 @@ class PipelineConfig:
     outputs: tuple[str, ...] = ("map2d", "map3d")
 
     def __post_init__(self) -> None:
-        def positive(name: str) -> None:
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise ConfigError(f"{name} must be positive, got {v!r}")
-
-        for name in (
-            "gsd",
-            "slope_threshold",
-            "ht",
-            "water_sigma_k",
-            "water_min_area",
-            "water_buffer",
-            "window_size_m",
-        ):
-            positive(name)
-        v = self.water_window
-        if not (isinstance(v, int) and v >= 1 and v % 2 == 1):
-            raise ConfigError(f"water_window must be a positive odd integer, got {v!r}")
-        # The extraction settings have one validator, ExtractParams.
+        for name in ("gsd", "slope_threshold", "window_size_m"):
+            _check_positive(getattr(self, name), name)
+        # The extraction and water settings are validated by the one type
+        # that owns each of them.
         self.extract_params()
+        self.water_params()
         if not math.isfinite(self.overlap_m):
             raise ConfigError(f"overlap_m must be finite, got {self.overlap_m!r}")
         min_overlap = (self.k1 + self.water_window) * self.gsd
@@ -82,12 +69,8 @@ class PipelineConfig:
         return ExtractParams(**{f.name: getattr(self, f.name) for f in fields(ExtractParams)})
 
     def water_params(self) -> WaterParams:
-        return WaterParams(
-            window=self.water_window,
-            sigma_k=self.water_sigma_k,
-            min_area=self.water_min_area,
-            buffer=self.water_buffer,
-        )
+        """The water settings: every WaterParams field, as water_<field>."""
+        return WaterParams(**{f.name: getattr(self, f"water_{f.name}") for f in fields(WaterParams)})
 
 
 _INT_FIELDS = frozenset(f.name for f in fields(PipelineConfig) if type(f.default) is int)

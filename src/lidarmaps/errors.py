@@ -48,8 +48,9 @@ class NoPointsInGrid(LidarMapsError):
     """Rasterization produced no occupied cells."""
 
 
-class BadKernel(LidarMapsError):
-    """Morphology window size is not a positive odd integer."""
+class BadKernel(ConfigError):
+    """Window size is not a positive odd integer, or the kernel shape is
+    unknown: a bad setting, so a ConfigError."""
 
 
 class ShapeMismatch(LidarMapsError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyTruth, IoFailure, OpenRing, SelfIntersection, SpecMismatch
-from .grid import GridSpec, Raster, connected_components, require_same_spec
+from .grid import GridSpec, Raster, component_sizes, connected_components, require_same_spec
 
 DEFAULT_TILE_SIZE = 500.0
 
@@ -211,14 +211,14 @@ def match_instances(pred: Raster, truth_labels: Raster) -> InstanceReport:
     p = pred.values.astype(bool)
     gsd = pred.spec.gsd
 
-    t_cells = np.bincount(lab.reshape(-1), minlength=n_truth + 1)
+    t_cells = component_sizes(truth_labels.with_values(lab), n_truth)
     t_cov = np.bincount(lab[p].reshape(-1), minlength=n_truth + 1)
     detected = 2 * t_cov > t_cells
     detected[0] = False
 
     pred_labels, n_pred = connected_components(pred, 8)
     plab = pred_labels.values
-    p_cells = np.bincount(plab.reshape(-1), minlength=n_pred + 1)
+    p_cells = component_sizes(pred_labels, n_pred)
     p_cov = np.bincount(plab[lab > 0].reshape(-1), minlength=n_pred + 1)
     commission = 2 * p_cov <= p_cells
     commission[0] = False

@@ -20,6 +20,9 @@ from .errors import ConfigError
 from .grid import (
     Raster,
     _check_kernel,
+    _check_positive,
+    _check_shape_name,
+    component_sizes,
     connected_components,
     dilate,
     opening,
@@ -34,12 +37,6 @@ DIFF_WATER = 1
 DIFF_MORPHOLOGY = 2
 DIFF_PLANARITY = 3
 DIFF_DILATION = 4
-
-
-def _odd(name: str, k: int) -> int:
-    if not isinstance(k, (int, np.integer)) or k < 1 or k % 2 == 0:
-        raise ConfigError(f"{name} must be a positive odd integer, got {k!r}")
-    return int(k)
 
 
 @dataclass(frozen=True)
@@ -57,19 +54,16 @@ class ExtractParams:
     map3d_source: str = "ndhm"
 
     def __post_init__(self):
-        _odd("k1", self.k1)
-        _odd("k2", self.k2)
-        _odd("k3", self.k3)
-        if self.ht < 0:
-            raise ConfigError(f"ht must be non-negative, got {self.ht}")
+        for k in ("k1", "k2", "k3"):
+            _check_kernel(getattr(self, k), k)
+        _check_positive(self.ht, "ht")
         if not isinstance(self.rt, (int, np.integer)) or self.rt < 1:
             raise ConfigError(f"rt must be a positive integer, got {self.rt!r}")
         if not 0.0 <= self.dt <= 1.0:
             raise ConfigError(f"dt must lie in [0, 1], got {self.dt}")
-        if self.kernel_shape not in ("square", "diamond"):
-            raise ConfigError(f"unknown kernel shape {self.kernel_shape!r}")
+        _check_shape_name(self.kernel_shape)
         if self.median_roof != 0:
-            _odd("median_roof", self.median_roof)
+            _check_kernel(self.median_roof, "median_roof")
         if self.map3d_source not in ("ndhm", "dsm"):
             raise ConfigError(f"map3d_source must be ndhm or dsm, got {self.map3d_source!r}")
 
@@ -147,7 +141,7 @@ def planarity_filter(
     labels, count = connected_components(candidates, 8)
     lab = labels.values
     inside = lab > 0
-    total = np.bincount(lab.reshape(-1), minlength=count + 1)
+    total = component_sizes(labels, count)
     planar = np.bincount(
         lab[inside][roughness.values[inside] < rt], minlength=count + 1
     )
@@ -181,7 +175,7 @@ def build_3d(heights: Raster, map2d: Raster, median_roof: int = 0) -> Raster:
     require_same_spec(heights, map2d, "heights and map2d")
     mask = map2d.values.astype(bool)
     if median_roof:
-        _odd("median_roof", median_roof)
+        _check_kernel(median_roof, "median_roof")
         vals = _kernels.masked_median(
             np.ascontiguousarray(heights.values, np.float64),
             np.ascontiguousarray(mask),

@@ -11,10 +11,9 @@ import math
 import numpy as np
 
 from .errors import IoFailure, MalformedHeader, ShapeMismatch
-from .grid import GridSpec, Raster
+from .grid import DEFAULT_NODATA, GridSpec, Raster
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize")
-NODATA_DEFAULT = -9999.0
 
 
 def _fmt_num(v: float) -> str:
@@ -94,7 +93,7 @@ def read_ascii_grid(path: str) -> Raster:
     nrows = int(header["nrows"])
     if ncols <= 0 or nrows <= 0 or header["cellsize"] <= 0:
         raise MalformedHeader(f"{path}: non-positive grid dimensions")
-    nodata = header.get("nodata_value", NODATA_DEFAULT)
+    nodata = header.get("nodata_value", DEFAULT_NODATA)
     flat: list[str] = []
     for line in lines[body_start:]:
         flat.extend(line.split())

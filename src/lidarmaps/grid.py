@@ -9,12 +9,13 @@ Arrays are (height, width) with row 0 the southernmost row.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .errors import BadKernel, NoPointsInGrid, ShapeMismatch, SpecMismatch
+from .errors import BadKernel, ConfigError, NoPointsInGrid, ShapeMismatch, SpecMismatch
 
 DEFAULT_NODATA = -9999.0
 
@@ -134,6 +135,13 @@ def _check_shape_name(shape: str) -> str:
     return shape
 
 
+def _check_positive(v: float, name: str, or_zero: bool = False) -> None:
+    """Validate a finite number above zero, or at zero with `or_zero`."""
+    if not (isinstance(v, numbers.Real) and (0 <= v if or_zero else 0 < v) and v < np.inf):
+        sign = "non-negative" if or_zero else "positive"
+        raise ConfigError(f"{name} must be finite and {sign}, got {v!r}")
+
+
 def round_half_away(x: np.ndarray) -> np.ndarray:
     """Round to the nearest integer with halves away from zero."""
     return np.where(x >= 0, np.floor(x + 0.5), np.ceil(x - 0.5)).astype(np.int64)
@@ -163,8 +171,8 @@ def rasterize_min_window(
     """rasterize_min restricted to a cell window of a larger grid.
 
     Cell assignment uses the full grid's origin, so a point lands in the
-    same global cell whether gridded whole or window by window; that makes
-    mosaicked windows bit-identical to a single-pass run.
+    same global cell whether gridded whole or window by window; each
+    window's grid is bit-identical to its block of a single-pass run.
     """
     xs = np.ascontiguousarray(points[:, 0], np.float64)
     ys = np.ascontiguousarray(points[:, 1], np.float64)
@@ -177,7 +185,10 @@ def rasterize_min_window(
     if int(counts.sum()) == 0:
         raise NoPointsInGrid("no point fell inside the window")
     sub = spec.subgrid(col0, row0, width, height)
+    # The kernel keeps the last of tied minima, so 0.0 and -0.0 would take
+    # their sign from the point order; -0.0 + 0.0 is +0.0, all else is kept.
     dsm = np.where(counts > 0, zmin, np.nan)
+    dsm += 0.0
     return (
         Raster(sub, dsm),
         OccupancyCount(Raster(sub, counts), int(oob)),

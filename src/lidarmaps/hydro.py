@@ -10,27 +10,33 @@ by a Chebyshev buffer to blank out unreliable shoreline returns.
 
 from __future__ import annotations
 
+import logging
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateOccupancy
-from .grid import OccupancyCount, Raster, _check_kernel, connected_components, dilate
+from .grid import OccupancyCount, Raster, _check_kernel, _check_positive, component_sizes
+from .grid import connected_components, dilate
 
-DEFAULT_WINDOW = 9
-DEFAULT_SIGMA_K = 2.0
-DEFAULT_MIN_AREA = 1000.0
-DEFAULT_BUFFER = 5.0
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
 class WaterParams:
-    window: int = DEFAULT_WINDOW
-    sigma_k: float = DEFAULT_SIGMA_K
-    min_area: float = DEFAULT_MIN_AREA  # m^2
-    buffer: float = DEFAULT_BUFFER  # m
+    """Water settings, validated under their config keys (water_window, ...)."""
+
+    window: int = 9
+    sigma_k: float = 2.0
+    min_area: float = 1000.0  # m^2
+    buffer: float = 5.0  # m
+
+    def __post_init__(self):
+        _check_kernel(self.window, "water_window")
+        _check_positive(self.sigma_k, "water_sigma_k")
+        _check_positive(self.min_area, "water_min_area")
+        _check_positive(self.buffer, "water_buffer", or_zero=True)
 
 
 @dataclass
@@ -39,48 +45,48 @@ class WaterMask:
     params: WaterParams
 
 
+def _window_bounds(n: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start and stop of the centered 2r+1 window at each of n positions,
+    clipped to [0, n)."""
+    i = np.arange(n)
+    return np.maximum(i - radius, 0), np.minimum(i + radius + 1, n)
+
+
 def _box_sum(arr: np.ndarray, radius: int) -> np.ndarray:
-    """Sum over the centered (2r+1)^2 window, clipped at the borders."""
-    h, w = arr.shape
-    integral = np.zeros((h + 1, w + 1), np.int64)
-    integral[1:, 1:] = arr.cumsum(0, dtype=np.int64).cumsum(1)
-    r0 = np.clip(np.arange(h) - radius, 0, h)
-    r1 = np.clip(np.arange(h) + radius + 1, 0, h)
-    c0 = np.clip(np.arange(w) - radius, 0, w)
-    c1 = np.clip(np.arange(w) + radius + 1, 0, w)
-    return (
-        integral[r1[:, None], c1[None, :]]
-        - integral[r0[:, None], c1[None, :]]
-        - integral[r1[:, None], c0[None, :]]
-        + integral[r0[:, None], c0[None, :]]
-    )
+    """Sum over the centered (2r+1)^2 window, clipped at the borders: along
+    each axis in turn, the difference of two prefix sums."""
+    for axis in (0, 1):
+        prefix = np.insert(arr.cumsum(axis, dtype=np.int64), 0, 0, axis)
+        lo, hi = _window_bounds(arr.shape[axis], radius)
+        arr = prefix.take(hi, axis) - prefix.take(lo, axis)
+    return arr
 
 
-def occupied_cell_count(counts: OccupancyCount, window: int = DEFAULT_WINDOW) -> Raster:
+def occupied_cell_count(counts: OccupancyCount, window: int = WaterParams.window) -> Raster:
     """Occupied-cell tally over the centered window, clipped at borders."""
     radius = _check_kernel(window, "window") // 2
-    occ = (counts.counts.values > 0).astype(np.int64)
-    return counts.counts.with_values(_box_sum(occ, radius))
+    return counts.counts.with_values(_box_sum(counts.counts.values > 0, radius))
 
 
-def window_cell_count(counts: OccupancyCount, window: int = DEFAULT_WINDOW) -> Raster:
-    """In-bounds cell total of the centered window (smaller near borders)."""
+def window_cell_count(counts: OccupancyCount, window: int = WaterParams.window) -> Raster:
+    """In-bounds cell total of the centered window (smaller near borders):
+    the product of its clipped row and column extents."""
     radius = _check_kernel(window, "window") // 2
-    ones = np.ones(counts.counts.values.shape, np.int64)
-    return counts.counts.with_values(_box_sum(ones, radius))
+    (r0, r1), (c0, c1) = (_window_bounds(n, radius) for n in counts.counts.values.shape)
+    return counts.counts.with_values(np.outer(r1 - r0, c1 - c0))
 
 
 def classify_water(
     counts: OccupancyCount,
-    window: int = DEFAULT_WINDOW,
-    sigma_k: float = DEFAULT_SIGMA_K,
+    window: int = WaterParams.window,
+    sigma_k: float = WaterParams.sigma_k,
 ) -> Raster:
     """Flag cells whose window is improbably empty under the binomial model.
 
     With p the grid-wide occupied fraction and n the in-bounds window size,
     a cell is water iff occupied_count <= n*p - sigma_k*sqrt(n*p*(1-p)).
     p == 0 leaves the model undefined (DegenerateOccupancy); p == 1 cannot
-    flag anything and returns an empty mask with a warning.
+    flag anything and returns an empty mask, logging a warning.
     """
     _check_kernel(window, "window")
     occ = counts.counts.values > 0
@@ -88,9 +94,7 @@ def classify_water(
     if occupied == 0:
         raise DegenerateOccupancy("no occupied cell; occupancy fraction is 0")
     if occupied == occ.size:
-        warnings.warn(
-            "every cell is occupied (p = 1); no water detectable", stacklevel=2
-        )
+        log.warning("every cell is occupied (p = 1); no water detectable")
         return counts.counts.with_values(np.zeros(occ.shape, bool))
     p = occupied / occ.size
     n = window_cell_count(counts, window).values.astype(np.float64)
@@ -109,7 +113,7 @@ def filter_and_buffer(water: Raster, params: WaterParams = WaterParams()) -> Wat
     labels, count = connected_components(water, 8)
     mask = np.zeros(water.values.shape, bool)
     if count:
-        sizes = np.bincount(labels.values.reshape(-1), minlength=count + 1)
+        sizes = component_sizes(labels, count)
         keep = sizes * (gsd * gsd) >= params.min_area
         keep[0] = False
         mask = keep[labels.values]

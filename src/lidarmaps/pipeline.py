@@ -4,10 +4,11 @@ stage chain, mosaicking, and the eval and sweep drivers.
 The merged cloud is gridded once into a global min-z grid and a global
 count grid; each window cuts its padded box from those two grids and never
 sees a point.  Windows are processed independently (optionally in
-parallel) and only each window's core region is written back, so any seam
-effect from a stage's finite support stays inside the discarded padding.
-Cell indexing always refers to the one global grid, making the mosaic
-bit-identical to a single-window run away from the global boundary.
+parallel) and only each window's core region is written back.  The
+mosaic differs from a one-window run (the default window_size_m gives one
+to any extent under 1000 m on a side): every stage with a non-local rule
+(the occupancy rate p, the ground regions, the nearest fills, the
+per-component statistics) sees only the window's padded box.
 
 The chain splits at terrain: the surface stages run once per window, then
 extraction once per ExtractParams, one for `map` and one per value for
@@ -26,7 +27,7 @@ from functools import partial
 
 import numpy as np
 
-from .config import PipelineConfig, apply_overrides, serialize_config
+from .config import OUTPUT_NAMES, PipelineConfig, apply_overrides, serialize_config
 from .errors import ConfigError, IoFailure, LidarMapsError
 from .evaluate import (
     ConfusionMetrics,
@@ -82,8 +83,7 @@ class Window:
 def plan_windows(spec: GridSpec, window_size_m: float, overlap_m: float) -> list[Window]:
     """Partition the grid into cores and pad each by the overlap.
 
-    Cores tile the grid exactly; pads clip at the global boundary, which is
-    the one place mosaics can differ from a monolithic run.
+    Cores tile the grid exactly; pads clip at the global boundary.
     """
     core_cells = max(1, round(window_size_m / spec.gsd))
     pad = math.ceil(overlap_m / spec.gsd)
@@ -121,7 +121,6 @@ def _cut_window(
 # per-window stage chain
 # ---------------------------------------------------------------------------
 
-PRODUCT_NAMES = ("dsm", "dtm", "ndhm", "water", "map2d", "map3d", "diff")
 _NODATA = {
     "dsm": np.nan, "dtm": np.nan, "ndhm": np.nan, "water": False,
     "map2d": False, "map3d": np.nan, "diff": np.uint8(0),
@@ -270,7 +269,7 @@ def run_pipeline(
     written there; files are byte-identical across repeat runs.
     """
     result, (products,) = _run_windows(
-        cfg, [cfg.extract_params()], PRODUCT_NAMES, inputs, workers, external_dtm, input_format
+        cfg, [cfg.extract_params()], OUTPUT_NAMES, inputs, workers, external_dtm, input_format
     )
     result.products = products
     if out_dir is not None:

@@ -22,6 +22,7 @@ from .errors import DegenerateScene, NoGround
 from .grid import (
     OccupancyCount,
     Raster,
+    component_sizes,
     connected_components,
     nearest_fill_from,
     require_same_spec,
@@ -53,8 +54,8 @@ def breakline_map(dsm: Raster, slope_threshold: float = 1.0) -> Raster:
     A cell is a break-line cell iff |dz| to at least one 8-neighbor exceeds
     `slope_threshold`; neighbors outside the raster do not count.
     """
-    if slope_threshold <= 0:
-        raise ValueError(f"slope threshold must be positive, got {slope_threshold}")
+    if not 0 < slope_threshold < np.inf:
+        raise ValueError(f"slope threshold must be finite and positive, got {slope_threshold}")
     vals = _require_full(dsm, "dsm")
     br = np.zeros(vals.shape, bool)
     for di in (-1, 0, 1):
@@ -85,7 +86,7 @@ def extract_objects(breaklines: Raster) -> Raster:
         )
     labels, count = connected_components(breaklines.with_values(~br), 4)
     lab = labels.values
-    sizes = np.bincount(lab.reshape(-1), minlength=count + 1)
+    sizes = component_sizes(labels, count)
     sizes[0] = 0
     is_ground = np.zeros(count + 1, bool)
     is_ground[sizes.argmax()] = True

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from lidarmaps.config import (
@@ -13,6 +15,8 @@ from lidarmaps.config import (
     serialize_config,
 )
 from lidarmaps.errors import ConfigError
+from lidarmaps.extract import ExtractParams
+from lidarmaps.hydro import WaterParams
 
 
 def test_robust_defaults():
@@ -62,6 +66,45 @@ def test_robust_defaults():
 def test_invalid_values_rejected(kwargs):
     with pytest.raises(ConfigError):
         PipelineConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "owner, key, bad",
+    [
+        (ExtractParams, "ht", 0.0),
+        (ExtractParams, "ht", math.nan),
+        (ExtractParams, "ht", math.inf),
+        (ExtractParams, "k1", 4),
+        (ExtractParams, "k2", 0),
+        (ExtractParams, "k3", -3),
+        (ExtractParams, "rt", 0),
+        (ExtractParams, "dt", 1.5),
+        (ExtractParams, "kernel_shape", "disc"),
+        (ExtractParams, "median_roof", 2),
+        (ExtractParams, "map3d_source", "dtm"),
+        (WaterParams, "water_window", 4),
+        (WaterParams, "water_sigma_k", math.nan),
+        (WaterParams, "water_min_area", -1.0),
+        (WaterParams, "water_buffer", math.nan),
+        (WaterParams, "water_buffer", -1.0),
+    ],
+)
+def test_each_setting_has_one_validator(owner, key, bad):
+    field = key.removeprefix("water_") if owner is WaterParams else key
+    with pytest.raises(ConfigError) as owned:
+        owner(**{field: bad})
+    with pytest.raises(ConfigError) as configured:
+        PipelineConfig(**{key: bad})
+    assert str(configured.value) == str(owned.value)
+
+
+def test_parameter_views_have_the_owners_defaults():
+    assert PipelineConfig().extract_params() == ExtractParams()
+    assert PipelineConfig().water_params() == WaterParams()
+
+
+def test_zero_water_buffer_is_valid():
+    assert PipelineConfig(water_buffer=0).water_params().buffer == 0
 
 
 def test_overlap_must_cover_stage_support():

@@ -352,6 +352,9 @@ def test_default_parameters():
         {"kernel_shape": "disc"},
         {"median_roof": 2},
         {"map3d_source": "dtm"},
+        {"ht": float("nan")},
+        {"ht": float("inf")},
+        {"ht": 0.0},
     ],
 )
 def test_parameter_validation(kwargs):

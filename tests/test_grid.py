@@ -137,10 +137,13 @@ def test_rasterize_crowded_cell_ties_and_max_edge():
     np.testing.assert_array_equal(occ.counts.values, counts)
     assert occ.out_of_bounds == oob == 3
     assert counts[0, 0] == n and counts[-1, -1] == 2
-    # 0.0 and -0.0 compare equal; of tied minima the last point in input
-    # order is kept, which decides the sign the grid writer prints.
-    assert np.signbit(dsm.values[0, 0])
-    assert not np.signbit(dsm.values[-1, -1])
+    # 0.0 and -0.0 compare equal and the kernel keeps the last of tied
+    # minima; a zero minimum is still stored as +0.0 in either point order,
+    # so the grid writer never prints "-0.000".
+    for order in (pts, pts[::-1]):
+        dsm, _ = rasterize_min(order, spec)
+        assert not np.signbit(dsm.values[0, 0])
+        assert not np.signbit(dsm.values[-1, -1])
 
 
 def test_rasterize_window_slices_global_run():

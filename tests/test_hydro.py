@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import logging
 import math
 
 import numpy as np
 import pytest
 
 from conftest import flood_labels, raster_of
-from lidarmaps.errors import BadKernel, DegenerateOccupancy
+from lidarmaps.errors import BadKernel, ConfigError, DegenerateOccupancy
 from lidarmaps.grid import OccupancyCount
 from lidarmaps.hydro import (
     WaterParams,
@@ -64,10 +65,14 @@ def test_single_occupied_cell_window3():
 
 def test_tally_matches_window_scan():
     rng = np.random.default_rng(11)
-    for k in (3, 5, 9):
-        occ = rng.integers(0, 3, size=(23, 31))
-        got = occupied_cell_count(occupancy_of(occ), k).values
-        assert np.array_equal(got, occupied_scan(occ, k))
+    for shape in ((23, 31), (1, 17), (17, 1), (1, 1)):
+        for k in (1, 3, 5, 9):
+            occ = rng.integers(0, 3, size=shape)
+            counts = occupancy_of(occ)
+            got = occupied_cell_count(counts, k).values
+            assert np.array_equal(got, occupied_scan(occ, k))
+            cells = window_cell_count(counts, k).values
+            assert np.array_equal(cells, occupied_scan(np.ones(shape), k))
 
 
 def test_window_cell_count_shrinks_at_borders():
@@ -97,10 +102,13 @@ def test_no_occupied_cells_is_degenerate():
         classify_water(occupancy_of(np.zeros((10, 10))))
 
 
-def test_fully_occupied_warns_and_returns_empty():
-    with pytest.warns(UserWarning):
+def test_fully_occupied_warns_and_returns_empty(caplog):
+    with caplog.at_level(logging.WARNING, logger="lidarmaps.hydro"):
         mask = classify_water(occupancy_of(np.ones((10, 10))))
     assert not mask.values.any()
+    assert [r.getMessage() for r in caplog.records] == [
+        "every cell is occupied (p = 1); no water detectable"
+    ]
 
 
 @pytest.mark.parametrize("sigma_k", [1.0, 2.0, 3.0])
@@ -254,3 +262,23 @@ def test_detect_water_composes_the_stages():
 def test_default_parameters():
     p = WaterParams()
     assert (p.window, p.sigma_k, p.min_area, p.buffer) == (9, 2.0, 1000.0, 5.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"window": 4},
+        {"window": 0},
+        {"sigma_k": math.nan},
+        {"sigma_k": 0.0},
+        {"min_area": -1.0},
+        {"min_area": math.inf},
+        {"buffer": math.nan},
+        {"buffer": -0.5},
+    ],
+)
+def test_parameter_validation(kwargs):
+    # Messages name the config key, water_<field>.
+    (field,) = kwargs
+    with pytest.raises(ConfigError, match=f"^water_{field} must be"):
+        WaterParams(**kwargs)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from lidarmaps import pipeline
-from lidarmaps.config import PipelineConfig, serialize_config
+from lidarmaps.config import OUTPUT_NAMES, PipelineConfig, serialize_config
 from lidarmaps.errors import ConfigError, DegenerateScene, SpecMismatch
 from lidarmaps.evaluate import ConfusionMetrics, confusion
 from lidarmaps.extract import ExtractParams
@@ -18,7 +18,6 @@ from lidarmaps.formats import read_ascii_grid, write_ascii_grid
 from lidarmaps.grid import GridSpec, Raster
 from lidarmaps.ingest import PointCloud, write_xyz_text
 from lidarmaps.pipeline import (
-    PRODUCT_NAMES,
     SWEEPABLE,
     Window,
     _sample_external,
@@ -168,7 +167,7 @@ def test_single_window_scene():
     assert res.point_count == 1600
     assert res.spec.width == 40 and res.spec.height == 40
     assert res.spec.origin_x == pytest.approx(0.5)
-    assert set(res.products) == set(PRODUCT_NAMES)
+    assert set(res.products) == set(OUTPUT_NAMES)
 
     expect2d = np.zeros((40, 40), bool)
     expect2d[16:24, 16:24] = True
@@ -181,8 +180,21 @@ def test_single_window_scene():
     assert not res.products["water"].values.any()
 
 
+def test_merge_order_does_not_change_grid_bytes(tmp_path):
+    # Every cell's lowest returns are 0.0 from one cloud and -0.0 from the
+    # other: tied minima, which must not take their sign from the order.
+    zero, minus_zero = cloud_of(np.zeros((12, 12))), cloud_of(np.full((12, 12), -0.0))
+    written = []
+    for i, clouds in enumerate(([zero, minus_zero], [minus_zero, zero])):
+        out = tmp_path / str(i)
+        run_pipeline(small_cfg(outputs=("dsm", "dtm")), clouds, out_dir=str(out))
+        written.append([(out / f"{n}.asc").read_bytes() for n in ("dsm", "dtm")])
+    assert written[0] == written[1]
+    assert b"-0.000" not in written[0][0]
+
+
 def assert_products_equal(a: dict, b: dict) -> None:
-    for name in PRODUCT_NAMES:
+    for name in OUTPUT_NAMES:
         va, vb = a[name].values, b[name].values
         if va.dtype.kind == "f":
             np.testing.assert_array_equal(np.isnan(va), np.isnan(vb), err_msg=name)

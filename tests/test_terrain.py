@@ -80,7 +80,7 @@ def test_diagonal_neighbors_count():
 
 def test_threshold_must_be_positive():
     dsm = raster_of(np.zeros((4, 4)))
-    for bad in (0.0, -1.0):
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             breakline_map(dsm, bad)
 

@@ -1,9 +1,10 @@
 """Time each raster kernel alone on synthetic inputs.
 
 Every case runs its kernel once untimed, then best-of-N with
-perf_counter.  Rasterization takes --points points.  The roughness count
-runs over every cell and at a random 9% of the cells, the share the
-extraction asks for on the benchmark scenes.  Besides typical inputs, two
+perf_counter.  Rasterization takes --points points and is timed through
+grid.rasterize_min, so the point-to-cell floor is inside the timed call.
+The roughness count runs over every cell and at a random 9% of the cells,
+the share the extraction asks for on the benchmark scenes.  Besides typical inputs, two
 cases time the worst inputs of the nearest fill and the labelling: a grid
 void but for one corner cell, where every cell searches out to its
 distance from that corner (run at a third of --size to keep it short),
@@ -22,6 +23,8 @@ import time
 import numpy as np
 
 from lidarmaps import _kernels as kernels
+from lidarmaps import grid
+from lidarmaps.grid import GridSpec
 
 
 def _best_of(fn, args: tuple, repeats: int) -> float:
@@ -36,9 +39,11 @@ def _best_of(fn, args: tuple, repeats: int) -> float:
 def _cases(size: int, n_points: int, rng: np.random.Generator) -> list:
     h = w = size
 
-    xs = rng.uniform(-5.0, size + 5.0, n_points)
-    ys = rng.uniform(-5.0, size + 5.0, n_points)
-    zs = rng.uniform(0.0, 80.0, n_points)
+    points = np.column_stack([
+        rng.uniform(-5.0, size + 5.0, n_points),
+        rng.uniform(-5.0, size + 5.0, n_points),
+        rng.uniform(0.0, 80.0, n_points),
+    ])
 
     surface = rng.uniform(0.0, 50.0, (h, w))
     valid = rng.random((h, w)) > 0.10
@@ -69,8 +74,8 @@ def _cases(size: int, n_points: int, rng: np.random.Generator) -> list:
         (
             "rasterize_min",
             f"{n_points / 1e6:.1f}M pts -> {w}x{h}",
-            kernels.rasterize_min,
-            (xs, ys, zs, 0.0, 0.0, 1.0, 0, 0, w, h),
+            grid.rasterize_min,
+            (points, GridSpec(0.0, 0.0, 1.0, w, h)),
         ),
         (
             "nearest_fill",

@@ -3,9 +3,9 @@
 Every kernel is exact.  Its output is checked cell for cell against an
 independent brute-force oracle in the test suite (tests/conftest.py).
 
-Grid convention used throughout: arrays are (height, width), row 0 is the
-southernmost row, and cell (r, c) covers the half-open square
-[ox + c*gsd, ox + (c+1)*gsd) x [oy + r*gsd, oy + (r+1)*gsd).
+Grid convention used throughout: arrays are (height, width) and row 0 is
+the southernmost row.  Kernels work in cells; the cell rule that maps
+ground coordinates to cells is GridSpec's (grid.py).
 """
 
 import numpy as np
@@ -28,6 +28,7 @@ def _shift2(a: np.ndarray, di: int, dj: int, fill) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # minimum-z rasterization
 # ---------------------------------------------------------------------------
+# Points come in as window-relative (row, col) cells from GridSpec.cell_of.
 # Each in-bounds point's cell is computed once as a flat index
 # row * width + col.  Counts are one np.bincount over those indices and the
 # minimum is a 1-D np.minimum.at, which numpy runs far faster than ufunc.at
@@ -35,18 +36,16 @@ def _shift2(a: np.ndarray, di: int, dj: int, fill) -> np.ndarray:
 # way, so the result is the same to the bit.
 
 
-def rasterize_min(xs, ys, zs, ox, oy, gsd, col0, row0, width, height):
-    c = np.floor((xs - ox) / gsd).astype(np.int64) - col0
-    r = np.floor((ys - oy) / gsd).astype(np.int64) - row0
-    ok = (c >= 0) & (c < width) & (r >= 0) & (r < height)
-    flat = r[ok] * width + c[ok]
+def rasterize_min(rows, cols, zs, height, width):
+    ok = (cols >= 0) & (cols < width) & (rows >= 0) & (rows < height)
+    flat = rows[ok] * width + cols[ok]
     zmin = np.full(height * width, np.inf, np.float64)
     np.minimum.at(zmin, flat, zs[ok])
     counts = np.bincount(flat, minlength=height * width).astype(np.int32)
     return (
         zmin.reshape(height, width),
         counts.reshape(height, width),
-        int(xs.shape[0] - np.count_nonzero(ok)),
+        int(rows.shape[0] - np.count_nonzero(ok)),
     )
 
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import math
 import sys
 from dataclasses import fields
 
@@ -67,16 +66,6 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     return apply_overrides(cfg, {f.name: getattr(args, f.name, None) for f in fields(cfg)})
 
 
-def _tile_size(raw: str) -> float:
-    try:
-        v = float(raw)
-    except ValueError:
-        v = math.nan
-    if not (math.isfinite(v) and v > 0):
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {raw!r}")
-    return v
-
-
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", metavar="DIR", required=True, help="output directory")
     p.add_argument("--dtm-file", metavar="PATH", help="external terrain grid (.asc)")
@@ -101,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--truth", required=True, metavar="PATH", help="GeoJSON footprints or a grid"
     )
-    p_eval.add_argument("--tile-size", type=_tile_size, default=500.0, metavar="TILE_SIZE",
+    p_eval.add_argument("--tile-size", type=float, default=500.0, metavar="TILE_SIZE",
                         help="tile edge in meters")
     p_eval.add_argument("--out", metavar="DIR", required=True, help="report directory")
 

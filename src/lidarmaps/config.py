@@ -7,12 +7,11 @@ so that serialize -> parse -> serialize is the identity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
 from .extract import ExtractParams
-from .grid import _check_positive
+from .grid import _check_finite, _check_positive
 from .hydro import WaterParams
 
 #: Raster products the pipeline can emit, in canonical output order.
@@ -49,8 +48,7 @@ class PipelineConfig:
         # that owns each of them.
         self.extract_params()
         self.water_params()
-        if not math.isfinite(self.overlap_m):
-            raise ConfigError(f"overlap_m must be finite, got {self.overlap_m!r}")
+        _check_finite(self.overlap_m, "overlap_m")
         min_overlap = (self.k1 + self.water_window) * self.gsd
         if self.overlap_m < min_overlap:
             raise ConfigError(

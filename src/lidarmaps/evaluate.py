@@ -13,7 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyTruth, IoFailure, OpenRing, SelfIntersection, SpecMismatch
-from .grid import GridSpec, Raster, component_sizes, connected_components, require_same_spec
+from .grid import (
+    GridSpec,
+    Raster,
+    _check_positive,
+    component_sizes,
+    connected_components,
+    require_same_spec,
+)
 
 DEFAULT_TILE_SIZE = 500.0
 
@@ -120,8 +127,7 @@ def tiling_comparison(
 ) -> TileReport:
     """Confusion per tile_size x tile_size ground tile, worst tiles first."""
     require_same_spec(pred, truth, "pred and truth")
-    if not (math.isfinite(tile_size) and tile_size > 0):
-        raise ValueError(f"tile size must be positive and finite, got {tile_size}")
+    _check_positive(tile_size, "tile_size")
     spec = pred.spec
     tiles_x = math.ceil(spec.width * spec.gsd / tile_size)
     tiles_y = math.ceil(spec.height * spec.gsd / tile_size)
@@ -338,18 +344,14 @@ def rasterize_polygons(
     polygons overwrite earlier ones.
     """
     labels = np.zeros(spec.shape, np.int32)
-    g = spec.gsd
-
-    def center_x(c: int) -> float:
-        return spec.origin_x + (c + 0.5) * g
-
+    cx, cy = spec.cell_center(np.arange(spec.height), np.arange(spec.width))
     for idx, rings in enumerate(polygons, start=1):
         rings = [_validate_ring(r, f"polygon {idx - 1}") for r in rings]
         ys = np.concatenate([r[:, 1] for r in rings])
-        r_lo = max(0, int(np.floor((ys.min() - spec.origin_y) / g - 0.5)))
-        r_hi = min(spec.height - 1, int(np.ceil((ys.max() - spec.origin_y) / g)))
-        for row in range(r_lo, r_hi + 1):
-            yc = spec.origin_y + (row + 0.5) * g
+        # Only rows whose centre lies in [min y, max y) can cross an edge.
+        r0, r1 = np.searchsorted(cy, (ys.min(), ys.max()))
+        for row in range(r0, r1):
+            yc = cy[row]
             xs: list[float] = []
             for ring in rings:
                 y1 = ring[:-1, 1]
@@ -362,25 +364,10 @@ def rasterize_polygons(
                 yy1 = y1[crossing]
                 yy2 = y2[crossing]
                 xs.extend(x1 + (yc - yy1) * (x2 - x1) / (yy2 - yy1))
-            if not xs:
-                continue
-            xs.sort()
-            for k in range(0, len(xs) - 1, 2):
-                a, b = xs[k], xs[k + 1]
-                c_lo = int(np.ceil((a - spec.origin_x) / g - 0.5))
-                while c_lo > 0 and center_x(c_lo - 1) >= a:
-                    c_lo -= 1
-                while center_x(c_lo) < a:
-                    c_lo += 1
-                c_hi = int(np.ceil((b - spec.origin_x) / g - 0.5)) - 1
-                while c_hi + 1 < spec.width and center_x(c_hi + 1) < b:
-                    c_hi += 1
-                while c_hi >= 0 and center_x(c_hi) >= b:
-                    c_hi -= 1
-                c0 = max(0, c_lo)
-                c1 = min(spec.width - 1, c_hi)
-                if c0 <= c1:
-                    labels[row, c0:c1 + 1] = idx
+            # Each crossing pair [a, b) fills the cells whose centre lies in it.
+            ends = np.searchsorted(cx, np.sort(xs))
+            for c0, c1 in zip(ends[0::2], ends[1::2]):
+                labels[row, c0:c1] = idx
     return Raster(spec, labels)
 
 

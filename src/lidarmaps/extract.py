@@ -11,6 +11,7 @@ removed or added every cell relative to the raw candidates.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ from . import _kernels
 from .errors import ConfigError
 from .grid import (
     Raster,
+    _check_count,
     _check_kernel,
     _check_positive,
     _check_shape_name,
@@ -57,10 +59,9 @@ class ExtractParams:
         for k in ("k1", "k2", "k3"):
             _check_kernel(getattr(self, k), k)
         _check_positive(self.ht, "ht")
-        if not isinstance(self.rt, (int, np.integer)) or self.rt < 1:
-            raise ConfigError(f"rt must be a positive integer, got {self.rt!r}")
-        if not 0.0 <= self.dt <= 1.0:
-            raise ConfigError(f"dt must lie in [0, 1], got {self.dt}")
+        _check_count(self.rt, "rt")
+        if not (isinstance(self.dt, numbers.Real) and 0.0 <= self.dt <= 1.0):
+            raise ConfigError(f"dt must lie in [0, 1], got {self.dt!r}")
         _check_shape_name(self.kernel_shape)
         if self.median_roof != 0:
             _check_kernel(self.median_roof, "median_roof")

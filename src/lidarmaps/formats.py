@@ -87,31 +87,26 @@ def read_ascii_grid(path: str) -> Raster:
     missing = [k for k in _HEADER_KEYS if k not in header]
     if missing:
         raise MalformedHeader(f"{path}: missing header keys {missing}")
-    if header["ncols"] != int(header["ncols"]) or header["nrows"] != int(header["nrows"]):
-        raise MalformedHeader(f"{path}: ncols/nrows must be integers")
-    ncols = int(header["ncols"])
-    nrows = int(header["nrows"])
-    if ncols <= 0 or nrows <= 0 or header["cellsize"] <= 0:
-        raise MalformedHeader(f"{path}: non-positive grid dimensions")
+    # An integral ncols/nrows becomes an int; GridSpec rejects anything else.
+    width, height = (int(v) if v.is_integer() else v for v in (header["ncols"], header["nrows"]))
+    try:
+        spec = GridSpec(
+            header["xllcorner"], header["yllcorner"], header["cellsize"], width, height
+        )
+    except ValueError as exc:
+        raise MalformedHeader(f"{path}: bad grid header: {exc}") from exc
     nodata = header.get("nodata_value", DEFAULT_NODATA)
     flat: list[str] = []
     for line in lines[body_start:]:
         flat.extend(line.split())
-    if len(flat) != ncols * nrows:
+    if len(flat) != width * height:
         raise ShapeMismatch(
-            f"{path}: expected {ncols * nrows} cells, found {len(flat)}"
+            f"{path}: expected {width * height} cells, found {len(flat)}"
         )
     try:
-        vals = np.array(flat, np.float64).reshape(nrows, ncols)
+        vals = np.array(flat, np.float64).reshape(height, width)
     except ValueError as exc:
         raise MalformedHeader(f"{path}: non-numeric cell data") from exc
     vals = vals[::-1].copy()
     vals[vals == nodata] = np.nan
-    spec = GridSpec(
-        origin_x=header["xllcorner"],
-        origin_y=header["yllcorner"],
-        gsd=header["cellsize"],
-        width=ncols,
-        height=nrows,
-    )
     return Raster(spec, vals, nodata=nodata)

@@ -22,7 +22,11 @@ DEFAULT_NODATA = -9999.0
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Geometry of a raster: lower-left origin, cell size, and dimensions."""
+    """Geometry of a raster: lower-left origin, cell size, and dimensions.
+
+    cell_of and cell_center are the one implementation of the cell rule;
+    every stage maps between ground coordinates and cells through them.
+    """
 
     origin_x: float
     origin_y: float
@@ -31,12 +35,11 @@ class GridSpec:
     height: int
 
     def __post_init__(self):
-        if self.gsd <= 0:
-            raise ValueError(f"gsd must be positive, got {self.gsd}")
-        if self.width < 1 or self.height < 1:
-            raise ValueError(
-                f"grid must be at least 1x1, got {self.width}x{self.height}"
-            )
+        _check_finite(self.origin_x, "origin_x", error=ValueError)
+        _check_finite(self.origin_y, "origin_y", error=ValueError)
+        _check_positive(self.gsd, "gsd", error=ValueError)
+        _check_count(self.width, "width", error=ValueError)
+        _check_count(self.height, "height", error=ValueError)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -50,16 +53,18 @@ class GridSpec:
     def y_max(self) -> float:
         return self.origin_y + self.height * self.gsd
 
-    def cell_center(self, row: int, col: int) -> tuple[float, float]:
+    def cell_center(self, row, col):
+        """(x, y) of the centre of cell (row, col); scalars or arrays."""
         return (
             self.origin_x + (col + 0.5) * self.gsd,
             self.origin_y + (row + 0.5) * self.gsd,
         )
 
-    def cell_of(self, x: float, y: float) -> tuple[int, int]:
-        """Row/col of the cell containing (x, y); may fall outside the grid."""
-        col = int(np.floor((x - self.origin_x) / self.gsd))
-        row = int(np.floor((y - self.origin_y) / self.gsd))
+    def cell_of(self, x, y):
+        """(row, col) as int64 of the cell holding (x, y); scalars or
+        arrays, and the cell may fall outside the grid."""
+        col = np.floor((x - self.origin_x) / self.gsd).astype(np.int64)
+        row = np.floor((y - self.origin_y) / self.gsd).astype(np.int64)
         return row, col
 
     def subgrid(self, col0: int, row0: int, width: int, height: int) -> "GridSpec":
@@ -135,11 +140,25 @@ def _check_shape_name(shape: str) -> str:
     return shape
 
 
-def _check_positive(v: float, name: str, or_zero: bool = False) -> None:
+def _check_finite(v, name: str, error: type[Exception] = ConfigError) -> None:
+    """Validate a finite real number."""
+    if not (isinstance(v, numbers.Real) and np.isfinite(v)):
+        raise error(f"{name} must be a finite number, got {v!r}")
+
+
+def _check_positive(
+    v, name: str, or_zero: bool = False, error: type[Exception] = ConfigError
+) -> None:
     """Validate a finite number above zero, or at zero with `or_zero`."""
     if not (isinstance(v, numbers.Real) and (0 <= v if or_zero else 0 < v) and v < np.inf):
         sign = "non-negative" if or_zero else "positive"
-        raise ConfigError(f"{name} must be finite and {sign}, got {v!r}")
+        raise error(f"{name} must be finite and {sign}, got {v!r}")
+
+
+def _check_count(v, name: str, error: type[Exception] = ConfigError) -> None:
+    """Validate an integer of at least one."""
+    if not isinstance(v, (int, np.integer)) or v < 1:
+        raise error(f"{name} must be a positive integer, got {v!r}")
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
@@ -174,14 +193,11 @@ def rasterize_min_window(
     same global cell whether gridded whole or window by window; each
     window's grid is bit-identical to its block of a single-pass run.
     """
-    xs = np.ascontiguousarray(points[:, 0], np.float64)
-    ys = np.ascontiguousarray(points[:, 1], np.float64)
-    zs = np.ascontiguousarray(points[:, 2], np.float64)
-    zmin, counts, oob = _kernels.rasterize_min(
-        xs, ys, zs,
-        spec.origin_x, spec.origin_y, spec.gsd,
-        col0, row0, width, height,
-    )
+    points = np.asarray(points, np.float64)
+    rows, cols = spec.cell_of(points[:, 0], points[:, 1])
+    rows -= row0
+    cols -= col0
+    zmin, counts, oob = _kernels.rasterize_min(rows, cols, points[:, 2], height, width)
     if int(counts.sum()) == 0:
         raise NoPointsInGrid("no point fell inside the window")
     sub = spec.subgrid(col0, row0, width, height)

@@ -2,8 +2,9 @@
 stage chain, mosaicking, and the eval and sweep drivers.
 
 The merged cloud is gridded once into a global min-z grid and a global
-count grid; each window cuts its padded box from those two grids and never
-sees a point.  Windows are processed independently (optionally in
+count grid, and an external terrain grid is sampled once onto the same
+grid; each window cuts its padded box from those grids and never sees a
+point.  Windows are processed independently (optionally in
 parallel) and only each window's core region is written back.  The
 mosaic differs from a one-window run (the default window_size_m gives one
 to any extent under 1000 m on a side): every stage with a non-local rule
@@ -46,6 +47,7 @@ from .grid import (
     GridSpec,
     OccupancyCount,
     Raster,
+    _check_count,
     connected_components,
     grid_from_bounds,
     interpolate_nearest,
@@ -107,14 +109,18 @@ def plan_windows(spec: GridSpec, window_size_m: float, overlap_m: float) -> list
 
 
 def _cut_window(
-    dsm: Raster, occ: OccupancyCount, box: tuple[int, int, int, int]
-) -> tuple[Raster, OccupancyCount]:
-    """The box of the global min-z and count grids as views on its own
-    sub-grid; the window counts no point out of bounds."""
+    dsm: Raster, occ: OccupancyCount, ext: Raster | None, box: tuple[int, int, int, int]
+) -> tuple[Raster, OccupancyCount, Raster | None]:
+    """The box of the global min-z, count and external-terrain grids as
+    views on its own sub-grid; the window counts no point out of bounds."""
     c0, r0, w, h = box
     sub = dsm.spec.subgrid(c0, r0, w, h)
     sl = (slice(r0, r0 + h), slice(c0, c0 + w))
-    return Raster(sub, dsm.values[sl]), OccupancyCount(Raster(sub, occ.counts.values[sl]))
+    return (
+        Raster(sub, dsm.values[sl]),
+        OccupancyCount(Raster(sub, occ.counts.values[sl])),
+        None if ext is None else Raster(sub, ext.values[sl]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -127,31 +133,29 @@ _NODATA = {
 }
 
 
-def _sample_external(ext: Raster, sub: GridSpec) -> Raster:
-    """Clamped nearest-cell resample of an external terrain grid onto a
-    window grid (no interpolation; reference DTMs are already smooth)."""
+def _sample_external(ext: Raster, spec: GridSpec) -> Raster:
+    """Clamped nearest-cell resample of an external terrain grid onto
+    `spec` (no interpolation; reference DTMs are already smooth)."""
     g = ext.spec
-    cols = np.floor((sub.origin_x + (np.arange(sub.width) + 0.5) * sub.gsd - g.origin_x) / g.gsd)
-    rows = np.floor((sub.origin_y + (np.arange(sub.height) + 0.5) * sub.gsd - g.origin_y) / g.gsd)
-    cols = np.clip(cols.astype(np.int64), 0, g.width - 1)
-    rows = np.clip(rows.astype(np.int64), 0, g.height - 1)
-    return Raster(sub, ext.values[np.ix_(rows, cols)])
+    rows, cols = g.cell_of(*spec.cell_center(np.arange(spec.height), np.arange(spec.width)))
+    rows = np.clip(rows, 0, g.height - 1)
+    cols = np.clip(cols, 0, g.width - 1)
+    return Raster(spec, ext.values[np.ix_(rows, cols)])
 
 
 def _window_products(
-    gridded: tuple[Raster, OccupancyCount],
+    gridded: tuple[Raster, OccupancyCount, Raster | None],
     window: Window,
     cfg: PipelineConfig,
     params: list[ExtractParams],
     names: tuple[str, ...],
-    external_dtm: Raster | None,
 ) -> list[dict[str, np.ndarray]] | None:
     """Surface stages once, then extraction once per entry of `params`, on
-    the min-z and count grids of the window's padded box.  Returns, per
-    entry of `params`, the core slices of the grids in `names`; None for
-    an empty window.
+    the min-z, count and external-terrain (or None) grids of the window's
+    padded box.  Returns, per entry of `params`, the core slices of the
+    grids in `names`; None for an empty window.
     """
-    dsm_raw, occ = gridded
+    dsm_raw, occ, ext = gridded
     if not occ.counts.values.any():
         log.warning("window %d is empty; its core stays nodata", window.index)
         return None
@@ -161,7 +165,6 @@ def _window_products(
     try:
         dsm = interpolate_nearest(dsm_raw)
         water = detect_water(occ, cfg.water_params())
-        ext = _sample_external(external_dtm, dsm.spec) if external_dtm is not None else None
         terrain = derive_terrain(dsm, occ, cfg.slope_threshold, ext)
         grids = {"dsm": terrain.dsm, "dtm": terrain.dtm, "ndhm": terrain.ndhm, "water": water.mask}
         out = []
@@ -201,6 +204,7 @@ def _run_windows(
     """Load the inputs, grid them once, plan and run the windows, and
     mosaic the cores of the grids in `names` once per entry of `params`.
     The PipelineResult returned has no products; they are the list."""
+    _check_count(workers, "workers")
     if not inputs:
         raise ConfigError("at least one input cloud is required")
     clouds = [
@@ -217,20 +221,20 @@ def _run_windows(
     )
 
     dsm_raw, occ = rasterize_min(cloud.points, spec)
+    ext = None if external_dtm is None else _sample_external(external_dtm, spec)
     point_count, dropped = len(cloud), cloud.dropped_nonfinite
     del clouds, cloud
-    # Serial windows get views into overlapping boxes of these two grids;
+    # Serial windows get views into overlapping boxes of these grids;
     # read-only, so no stage can change a neighbouring window's input.
-    dsm_raw.values.flags.writeable = False
-    occ.counts.values.flags.writeable = False
+    for grid in (dsm_raw, occ.counts, ext):
+        if grid is not None:
+            grid.values.flags.writeable = False
 
     mosaics = [{n: np.full(spec.shape, _NODATA[n]) for n in names} for _ in params]
-    run_window = partial(
-        _window_products, cfg=cfg, params=params, names=names, external_dtm=external_dtm,
-    )
-    cuts = (_cut_window(dsm_raw, occ, w.padded) for w in windows)
+    run_window = partial(_window_products, cfg=cfg, params=params, names=names)
+    cuts = (_cut_window(dsm_raw, occ, ext, w.padded) for w in windows)
     empty = 0
-    # Each worker is sent only its window's padded box of the two grids;
+    # Each worker is sent only its window's padded box of the grids;
     # a pool for one window would only pickle the whole grid to one worker.
     workers = min(workers, len(windows))
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:

@@ -58,6 +58,47 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.count("error:") == 2
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_exit_1(tmp_path, capsys, workers):
+    scene = write_scene(tmp_path, block_field())
+    out = tmp_path / "out"
+    assert main(["map", scene, "--out", str(out), "--workers", workers] + MAP_FLAGS) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: workers must be a positive integer, got {workers}"
+    )
+    assert not out.exists()
+
+
+def non_finite_grid(tmp_path, key: str, value: str) -> str:
+    """A 40x40 grid file covering the block scene, one header value replaced."""
+    header = {"ncols": 40, "nrows": 40, "xllcorner": 0, "yllcorner": 0, "cellsize": 1}
+    header[key] = value
+    path = tmp_path / f"{key}-{value}.asc"
+    path.write_text(
+        "".join(f"{k} {v}\n" for k, v in header.items()) + ("0 " * 40 + "\n") * 40
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize("key,value", [("cellsize", "nan"), ("xllcorner", "inf")])
+def test_non_finite_grid_header_exits_2(tmp_path, capsys, key, value):
+    bad = non_finite_grid(tmp_path, key, value)
+    good = str(tmp_path / "good.asc")
+    write_ascii_grid(good, raster_of(np.zeros((40, 40), bool), gsd=1.0))
+    scene = write_scene(tmp_path, block_field())
+    runs = [
+        ["map", scene, "--dtm-file", bad] + MAP_FLAGS,
+        ["eval", "--pred", bad, "--truth", good],
+        ["eval", "--pred", good, "--truth", bad],
+    ]
+    for i, argv in enumerate(runs):
+        out = tmp_path / f"out{i}"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and "must be" in err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["map", "eval", "sweep"])
 def test_unwritable_out_exits_2(tmp_path, capsys, command):
     scene, truth = sweep_inputs(tmp_path)
@@ -179,9 +220,7 @@ def test_eval_rejects_bad_tile_size(tmp_path, capsys, tile_size):
          "--out", str(tmp_path / "eval")]
     )
     assert rc == 1
-    assert "error: argument --tile-size: must be a positive finite number" in (
-        capsys.readouterr().err
-    )
+    assert capsys.readouterr().err.startswith("error: tile_size must be finite and positive")
     assert not (tmp_path / "eval").exists()
 
 

@@ -61,6 +61,8 @@ def test_robust_defaults():
         {"outputs": ("map2d", "shadow")},
         {"overlap_m": float("nan")},
         {"overlap_m": float("inf")},
+        {"overlap_m": "50"},
+        {"dt": "0.1"},
     ],
 )
 def test_invalid_values_rejected(kwargs):
@@ -79,6 +81,7 @@ def test_invalid_values_rejected(kwargs):
         (ExtractParams, "k3", -3),
         (ExtractParams, "rt", 0),
         (ExtractParams, "dt", 1.5),
+        (ExtractParams, "dt", "0.1"),
         (ExtractParams, "kernel_shape", "disc"),
         (ExtractParams, "median_roof", 2),
         (ExtractParams, "map3d_source", "dtm"),

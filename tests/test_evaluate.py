@@ -10,6 +10,7 @@ import pytest
 
 from conftest import flood_labels, instance_census, point_in_rings, raster_of
 from lidarmaps.errors import (
+    ConfigError,
     EmptyTruth,
     IoFailure,
     OpenRing,
@@ -162,8 +163,8 @@ def test_cells_assigned_by_lower_left_corner():
 
 def test_tile_size_must_be_positive():
     r = bool_raster((4, 4))
-    for bad in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
+    for bad in (0.0, -1.0, float("nan"), float("inf"), "500"):
+        with pytest.raises(ConfigError, match="^tile_size must be finite and positive"):
             tiling_comparison(r, r, tile_size=bad)
 
 
@@ -342,21 +343,52 @@ def test_right_triangle_boundary_is_deterministic():
     assert labels[2, 1] == 0
 
 
+def lattice_shapes(rng, spec: GridSpec) -> list[np.ndarray]:
+    """Rectangles and triangles with corners on cell centres of a lattice
+    reaching 4 cells past the grid, so spans end exactly on centres, plus
+    shapes wholly left of, right of, across and below the grid."""
+    lat_x = spec.origin_x + (np.arange(-4, spec.width + 4) + 0.5) * spec.gsd
+    lat_y = spec.origin_y + (np.arange(-4, spec.height + 4) + 0.5) * spec.gsd
+
+    def box(x0, y0, x1, y1):
+        return ring((x0, y0), (x1, y0), (x1, y1), (x0, y1))
+
+    x_lo, x_hi, y_lo = spec.origin_x, spec.x_max, spec.origin_y
+    shapes = [
+        box(x_lo - 3, y_lo + 1, x_lo - 1, y_lo + 3),  # left of the grid
+        box(x_hi + 1, y_lo + 1, x_hi + 3, y_lo + 3),  # right of the grid
+        box(x_lo - 3, y_lo + 1, x_hi + 3, y_lo + 3),  # across it
+        box(x_lo + 1, y_lo - 5, x_lo + 2, y_lo - 1),  # below every row
+    ]
+    for _ in range(20):
+        i = np.sort(rng.choice(lat_x.size, 2, replace=False))
+        j = np.sort(rng.choice(lat_y.size, 2, replace=False))
+        shapes.append(box(lat_x[i[0]], lat_y[j[0]], lat_x[i[1]], lat_y[j[1]]))
+        ax, bx, cx = lat_x[rng.choice(lat_x.size, 3)]
+        ay, by, cy = lat_y[rng.choice(lat_y.size, 3)]
+        if (bx - ax) * (cy - ay) != (by - ay) * (cx - ax):  # not collinear
+            shapes.append(ring((ax, ay), (bx, by), (cx, cy)))
+    return shapes
+
+
 def test_matches_point_in_polygon_oracle():
-    rng = np.random.default_rng(23)
-    spec = GridSpec(0.0, 0.0, 0.5, 24, 24)
-    for _ in range(8):
-        n = int(rng.integers(5, 11))
-        ang = np.sort(rng.uniform(0, 2 * math.pi, n))
-        rad = rng.uniform(1.0, 5.5, n)
-        cx, cy = rng.uniform(3, 9, 2)
-        pts = np.column_stack([cx + rad * np.cos(ang), cy + rad * np.sin(ang)])
-        star = np.vstack([pts, pts[:1]])
-        labels = rasterize_polygons([[star]], spec).values
-        for r in range(24):
-            for c in range(24):
-                xc, yc = (c + 0.5) * 0.5, (r + 0.5) * 0.5
-                assert bool(labels[r, c]) == point_in_rings(xc, yc, [star])
+    for origin in ((0.0, 0.0), (-1.3, 0.7)):
+        rng = np.random.default_rng(23)
+        spec = GridSpec(*origin, 0.5, 24, 24)
+        shapes = []
+        for _ in range(8):
+            n = int(rng.integers(5, 11))
+            ang = np.sort(rng.uniform(0, 2 * math.pi, n))
+            rad = rng.uniform(1.0, 5.5, n)
+            cx, cy = rng.uniform(3, 9, 2) + origin
+            pts = np.column_stack([cx + rad * np.cos(ang), cy + rad * np.sin(ang)])
+            shapes.append(np.vstack([pts, pts[:1]]))
+        for shape in shapes + lattice_shapes(rng, spec):
+            labels = rasterize_polygons([[shape]], spec).values
+            for r in range(24):
+                for c in range(24):
+                    xc, yc = origin[0] + (c + 0.5) * 0.5, origin[1] + (r + 0.5) * 0.5
+                    assert bool(labels[r, c]) == point_in_rings(xc, yc, [shape])
 
 
 def test_open_ring_rejected():

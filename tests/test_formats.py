@@ -145,6 +145,20 @@ def test_degenerate_dimensions(tmp_path, ncols, nrows, cell):
         read_ascii_grid(str(path))
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [("cellsize", "nan"), ("cellsize", "inf"), ("xllcorner", "inf"),
+     ("yllcorner", "-inf"), ("xllcorner", "nan"), ("ncols", "nan"), ("nrows", "inf")],
+)
+def test_non_finite_header_values(tmp_path, key, value):
+    header = {"ncols": "2", "nrows": "2", "xllcorner": "0", "yllcorner": "0", "cellsize": "1"}
+    header[key] = value
+    path = tmp_path / "grid.asc"
+    path.write_text("".join(f"{k} {v}\n" for k, v in header.items()) + "1 2\n3 4\n")
+    with pytest.raises(MalformedHeader):
+        read_ascii_grid(str(path))
+
+
 def test_wrong_cell_count(tmp_path):
     path = tmp_path / "count.asc"
     path.write_text(

@@ -33,10 +33,22 @@ from lidarmaps.grid import (
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        GridSpec(0.0, 0.0, 0.0, 4, 4)
-    with pytest.raises(ValueError):
-        GridSpec(0.0, 0.0, 0.5, 0, 4)
+    bad = [
+        (0.0, 0.0, 0.0, 4, 4),
+        (0.0, 0.0, -0.5, 4, 4),
+        (0.0, 0.0, np.nan, 4, 4),
+        (0.0, 0.0, np.inf, 4, 4),
+        (np.nan, 0.0, 0.5, 4, 4),
+        (0.0, np.nan, 0.5, 4, 4),
+        (np.inf, 0.0, 0.5, 4, 4),
+        (0.0, -np.inf, 0.5, 4, 4),
+        (0.0, 0.0, 0.5, 0, 4),
+        (0.0, 0.0, 0.5, 4, -1),
+        (0.0, 0.0, 0.5, 4.0, 4),
+    ]
+    for args in bad:
+        with pytest.raises(ValueError):
+            GridSpec(*args)
     spec = GridSpec(10.0, 20.0, 0.5, 6, 4)
     assert spec.shape == (4, 6)
     assert spec.x_max == 13.0
@@ -44,6 +56,27 @@ def test_spec_validation():
     assert spec.cell_center(0, 0) == (10.25, 20.25)
     assert spec.cell_of(10.25, 20.25) == (0, 0)
     assert spec.cell_of(10.5, 20.0) == (0, 1)  # lower edge belongs upward
+
+
+def test_cell_rule_on_arrays_matches_scalars():
+    rng = np.random.default_rng(8)
+    spec = GridSpec(-3.3, 0.456, 0.7, 9, 6)
+    xs = rng.uniform(-5.0, 5.0, 50)
+    ys = rng.uniform(-2.0, 6.0, 50)
+    xs[:10] = spec.origin_x + np.arange(10) * spec.gsd  # exactly on cell edges
+    rows, cols = spec.cell_of(xs, ys)
+    assert rows.dtype == cols.dtype == np.int64
+    assert [(r, c) for r, c in zip(rows, cols)] == [spec.cell_of(x, y) for x, y in zip(xs, ys)]
+    r, c = spec.cell_of(float(xs[0]), float(ys[0]))
+    assert isinstance(r, np.int64) and isinstance(c, np.int64)
+
+    rr, cc = np.arange(-2, 8), np.arange(10)
+    cx, cy = spec.cell_center(rr, cc)
+    assert [(x, y) for x, y in zip(cx, cy)] == [spec.cell_center(r, c) for r, c in zip(rr, cc)]
+    # every centre lies in its own cell
+    rows, cols = spec.cell_of(cx, cy)
+    np.testing.assert_array_equal(rows, rr)
+    np.testing.assert_array_equal(cols, cc)
 
 
 def test_grid_from_bounds_includes_max_edge():

@@ -277,6 +277,19 @@ def test_empty_inputs_rejected():
         run_pipeline(small_cfg(), [])
 
 
+@pytest.mark.parametrize("workers", [0, -3, 1.5, "2"])
+def test_workers_must_be_positive_integer(tmp_path, workers):
+    cloud = cloud_of(np.zeros((12, 12)))
+    with pytest.raises(ConfigError, match="^workers must be a positive integer"):
+        run_pipeline(small_cfg(), [cloud], workers=workers)
+    truth = tmp_path / "truth.geojson"
+    truth.write_text(json.dumps({"type": "Polygon", "coordinates": [
+        [[2, 2], [6, 2], [6, 6], [2, 6], [2, 2]]
+    ]}))
+    with pytest.raises(ConfigError, match="^workers must be a positive integer"):
+        run_sweep(small_cfg(), "k1", [3], [cloud], str(truth), workers=workers)
+
+
 def test_stage_error_names_window():
     field = np.indices((12, 12)).sum(axis=0) % 2 * 8.0
     with pytest.raises(DegenerateScene, match=r"^window 0 \(0, 0, 12, 12\): "):
@@ -297,6 +310,23 @@ def test_external_dtm_grid_and_path(tmp_path):
     write_ascii_grid(path, ext)
     res2 = run_pipeline(small_cfg(), [cloud], external_dtm=path)
     np.testing.assert_array_equal(res.products["dtm"].values, res2.products["dtm"].values)
+
+
+@pytest.mark.parametrize(
+    "origin,gsd", [((-3.3, -1.7), 0.7), ((0.123, 0.456), 0.3), ((0.0, 0.0), 0.25)]
+)
+def test_windowed_dtm_is_one_global_sample(origin, gsd):
+    # Each window cuts its box of one global resample, so the dtm mosaic is
+    # that resample cell for cell, overlaps included.
+    ext_shape = (int(45 / gsd), int(45 / gsd))
+    values = np.random.default_rng(5).uniform(-1.0, 1.0, ext_shape)
+    ext = raster_of(values, gsd=gsd, origin=origin)
+    res = run_pipeline(small_cfg(window_size_m=20.0), [cloud_of(straddle_field())],
+                       external_dtm=ext, workers=2)
+    assert res.windows == 4
+    np.testing.assert_array_equal(
+        res.products["dtm"].values, _sample_external(ext, res.spec).values
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -513,12 +543,23 @@ def test_cloud_gridded_once(tmp_path, monkeypatch):
         grids.append(real(points, spec))
         return grids[-1]
 
+    sampled = []
+    real_sample = pipeline._sample_external
+
+    def sample_counted(ext, spec):
+        sampled.append(real_sample(ext, spec))
+        return sampled[-1]
+
     monkeypatch.setattr(pipeline, "rasterize_min", counted)
-    res = run_pipeline(small_cfg(window_size_m=20.0), [cloud_of(straddle_field())])
-    assert res.windows == 4 and len(grids) == 1
-    # windows get views into overlapping boxes of the two global grids
+    monkeypatch.setattr(pipeline, "_sample_external", sample_counted)
+    ext = raster_of(np.zeros((8, 8)), gsd=5.0)
+    res = run_pipeline(small_cfg(window_size_m=20.0), [cloud_of(straddle_field())],
+                       external_dtm=ext)
+    assert res.windows == 4 and len(grids) == 1 and len(sampled) == 1
+    # windows get views into overlapping boxes of the three global grids
     dsm, occ = grids[0]
     assert not dsm.values.flags.writeable and not occ.counts.values.flags.writeable
+    assert sampled[0].spec == res.spec and not sampled[0].values.flags.writeable
 
     cloud, truth_path = sweep_scene(tmp_path)
     grids.clear()

@@ -9,8 +9,13 @@ cases time the worst inputs of the nearest fill and the labelling: a grid
 void but for one corner cell, where every cell searches out to its
 distance from that corner (run at a third of --size to keep it short),
 and a serpentine mask, one component that winds through every other row.
-Correctness is not checked here; the test suite compares every kernel
-with a brute-force oracle.
+The grid writer is timed too, writing to a temporary directory: it formats
+each distinct cell value once, so its cost follows the number of distinct
+values.  One case is a surface on a 0.001 m lattice with 10% NaN, where
+values repeat as they do in grids made from LAS points, whose z is
+quantised; the other is a grid of all-distinct floats, the writer's worst
+case.  Correctness is not checked here; the test suite compares every
+kernel with a brute-force oracle and the writer with a per-cell format.
 
 Usage:
     python3 benchmarks/bench_kernels.py [--size N] [--points N] [--repeats N]
@@ -18,13 +23,16 @@ Usage:
 
 import argparse
 import math
+import os
+import tempfile
 import time
 
 import numpy as np
 
 from lidarmaps import _kernels as kernels
 from lidarmaps import grid
-from lidarmaps.grid import GridSpec
+from lidarmaps.formats import write_ascii_grid
+from lidarmaps.grid import GridSpec, Raster
 
 
 def _best_of(fn, args: tuple, repeats: int) -> float:
@@ -36,7 +44,7 @@ def _best_of(fn, args: tuple, repeats: int) -> float:
     return best
 
 
-def _cases(size: int, n_points: int, rng: np.random.Generator) -> list:
+def _cases(size: int, n_points: int, rng: np.random.Generator, out_dir: str) -> list:
     h = w = size
 
     points = np.column_stack([
@@ -70,12 +78,18 @@ def _cases(size: int, n_points: int, rng: np.random.Generator) -> list:
     serpentine[1::4, -1] = True
     serpentine[3::4, 0] = True
 
+    spec = GridSpec(0.0, 0.0, 1.0, w, h)
+    lattice = np.round(surface, 3)
+    lattice[rng.random((h, w)) < 0.10] = np.nan
+    distinct = rng.uniform(0.0, 50.0, (h, w))
+    grid_path = os.path.join(out_dir, "grid.asc")
+
     return [
         (
             "rasterize_min",
             f"{n_points / 1e6:.1f}M pts -> {w}x{h}",
             grid.rasterize_min,
-            (points, GridSpec(0.0, 0.0, 1.0, w, h)),
+            (points, spec),
         ),
         (
             "nearest_fill",
@@ -143,6 +157,18 @@ def _cases(size: int, n_points: int, rng: np.random.Generator) -> list:
             kernels.masked_median,
             (surface, blobs, 5),
         ),
+        (
+            "write_ascii_grid",
+            f"{w}x{h}, 1 mm lattice, 10% NaN",
+            write_ascii_grid,
+            (grid_path, Raster(spec, lattice)),
+        ),
+        (
+            "write_ascii_grid",
+            f"{w}x{h}, all distinct",
+            write_ascii_grid,
+            (grid_path, Raster(spec, distinct)),
+        ),
     ]
 
 
@@ -162,10 +188,11 @@ def main() -> int:
     header = f"{'kernel':<18} {'input':<30} {'numpy':>10}"
     print(header)
     print("-" * len(header))
-    for name, desc, fn, call_args in _cases(args.size, args.points, rng):
-        fn(*call_args)
-        t = _best_of(fn, call_args, args.repeats)
-        print(f"{name:<18} {desc:<30} {t:>9.4f}s")
+    with tempfile.TemporaryDirectory() as out_dir:
+        for name, desc, fn, call_args in _cases(args.size, args.points, rng, out_dir):
+            fn(*call_args)
+            t = _best_of(fn, call_args, args.repeats)
+            print(f"{name:<18} {desc:<30} {t:>9.4f}s")
     return 0
 
 

@@ -23,39 +23,65 @@ def _fmt_num(v: float) -> str:
     return repr(float(v))
 
 
+def _cell_texts(vals: np.ndarray, sentinel: str) -> tuple[list[str], np.ndarray]:
+    """Return (texts, index): the text of cell (i, j) is texts[index[i, j]].
+
+    index is a new intp array.  Each distinct value is formatted once.
+    Booleans and integers index a table by value (integers fall back to
+    np.unique when their range is wider than the grid has cells); floats
+    are deduplicated on their float64 bit patterns, so 0.0 and -0.0 keep
+    their own text and every NaN gets the sentinel.
+    """
+    if vals.dtype == bool:
+        return ["0", "1"], vals.astype(np.intp)
+    if np.issubdtype(vals.dtype, np.integer):
+        lo, hi = vals.min(), vals.max()
+        if int(hi) - int(lo) < vals.size:
+            # intp arithmetic wraps, so the offset is exact for any dtype.
+            texts = [str(v) for v in range(int(lo), int(hi) + 1)]
+            return texts, np.subtract(vals, lo, dtype=np.intp)
+        distinct, index = np.unique(vals, return_inverse=True)
+        return [str(v) for v in distinct.tolist()], index.reshape(vals.shape)
+    bits, index = np.unique(vals.astype(np.float64).view(np.int64), return_inverse=True)
+    distinct = bits.view(np.float64).tolist()
+    # %.3f prints every NaN, signed or not, as "nan" and no other value
+    # contains it, so one replace writes the sentinel; neither a value nor
+    # the sentinel contains a space, so the split gives one text per value.
+    text = (" ".join(["%.3f"] * len(distinct)) % tuple(distinct)).replace("nan", sentinel)
+    return text.split(" "), index.reshape(vals.shape)
+
+
 def write_ascii_grid(path: str, raster: Raster) -> None:
     """Serialize to the plain-text grid format, north row first.
 
     Float cells print as %.3f with NaN replaced by the nodata sentinel;
     boolean cells print as 0/1; integer cells print as-is.  Line endings
-    are "\\n" regardless of platform.
+    are "\\n" regardless of platform.  Each distinct value is formatted
+    once and every cell takes its text by index, so formatting costs
+    follow the distinct values, not the cells.
     """
     spec = raster.spec
-    lines = [
-        f"ncols {spec.width}",
-        f"nrows {spec.height}",
-        f"xllcorner {_fmt_num(spec.origin_x)}",
-        f"yllcorner {_fmt_num(spec.origin_y)}",
-        f"cellsize {_fmt_num(spec.gsd)}",
-        f"NODATA_value {_fmt_num(raster.nodata)}",
-    ]
-    vals = raster.values
-    flipped = vals[::-1]
-    if vals.dtype == bool:
-        body = [" ".join(row) for row in np.where(flipped, "1", "0").tolist()]
-    elif np.issubdtype(vals.dtype, np.integer):
-        row_fmt = " ".join(["%d"] * spec.width)
-        body = [row_fmt % tuple(row) for row in flipped.tolist()]
-    else:
-        # %.3f prints every NaN, signed or not, as "nan" and no other cell
-        # contains it, so one replace per row writes the sentinel.
-        row_fmt = " ".join(["%.3f"] * spec.width)
-        sentinel = _fmt_num(raster.nodata)
-        body = [(row_fmt % tuple(row)).replace("nan", sentinel) for row in flipped.tolist()]
+    sentinel = _fmt_num(raster.nodata)
+    header = (
+        f"ncols {spec.width}\n"
+        f"nrows {spec.height}\n"
+        f"xllcorner {_fmt_num(spec.origin_x)}\n"
+        f"yllcorner {_fmt_num(spec.origin_y)}\n"
+        f"cellsize {_fmt_num(spec.gsd)}\n"
+        f"NODATA_value {sentinel}\n"
+    )
+    texts, index = _cell_texts(raster.values[::-1], sentinel)
+    # Each text carries the separator after it, so the whole body is one
+    # join: a space, or a newline in the last column, which gets one table
+    # entry per row.
+    last = index[:, -1].tolist()
+    table = np.array([t + " " for t in texts] + [texts[i] + "\n" for i in last], object)
+    index[:, -1] = np.arange(len(texts), len(texts) + len(last))
+    body = "".join(table[index].ravel().tolist())
     try:
         with open(path, "w", encoding="ascii", newline="\n") as f:
-            f.write("\n".join(lines + body))
-            f.write("\n")
+            f.write(header)
+            f.write(body)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 

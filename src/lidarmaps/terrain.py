@@ -22,6 +22,7 @@ from .errors import DegenerateScene, NoGround
 from .grid import (
     OccupancyCount,
     Raster,
+    _check_positive,
     component_sizes,
     connected_components,
     nearest_fill_from,
@@ -54,8 +55,7 @@ def breakline_map(dsm: Raster, slope_threshold: float = 1.0) -> Raster:
     A cell is a break-line cell iff |dz| to at least one 8-neighbor exceeds
     `slope_threshold`; neighbors outside the raster do not count.
     """
-    if not 0 < slope_threshold < np.inf:
-        raise ValueError(f"slope threshold must be finite and positive, got {slope_threshold}")
+    _check_positive(slope_threshold, "slope_threshold", error=ValueError)
     vals = _require_full(dsm, "dsm")
     br = np.zeros(vals.shape, bool)
     for di in (-1, 0, 1):

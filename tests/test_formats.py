@@ -32,12 +32,30 @@ def test_boolean_mask_writes_zero_one(tmp_path):
     body = path.read_text().splitlines()[6:]
     assert body == ["0 1", "1 0"]  # top row first = north row
 
+    # A uniform mask uses one entry of the 0/1 table.
+    for value, text in ((True, "1"), (False, "0")):
+        write_ascii_grid(str(path), raster_of(np.full((3, 4), value)))
+        assert path.read_text().splitlines()[6:] == [" ".join([text] * 4)] * 3
+
 
 def test_integer_labels_write_bare(tmp_path):
     path = tmp_path / "labels.asc"
     write_ascii_grid(str(path), raster_of(np.array([[0, 3], [12, 7]], np.int32)))
     body = path.read_text().splitlines()[6:]
     assert body == ["12 7", "0 3"]
+
+    # Every uint8 and int8 value, and int64 values far apart (negatives,
+    # 2**40), each written as f"{v}" in its cell.
+    cases = [
+        np.arange(256, dtype=np.uint8).reshape(16, 16)[:, ::-1],
+        np.arange(-128, 128, dtype=np.int8).reshape(16, 16),
+        np.array([[-7, 2**40, 0], [2**40, -2**40, -7]], np.int64),
+        np.array([[np.iinfo(np.int64).min, np.iinfo(np.int64).max]], np.int64),
+    ]
+    for vals in cases:
+        write_ascii_grid(str(path), raster_of(vals))
+        expected = [" ".join(f"{v}" for v in row) for row in vals[::-1].tolist()]
+        assert path.read_text().splitlines()[6:] == expected, vals
 
 
 def test_nan_written_as_sentinel(tmp_path):
@@ -59,6 +77,12 @@ def test_nan_written_as_sentinel(tmp_path):
         ([[nan, 0.5, 3.14159]], 0.5, "0.5"),
         ([[nan, -nan, 7.0]], nan, "nan"),
         (np.array([[1.2345, nan], [-0.0, 65504.0]], np.float32), -9999.0, "-9999"),
+        # Each distinct value is formatted once, so repeats of the values
+        # that share or split a text must each get their own cell's text.
+        (np.tile([[0.0, -0.0, nan, -nan, 1.0005, -0.0005],
+                  [inf, -inf, 1.0005, 0.0, -0.0005, -0.0]], (6, 3)), -9999.0, "-9999"),
+        (np.tile(np.array([[2.5, nan, -0.0], [0.1, 2.5, 0.0]], np.float32), (4, 5)),
+         -9999.0, "-9999"),
     ]
     for values, nodata, sentinel in cases:
         vals = np.asarray(values)

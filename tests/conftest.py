@@ -130,6 +130,20 @@ def nearest_fill_scan(values: np.ndarray, sources: np.ndarray) -> np.ndarray:
     return out
 
 
+def breakline_scan(vals: np.ndarray, threshold: float) -> np.ndarray:
+    """Per-cell break-line flags: |dz| to some in-bounds 8-neighbour above
+    the threshold."""
+    h, w = vals.shape
+    out = np.zeros((h, w), bool)
+    for i in range(h):
+        for j in range(w):
+            for a in range(max(0, i - 1), min(h, i + 2)):
+                for b in range(max(0, j - 1), min(w, j + 2)):
+                    if abs(float(vals[i, j]) - float(vals[a, b])) > threshold:
+                        out[i, j] = True
+    return out
+
+
 def _footprint(k: int, shape: str) -> np.ndarray:
     r = k // 2
     di, dj = np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1), indexing="ij")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import raster_of
+from conftest import breakline_scan, raster_of
 from lidarmaps.errors import DegenerateScene, NoGround, SpecMismatch
 from lidarmaps.grid import OccupancyCount
 from lidarmaps.terrain import (
@@ -76,6 +76,17 @@ def test_diagonal_neighbors_count():
     expected = np.zeros((5, 5), bool)
     expected[1:4, 1:4] = True
     assert np.array_equal(br, expected)
+
+
+@pytest.mark.parametrize("shape", [(23, 31), (1, 9), (9, 1), (1, 1), (2, 2)])
+def test_breaklines_match_scan(shape):
+    rng = np.random.default_rng(sum(shape))
+    # heights on a 0.5 m lattice make steps of exactly the 1 m threshold,
+    # which must not count, next to steps of 0.5 and 1.5 m
+    vals = 0.5 * rng.integers(0, 4, shape) + 100.0
+    for threshold in (1.0, 0.5, 0.25):
+        got = breakline_map(raster_of(vals), threshold).values
+        np.testing.assert_array_equal(got, breakline_scan(vals, threshold))
 
 
 def test_threshold_must_be_positive():

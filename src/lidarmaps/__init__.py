@@ -15,6 +15,7 @@ from .errors import (
     DegenerateScene,
     EmptyCloud,
     EmptyTruth,
+    GridTooLarge,
     IoFailure,
     LidarMapsError,
     MalformedHeader,
@@ -94,6 +95,7 @@ __all__ = [
     "ExtractParams",
     "ExtractResult",
     "GridSpec",
+    "GridTooLarge",
     "InstanceReport",
     "IoFailure",
     "LidarMapsError",

@@ -10,7 +10,12 @@ ground coordinates to cells is GridSpec's (grid.py).
 
 import numpy as np
 
+from .errors import GridTooLarge
+
 _BIG = np.int64(2) ** 62
+# Kernels that work block by block take about this many cells or values
+# (512 kB of float64) at a time, so their scratch memory stays flat.
+_BLOCK = 1 << 16
 
 
 def _shift2(a: np.ndarray, di: int, dj: int, fill) -> np.ndarray:
@@ -28,94 +33,137 @@ def _shift2(a: np.ndarray, di: int, dj: int, fill) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # minimum-z rasterization
 # ---------------------------------------------------------------------------
-# Points come in as window-relative (row, col) cells from GridSpec.cell_of.
-# Each in-bounds point's cell is computed once as a flat index
-# row * width + col.  Counts are one np.bincount over those indices and the
-# minimum is a 1-D np.minimum.at, which numpy runs far faster than ufunc.at
-# with a (row, col) tuple index.  Points are applied in input order either
-# way, so the result is the same to the bit.
+# Points come in as flat row-major cell indices of the window, with a mask
+# of the points inside it; the indices and z values are copied only when
+# some point falls outside.  Counts are one np.bincount over the flat
+# indices and the minimum is a 1-D np.minimum.at, which numpy runs far
+# faster than ufunc.at with a (row, col) tuple index.  Points are applied
+# in input order either way, so the result is the same to the bit.
 
 
-def rasterize_min(rows, cols, zs, height, width):
-    ok = (cols >= 0) & (cols < width) & (rows >= 0) & (rows < height)
-    flat = rows[ok] * width + cols[ok]
+def rasterize_min(cells, zs, inside, height, width):
+    oob = int(inside.size - np.count_nonzero(inside))
+    if oob:
+        cells, zs = cells[inside], zs[inside]
     zmin = np.full(height * width, np.inf, np.float64)
-    np.minimum.at(zmin, flat, zs[ok])
-    counts = np.bincount(flat, minlength=height * width).astype(np.int32)
-    return (
-        zmin.reshape(height, width),
-        counts.reshape(height, width),
-        int(rows.shape[0] - np.count_nonzero(ok)),
-    )
+    np.minimum.at(zmin, cells, zs)
+    counts = np.bincount(cells, minlength=height * width).astype(np.int32)
+    return zmin.reshape(height, width), counts.reshape(height, width), oob
 
 
 # ---------------------------------------------------------------------------
 # exact nearest-valid-cell fill
 # ---------------------------------------------------------------------------
 # Distances are Euclidean between cell centers; in cell units every squared
-# distance is an integer, so the search compares exact (d2, row, col) keys
-# and ties resolve to the source earliest in row-major order.
+# distance d2 is an integer, and ties resolve to the source earliest in
+# row-major order.  Both rules are one int64 key, d2 * n + the source's
+# flat index (n = h * w cells): the smaller key is the nearer source, and
+# of two equidistant ones the earlier.  Every key is below
+# (h^2 + w^2 + 1) * n, and a shape is accepted only while that bound stays
+# under the _BIG sentinel, about 38,900 x 38,900 cells for a square grid;
+# then _BIG plus any search step still fits in int64.
 #
-# The fill first finds, per column, the nearest source row to every cell
-# (the column pass).  A void cell then looks at columns c - k and c + k for
-# k = 0, 1, 2, ...: the candidate there is that column's nearest source, at
-# d2 = column distance^2 + k^2.  Every source beyond column offset k is at
-# least k^2 away, so once k^2 > best_d2 no later column can win or tie, and
-# the cell stops.  The active arrays hold only the void cells, as flat
-# indices; each round writes the cells that met the stop rule to the
-# output and compacts the rest, so a round costs the cells still searching
-# rather than the whole grid.  The (row, col) part of the key is compared
-# as the source's flat index, which orders the same.
+# Column pass: every cell gets the key of the nearest source in its own
+# column; a valid cell is its own source at d2 = 0.  The void cells of a
+# column form vertical runs, found with np.diff on the transposed mask as
+# the labeller finds its runs.  A void cell's candidates are the valid
+# cells just above and below its run; the smaller key wins, and a missing
+# neighbour (or a column with no source at all) reads _BIG.  The pass runs
+# over bands of about _BLOCK cells' worth of columns, so its run and
+# per-void arrays are bounded by the band.
+#
+# Search: a void cell then looks at columns c - k and c + k for
+# k = 1, 2, ...: the candidate there is that column's key plus k^2 * n,
+# one take, one add and one np.minimum per direction.  Every source beyond
+# column offset k is at least k^2 away, so once the best key is below
+# k^2 * n no later column can win or tie, and the cell stops.  The void
+# cells are searched _BLOCK at a time, as flat indices; each round writes
+# the cells that met the stop rule to the output and compacts the rest, so
+# a round costs the cells still searching rather than the whole grid.
 
 
-def _nearest_columns(valid):
-    h, w = valid.shape
-    rows = np.arange(h, dtype=np.int64)[:, None]
-    up = np.maximum.accumulate(np.where(valid, rows, -1), axis=0)
-    dn = np.minimum.accumulate(np.where(valid, rows, h)[::-1], axis=0)[::-1]
-    du = np.where(up >= 0, rows - up, _BIG)
-    dd = np.where(dn < h, dn - rows, _BIG)
-    take_dn = dd < du
-    frow = np.where(take_dn, dn, up)
-    fdist = np.where(take_dn, dd, du)
-    return frow, np.where(frow >= 0, fdist, 0)
+def check_fill_shape(h: int, w: int) -> None:
+    """Raise GridTooLarge unless every fill key of an h x w grid fits."""
+    if (h * h + w * w + 1) * h * w >= int(_BIG):
+        raise GridTooLarge(
+            f"a {w} x {h} grid is too large for the exact nearest fill; "
+            "map a smaller extent or a coarser cell size"
+        )
+
+
+def _column_keys(valid, key, c0):
+    """Write the column-pass keys of the void cells of valid[:, c0:...]
+    into the flat key grid, valid being a band of the grid's columns."""
+    h, bw = valid.shape
+    n = key.size
+    w = n // h
+    edges = np.zeros((bw, h + 2), np.int8)
+    np.logical_not(valid.T, out=edges[:, 1:-1])
+    step = np.diff(edges, axis=1)
+    del edges
+    col, start = np.nonzero(step == 1)
+    end = np.nonzero(step == -1)[1]
+    del step
+    col += c0
+    length = end - start
+    above = np.where(start > 0, (start - 1) * w + col, _BIG)
+    below = np.where(end < h, end * w + col, _BIG)
+    # One entry per void cell, run by run: its row, its key through the
+    # source above, its key through the source below.
+    row = np.arange(int(length.sum()), dtype=np.int64)
+    row += np.repeat(start - (np.cumsum(length) - length), length)
+    up = row - np.repeat(start - 1, length)
+    up *= up
+    up *= n
+    up += np.repeat(above, length)
+    dn = np.repeat(end, length)
+    dn -= row
+    dn *= dn
+    dn *= n
+    dn += np.repeat(below, length)
+    np.minimum(up, dn, out=up)
+    del dn
+    np.minimum(up, _BIG, out=up)
+    row *= w
+    row += np.repeat(col, length)
+    key[row] = up
+
+
+def _search(cell, key, vals_flat, out_flat, w):
+    """Fill the void cells `cell` (flat indices) from their best key."""
+    n = key.size
+    best = key[cell]
+    col = cell % w
+    for k in range(1, w):
+        k2n = k * k * n
+        done = best < k2n
+        if done.any():
+            out_flat[cell[done]] = vals_flat[best[done] % n]
+            keep = ~done
+            cell, col, best = cell[keep], col[keep], best[keep]
+            if cell.size == 0:
+                return
+        for off in (-k, k):
+            ok = col >= k if off < 0 else col < w - k
+            cand = key.take(cell + off, mode="clip")
+            cand += k2n
+            np.minimum(best, cand, out=best, where=ok)
+    out_flat[cell] = vals_flat[best % n]
 
 
 def nearest_fill(values, valid):
     h, w = values.shape
+    check_fill_shape(h, w)
     out = values.copy()
-    cell = np.flatnonzero(~valid)
-    if cell.size == 0:
+    voids = np.flatnonzero(~valid)
+    if voids.size == 0:
         return out
-    frow, fdist = _nearest_columns(valid)
-    has_src = frow >= 0
-    src_d2 = np.where(has_src, fdist * fdist, _BIG).reshape(-1)
-    src_at = np.where(
-        has_src, frow * w + np.arange(w, dtype=np.int64), np.int64(h * w)
-    ).reshape(-1)
-    out_flat = out.reshape(-1)
-    vals_flat = values.reshape(-1)
-    col = cell % w
-    best_d2 = src_d2[cell]
-    best_at = src_at[cell]
-    for k in range(1, w):
-        k2 = np.int64(k) * np.int64(k)
-        done = best_d2 < k2
-        if done.any():
-            out_flat[cell[done]] = vals_flat[best_at[done]]
-            keep = ~done
-            cell, col = cell[keep], col[keep]
-            best_d2, best_at = best_d2[keep], best_at[keep]
-            if cell.size == 0:
-                return out
-        for j, ok in ((cell - k, col >= k), (cell + k, col < w - k)):
-            j = j.clip(0, h * w - 1)
-            d2 = np.where(ok, src_d2[j], _BIG) + k2
-            at = src_at[j]
-            better = (d2 < best_d2) | ((d2 == best_d2) & (at < best_at))
-            best_d2 = np.where(better, d2, best_d2)
-            best_at = np.where(better, at, best_at)
-    out_flat[cell] = vals_flat[best_at]
+    key = np.arange(h * w, dtype=np.int64)
+    band = max(1, _BLOCK // h)
+    for c0 in range(0, w, band):
+        _column_keys(valid[:, c0:c0 + band], key, c0)
+    for s in range(0, voids.size, _BLOCK):
+        _search(voids[s:s + _BLOCK], key, values.reshape(-1), out.reshape(-1), w)
     return out
 
 
@@ -215,10 +263,8 @@ def label_components(mask, eight):
 # with a fill value; the k x k window of cell (i, j) then starts at flat
 # index i * (w + 2r) + j of the padded grid, and its values are that base
 # plus the fixed offsets di * (w + 2r) + dj, 0 <= di, dj < k.  Cells are
-# taken in blocks of about _BLOCK gathered values, so memory stays flat
-# however many cells are asked for.
-
-_BLOCK = 4_000_000
+# gathered in blocks of about _BLOCK values, so the scratch memory is that
+# block, its index and its sort, however many cells are asked for.
 
 
 def _window_blocks(vals, k, cells, fill):
@@ -237,22 +283,44 @@ def _window_blocks(vals, k, cells, fill):
         yield s, flat[(row * stride + col)[:, None] + offsets]
 
 
+def round_half_away(x: np.ndarray) -> np.ndarray:
+    """Round to the nearest integer with halves away from zero, as a new
+    float64 array."""
+    out = np.array(x, np.float64)
+    _round_half_away_in_place(out)
+    return out
+
+
+def _round_half_away_in_place(x: np.ndarray) -> None:
+    """floor(x + 0.5) where x >= 0, else ceil(x - 0.5), written into x."""
+    pos = x >= 0
+    np.add(x, 0.5, out=x, where=pos)
+    np.floor(x, out=x, where=pos)
+    np.logical_not(pos, out=pos)
+    np.subtract(x, 0.5, out=x, where=pos)
+    np.ceil(x, out=x, where=pos)
+
+
 # ---------------------------------------------------------------------------
 # windowed distinct-value count (surface roughness)
 # ---------------------------------------------------------------------------
-# Windows are clipped at the raster border; only in-bounds cells count.
-# The pad value _BIG lies above every rounded height, so after the sort a
-# window holds pad cells iff its last value is _BIG, and they add exactly
-# one distinct value, which is subtracted.
+# Heights are gathered as floats and rounded one block at a time, so no
+# rounded copy of the grid is made.  Windows are clipped at the raster
+# border; only in-bounds cells count.  The pad value +inf lies above every
+# rounded height (the caller maps non-finite heights to -inf), so after the
+# sort a window holds pad cells iff its last value is +inf, and they add
+# exactly one distinct value, which is subtracted.
 
 
-def distinct_count(vals, k, cells):
-    """Distinct values in the border-clipped k x k window of each flat cell."""
+def distinct_count(heights, k, cells):
+    """Distinct rounded heights in the border-clipped k x k window of each
+    flat cell; `heights` is float64 and below +inf."""
     out = np.empty(cells.size, np.int32)
-    for s, block in _window_blocks(vals, k, cells, _BIG):
+    for s, block in _window_blocks(heights, k, cells, np.inf):
+        _round_half_away_in_place(block)
         block.sort(axis=1)
         distinct = 1 + np.count_nonzero(block[:, 1:] != block[:, :-1], axis=1)
-        out[s:s + block.shape[0]] = distinct - (block[:, -1] == _BIG)
+        out[s:s + block.shape[0]] = distinct - (block[:, -1] == np.inf)
     return out
 
 

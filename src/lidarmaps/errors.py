@@ -48,6 +48,10 @@ class NoPointsInGrid(LidarMapsError):
     """Rasterization produced no occupied cells."""
 
 
+class GridTooLarge(LidarMapsError):
+    """The grid has more cells than one call can map exactly."""
+
+
 class BadKernel(ConfigError):
     """Window size is not a positive odd integer, or the kernel shape is
     unknown: a bad setting, so a ConfigError."""

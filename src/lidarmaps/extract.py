@@ -29,7 +29,6 @@ from .grid import (
     dilate,
     opening,
     require_same_spec,
-    round_half_away,
 )
 from .hydro import WaterMask
 from .terrain import TerrainSet
@@ -113,19 +112,25 @@ def roughness_layer(
 ) -> Raster:
     """Distinct rounded-integer heights in the k2 window around each cell.
 
-    Halves round away from zero; windows clip at the raster border.  With
+    Halves round away from zero; windows clip at the raster border.  A NaN
+    or infinite height has no rounded value: every such cell of a window
+    counts as one value together, distinct from every height.  With
     `where` (a boolean raster on the same grid) only its true cells are
     computed; every other cell holds 0, which means not computed.
     """
     k2 = _check_kernel(k2, "k2")
-    ints = round_half_away(ndhm.values)
+    heights = np.asarray(ndhm.values, np.float64)
+    finite = np.isfinite(heights)
+    if not finite.all():
+        heights = np.where(finite, heights, -np.inf)
+    del finite
     if where is None:
-        cells = np.arange(ints.size)
+        cells = np.arange(heights.size)
     else:
         require_same_spec(ndhm, where, "ndhm and where")
         cells = np.flatnonzero(where.values)
-    out = np.zeros(ints.shape, np.int32)
-    out.reshape(-1)[cells] = _kernels.distinct_count(ints, k2, cells)
+    out = np.zeros(heights.shape, np.int32)
+    out.reshape(-1)[cells] = _kernels.distinct_count(heights, k2, cells)
     return ndhm.with_values(out)
 
 

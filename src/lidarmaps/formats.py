@@ -7,6 +7,7 @@ same bytes, so outputs can be diffed across runs and platforms.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -14,6 +15,7 @@ from .errors import IoFailure, MalformedHeader, ShapeMismatch
 from .grid import DEFAULT_NODATA, GridSpec, Raster
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize")
+_BLOCK_CELLS = 1 << 16
 
 
 def _fmt_num(v: float) -> str:
@@ -23,32 +25,47 @@ def _fmt_num(v: float) -> str:
     return repr(float(v))
 
 
-def _cell_texts(vals: np.ndarray, sentinel: str) -> tuple[list[str], np.ndarray]:
-    """Return (texts, index): the text of cell (i, j) is texts[index[i, j]].
+def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of `keys`, ascending, from one np.sort."""
+    ordered = np.sort(keys, axis=None)
+    first = np.empty(ordered.size, bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first]
 
-    index is a new intp array.  Each distinct value is formatted once.
-    Booleans and integers index a table by value (integers fall back to
-    np.unique when their range is wider than the grid has cells); floats
-    are deduplicated on their float64 bit patterns, so 0.0 and -0.0 keep
+
+def _cell_texts(vals: np.ndarray, sentinel: str) -> tuple[list[str], Callable]:
+    """Return (texts, index_of): for any block of rows of vals, the text of
+    its cell (i, j) is texts[index_of(block)[i, j]].
+
+    Each distinct value is formatted once.  Booleans and integers index a
+    table by value; floats, and integers whose range is wider than the
+    grid has cells, find their value by np.searchsorted in the sorted
+    distinct keys, so no full-size argsort or inverse index is made.
+    Floats are keyed by their float64 bit patterns, so 0.0 and -0.0 keep
     their own text and every NaN gets the sentinel.
     """
     if vals.dtype == bool:
-        return ["0", "1"], vals.astype(np.intp)
+        return ["0", "1"], lambda block: block.astype(np.intp)
     if np.issubdtype(vals.dtype, np.integer):
         lo, hi = vals.min(), vals.max()
         if int(hi) - int(lo) < vals.size:
             # intp arithmetic wraps, so the offset is exact for any dtype.
             texts = [str(v) for v in range(int(lo), int(hi) + 1)]
-            return texts, np.subtract(vals, lo, dtype=np.intp)
-        distinct, index = np.unique(vals, return_inverse=True)
-        return [str(v) for v in distinct.tolist()], index.reshape(vals.shape)
-    bits, index = np.unique(vals.astype(np.float64).view(np.int64), return_inverse=True)
-    distinct = bits.view(np.float64).tolist()
+            return texts, lambda block: np.subtract(block, lo, dtype=np.intp)
+        distinct = _sorted_distinct(vals)
+        return [str(v) for v in distinct.tolist()], lambda block: np.searchsorted(distinct, block)
+
+    def bits(block):
+        return np.asarray(block, np.float64).view(np.int64)
+
+    distinct = _sorted_distinct(bits(vals))
+    floats = distinct.view(np.float64).tolist()
     # %.3f prints every NaN, signed or not, as "nan" and no other value
     # contains it, so one replace writes the sentinel; neither a value nor
     # the sentinel contains a space, so the split gives one text per value.
-    text = (" ".join(["%.3f"] * len(distinct)) % tuple(distinct)).replace("nan", sentinel)
-    return text.split(" "), index.reshape(vals.shape)
+    text = (" ".join(["%.3f"] * len(floats)) % tuple(floats)).replace("nan", sentinel)
+    return text.split(" "), lambda block: np.searchsorted(distinct, bits(block))
 
 
 def write_ascii_grid(path: str, raster: Raster) -> None:
@@ -58,7 +75,9 @@ def write_ascii_grid(path: str, raster: Raster) -> None:
     boolean cells print as 0/1; integer cells print as-is.  Line endings
     are "\\n" regardless of platform.  Each distinct value is formatted
     once and every cell takes its text by index, so formatting costs
-    follow the distinct values, not the cells.
+    follow the distinct values, not the cells.  Rows are joined and
+    written _BLOCK_CELLS cells at a time, so the text in memory is one
+    block's, not the file's.
     """
     spec = raster.spec
     sentinel = _fmt_num(raster.nodata)
@@ -70,18 +89,20 @@ def write_ascii_grid(path: str, raster: Raster) -> None:
         f"cellsize {_fmt_num(spec.gsd)}\n"
         f"NODATA_value {sentinel}\n"
     )
-    texts, index = _cell_texts(raster.values[::-1], sentinel)
-    # Each text carries the separator after it, so the whole body is one
-    # join: a space, or a newline in the last column, which gets one table
-    # entry per row.
-    last = index[:, -1].tolist()
-    table = np.array([t + " " for t in texts] + [texts[i] + "\n" for i in last], object)
-    index[:, -1] = np.arange(len(texts), len(texts) + len(last))
-    body = "".join(table[index].ravel().tolist())
+    vals = raster.values[::-1]
+    texts, index_of = _cell_texts(vals, sentinel)
+    # Each text carries the separator after it: a space, or a newline in
+    # the last column, so a block is one join.
+    table = np.array([t + " " for t in texts], object)
+    rows = max(1, _BLOCK_CELLS // spec.width)
     try:
         with open(path, "w", encoding="ascii", newline="\n") as f:
             f.write(header)
-            f.write(body)
+            for r0 in range(0, spec.height, rows):
+                index = index_of(vals[r0:r0 + rows])
+                cells = table[index]
+                cells[:, -1] = [texts[i] + "\n" for i in index[:, -1].tolist()]
+                f.write("".join(cells.ravel().tolist()))
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 

@@ -161,11 +161,6 @@ def _check_count(v, name: str, error: type[Exception] = ConfigError) -> None:
         raise error(f"{name} must be a positive integer, got {v!r}")
 
 
-def round_half_away(x: np.ndarray) -> np.ndarray:
-    """Round to the nearest integer with halves away from zero."""
-    return np.where(x >= 0, np.floor(x + 0.5), np.ceil(x - 0.5)).astype(np.int64)
-
-
 # ---------------------------------------------------------------------------
 # rasterization and void filling
 # ---------------------------------------------------------------------------
@@ -197,13 +192,20 @@ def rasterize_min_window(
     rows, cols = spec.cell_of(points[:, 0], points[:, 1])
     rows -= row0
     cols -= col0
-    zmin, counts, oob = _kernels.rasterize_min(rows, cols, points[:, 2], height, width)
+    inside = (cols >= 0) & (cols < width) & (rows >= 0) & (rows < height)
+    # The flat index row * width + col, built in place in rows.
+    cells = rows
+    cells *= width
+    cells += cols
+    del rows, cols
+    dsm, counts, oob = _kernels.rasterize_min(cells, points[:, 2], inside, height, width)
+    del cells, inside
     if int(counts.sum()) == 0:
         raise NoPointsInGrid("no point fell inside the window")
     sub = spec.subgrid(col0, row0, width, height)
     # The kernel keeps the last of tied minima, so 0.0 and -0.0 would take
     # their sign from the point order; -0.0 + 0.0 is +0.0, all else is kept.
-    dsm = np.where(counts > 0, zmin, np.nan)
+    dsm[counts == 0] = np.nan
     dsm += 0.0
     return (
         Raster(sub, dsm),

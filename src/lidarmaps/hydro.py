@@ -54,12 +54,20 @@ def _window_bounds(n: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _box_sum(arr: np.ndarray, radius: int) -> np.ndarray:
     """Sum over the centered (2r+1)^2 window, clipped at the borders: along
-    each axis in turn, the difference of two prefix sums."""
+    each axis in turn, the difference of two prefix sums.  The prefix sums
+    and the sums take turns in two int64 grids, the second of which is
+    returned."""
+    prefix = np.empty(arr.shape, np.int64)
+    out = arr.astype(np.int64)
     for axis in (0, 1):
-        prefix = np.insert(arr.cumsum(axis, dtype=np.int64), 0, 0, axis)
-        lo, hi = _window_bounds(arr.shape[axis], radius)
-        arr = prefix.take(hi, axis) - prefix.take(lo, axis)
-    return arr
+        np.cumsum(out, axis, out=prefix)
+        p, o = np.moveaxis(prefix, axis, 0), np.moveaxis(out, axis, 0)
+        n = p.shape[0]
+        # cell i sums prefix[min(i + r, n - 1)] - prefix[i - r - 1]
+        o[:max(n - radius, 0)] = p[radius:]
+        o[max(n - radius, 0):] = p[n - 1]
+        o[radius + 1:] -= p[:max(n - radius - 1, 0)]
+    return out
 
 
 def occupied_cell_count(counts: OccupancyCount, window: int = WaterParams.window) -> Raster:
@@ -97,10 +105,19 @@ def classify_water(
         log.warning("every cell is occupied (p = 1); no water detectable")
         return counts.counts.with_values(np.zeros(occ.shape, bool))
     p = occupied / occ.size
-    n = window_cell_count(counts, window).values.astype(np.float64)
-    got = occupied_cell_count(counts, window).values.astype(np.float64)
-    threshold = n * p - sigma_k * np.sqrt(n * p * (1.0 - p))
-    return counts.counts.with_values(got <= threshold)
+    radius = window // 2
+    got = _box_sum(occ, radius)
+    del occ
+    # n is the product of the window's clipped row and column extents, so
+    # the threshold is one row of values per run of rows of equal extent.
+    (r0, r1), (c0, c1) = (_window_bounds(size, radius) for size in got.shape)
+    rows_n, cols_n = r1 - r0, c1 - c0
+    water = np.empty(got.shape, bool)
+    cuts = [0, *(np.flatnonzero(np.diff(rows_n)) + 1).tolist(), got.shape[0]]
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        n = (rows_n[a] * cols_n).astype(np.float64)
+        water[a:b] = got[a:b] <= n * p - sigma_k * np.sqrt(n * p * (1.0 - p))
+    return counts.counts.with_values(water)
 
 
 def filter_and_buffer(water: Raster, params: WaterParams = WaterParams()) -> WaterMask:

@@ -30,6 +30,7 @@ log = logging.getLogger(__name__)
 _HEADER_MIN = 227
 _HEADER_FMT = "<4sHH16sBB32s32sHHHIIBHI5I12d"
 _EXT_COUNT_OFFSET = 247  # LAS 1.4 64-bit point count
+_CHUNK_RECORDS = 1 << 16
 # Minimum record length per point format (ASPRS LAS 1.4 R15).
 _CORE_RECORD_SIZE = {
     0: 20, 1: 28, 2: 26, 3: 34, 4: 57, 5: 63, 6: 30, 7: 36, 8: 38, 9: 59, 10: 67,
@@ -164,14 +165,18 @@ def read_las(path: str) -> PointCloud:
             rec = [("x", "<i4"), ("y", "<i4"), ("z", "<i4")]
             if info.record_length > 12:
                 rec.append(("skip", f"V{info.record_length - 12}"))
+            rec = np.dtype(rec)
             f.seek(info.data_offset)
-            raw = np.fromfile(f, dtype=np.dtype(rec), count=info.point_count)
+            pts = np.empty((info.point_count, 3), np.float64)
+            # Fixed chunks of records, dequantized straight into pts.
+            for s in range(0, info.point_count, _CHUNK_RECORDS):
+                raw = np.fromfile(f, dtype=rec, count=min(_CHUNK_RECORDS, info.point_count - s))
+                for axis, name in enumerate("xyz"):
+                    out = pts[s:s + raw.size, axis]
+                    np.multiply(raw[name], info.scale[axis], out=out)
+                    out += info.offset[axis]
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    pts = np.empty((info.point_count, 3), np.float64)
-    pts[:, 0] = raw["x"] * info.scale[0] + info.offset[0]
-    pts[:, 1] = raw["y"] * info.scale[1] + info.offset[1]
-    pts[:, 2] = raw["z"] * info.scale[2] + info.offset[2]
     return _as_cloud(pts, path)
 
 

@@ -166,12 +166,14 @@ def _window_products(
         dsm = interpolate_nearest(dsm_raw)
         water = detect_water(occ, cfg.water_params())
         terrain = derive_terrain(dsm, occ, cfg.slope_threshold, ext)
-        grids = {"dsm": terrain.dsm, "dtm": terrain.dtm, "ndhm": terrain.ndhm, "water": water.mask}
+        surface = {"dsm": terrain.dsm, "dtm": terrain.dtm, "ndhm": terrain.ndhm, "water": water.mask}
         out = []
         for p in params:
             res = extract_buildings(terrain, water, p)
-            grids.update(map2d=res.map2d, map3d=res.map3d, diff=res.difference)
+            grids = {**surface, "map2d": res.map2d, "map3d": res.map3d, "diff": res.difference}
             out.append({n: grids[n].values[sl] for n in names})
+            # Only the grids in `names` outlive this value's extraction.
+            del res, grids
     except LidarMapsError as exc:
         raise type(exc)(f"window {window.index} {window.core}: {exc}") from exc
     return out
@@ -230,7 +232,12 @@ def _run_windows(
         if grid is not None:
             grid.values.flags.writeable = False
 
-    mosaics = [{n: np.full(spec.shape, _NODATA[n]) for n in names} for _ in params]
+    # Each mosaic grid is allocated when the first window result for it
+    # arrives.  A window whose core is the whole grid hands its grids over
+    # as the products; a read-only one is a cut of a global grid (the
+    # external terrain) and is copied, so every product is writeable.
+    mosaics: list[dict[str, np.ndarray]] = [{} for _ in params]
+    whole = (0, 0, spec.width, spec.height)
     run_window = partial(_window_products, cfg=cfg, params=params, names=names)
     cuts = (_cut_window(dsm_raw, occ, ext, w.padded) for w in windows)
     empty = 0
@@ -245,6 +252,11 @@ def _run_windows(
             c0, r0, w, h = window.core
             for mosaic, window_cores in zip(mosaics, prod):
                 for name, values in window_cores.items():
+                    if window.core == whole:
+                        mosaic[name] = values if values.flags.writeable else values.copy()
+                        continue
+                    if name not in mosaic:
+                        mosaic[name] = np.full(spec.shape, _NODATA[name])
                     mosaic[name][r0:r0 + h, c0:c0 + w] = values
 
     result = PipelineResult(

@@ -49,6 +49,16 @@ def _require_full(raster: Raster, name: str) -> np.ndarray:
     return vals
 
 
+_ALL, _HEAD, _TAIL = slice(None), slice(None, -1), slice(1, None)
+# (cell, neighbour) slice pairs for the E, N, NE and NW neighbours.
+_NEIGHBOUR_PAIRS = (
+    ((_ALL, _HEAD), (_ALL, _TAIL)),
+    ((_HEAD, _ALL), (_TAIL, _ALL)),
+    ((_HEAD, _HEAD), (_TAIL, _TAIL)),
+    ((_HEAD, _TAIL), (_TAIL, _HEAD)),
+)
+
+
 def breakline_map(dsm: Raster, slope_threshold: float = 1.0) -> Raster:
     """Flag cells whose elevation steps by more than the threshold.
 
@@ -58,13 +68,14 @@ def breakline_map(dsm: Raster, slope_threshold: float = 1.0) -> Raster:
     _check_positive(slope_threshold, "slope_threshold", error=ValueError)
     vals = _require_full(dsm, "dsm")
     br = np.zeros(vals.shape, bool)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            nb = _kernels._shift2(vals, di, dj, np.nan)
-            with np.errstate(invalid="ignore"):
-                br |= np.abs(vals - nb) > slope_threshold
+    # |a - b| is symmetric, so each of the four directions E, N, NE and NW
+    # is taken once, on array slices, and a step marks both of its cells.
+    for a, b in _NEIGHBOUR_PAIRS:
+        step = vals[a] - vals[b]
+        np.abs(step, out=step)
+        step = step > slope_threshold
+        br[a] |= step
+        br[b] |= step
     return dsm.with_values(br)
 
 
@@ -114,7 +125,9 @@ def compute_ndhm(dsm: Raster, dtm: Raster) -> Raster:
     """Normalized height: surface minus terrain, clamped at zero."""
     require_same_spec(dsm, dtm, "dsm and dtm")
     diff = dsm.values - dtm.values
-    return dsm.with_values(np.where(diff > 0, diff, 0.0))
+    # In place; NaN and -0.0 both become 0.0, as every non-positive value.
+    diff[~(diff > 0)] = 0.0
+    return dsm.with_values(diff)
 
 
 def derive_terrain(

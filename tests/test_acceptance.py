@@ -15,6 +15,7 @@ from functools import wraps
 import numpy as np
 import pytest
 
+from lidarmaps._kernels import round_half_away
 from lidarmaps.config import PipelineConfig
 from lidarmaps.errors import NoPointsInGrid
 from lidarmaps.evaluate import (
@@ -33,7 +34,6 @@ from lidarmaps.grid import (
     erode,
     interpolate_nearest,
     rasterize_min,
-    round_half_away,
 )
 from lidarmaps.hydro import classify_water
 from lidarmaps.ingest import PointCloud

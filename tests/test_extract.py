@@ -22,7 +22,8 @@ from lidarmaps.extract import (
     roughness_layer,
     threshold_candidates,
 )
-from lidarmaps.grid import OccupancyCount, round_half_away
+from lidarmaps._kernels import round_half_away
+from lidarmaps.grid import OccupancyCount
 from lidarmaps.hydro import WaterMask, WaterParams
 from lidarmaps.terrain import TerrainSet, derive_terrain
 

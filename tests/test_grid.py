@@ -14,6 +14,7 @@ from conftest import (
     raster_of,
     rasterize_scan,
 )
+from lidarmaps._kernels import round_half_away
 from lidarmaps.errors import BadKernel, NoPointsInGrid, ShapeMismatch
 from lidarmaps.grid import (
     GridSpec,
@@ -28,7 +29,6 @@ from lidarmaps.grid import (
     opening,
     rasterize_min,
     rasterize_min_window,
-    round_half_away,
 )
 
 

@@ -15,7 +15,7 @@ from .errors import IoFailure, MalformedHeader, ShapeMismatch
 from .grid import DEFAULT_NODATA, GridSpec, Raster
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize")
-_BLOCK_CELLS = 1 << 16
+_BLOCK_CELLS = 1 << 14
 
 
 def _fmt_num(v: float) -> str:

@@ -30,7 +30,7 @@ log = logging.getLogger(__name__)
 _HEADER_MIN = 227
 _HEADER_FMT = "<4sHH16sBB32s32sHHHIIBHI5I12d"
 _EXT_COUNT_OFFSET = 247  # LAS 1.4 64-bit point count
-_CHUNK_RECORDS = 1 << 16
+_CHUNK_RECORDS = 1 << 14
 # Minimum record length per point format (ASPRS LAS 1.4 R15).
 _CORE_RECORD_SIZE = {
     0: 20, 1: 28, 2: 26, 3: 34, 4: 57, 5: 63, 6: 30, 7: 36, 8: 38, 9: 59, 10: 67,

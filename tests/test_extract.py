@@ -22,6 +22,7 @@ from lidarmaps.extract import (
     roughness_layer,
     threshold_candidates,
 )
+from lidarmaps import _kernels
 from lidarmaps._kernels import round_half_away
 from lidarmaps.grid import OccupancyCount
 from lidarmaps.hydro import WaterMask, WaterParams
@@ -171,6 +172,28 @@ def test_roughness_where_matches_oracle_on_its_cells():
         np.testing.assert_array_equal(
             roughness_layer(raster_of(field), k2).values, want
         )
+
+
+@pytest.mark.parametrize("block", [1, 30, 1 << 16])
+def test_roughness_non_finite_heights_count_as_one_value(monkeypatch, block):
+    # NaN and infinite heights have no rounded value; all of them in a
+    # window count as one value, apart from every height.  Small blocks
+    # gather the windows a few cells at a time.
+    monkeypatch.setattr(_kernels, "_BLOCK", block)
+    rng = np.random.default_rng(block)
+    for _ in range(20):
+        shape = (int(rng.integers(1, 16)), int(rng.integers(1, 16)))
+        field = rng.uniform(-3.0, 5.0, shape)
+        odd = rng.random(shape)
+        field[odd < 0.1] = np.nan
+        field[(odd >= 0.1) & (odd < 0.15)] = np.inf
+        field[(odd >= 0.15) & (odd < 0.2)] = -np.inf
+        k2 = int(rng.choice([1, 3, 5]))
+        want = distinct_scan(np.where(np.isfinite(field), round_half_away(field), -np.inf), k2)
+        np.testing.assert_array_equal(roughness_layer(raster_of(field), k2).values, want)
+    field = np.full((3, 3), 2.0)
+    field[1, 1] = np.nan
+    assert (roughness_layer(raster_of(field), 3).values == 2).all()
 
 
 def test_roughness_where_requires_same_grid():

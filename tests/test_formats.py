@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import raster_of
+from lidarmaps import formats
 from lidarmaps.errors import IoFailure, MalformedHeader, ShapeMismatch
 from lidarmaps.formats import read_ascii_grid, write_ascii_grid
 
@@ -92,6 +93,26 @@ def test_nan_written_as_sentinel(tmp_path):
             for row in vals[::-1]
         ]
         assert path.read_text().splitlines()[6:] == expected, (values, nodata)
+
+
+@pytest.mark.parametrize("block", [1, 5, 64])
+def test_row_blocks_write_the_cell_formula(tmp_path, monkeypatch, block):
+    # Blocks of one row or less, of a few rows, and of the whole grid.
+    monkeypatch.setattr(formats, "_BLOCK_CELLS", block)
+    rng = np.random.default_rng(block)
+    floats = np.round(rng.uniform(-5.0, 5.0, (9, 7)), 1)
+    floats[rng.random(floats.shape) < 0.2] = np.nan
+    grids = [
+        (floats, lambda v: "-9999" if np.isnan(v) else f"{v:.3f}"),
+        (rng.integers(0, 4, (9, 7)).astype(np.uint8), str),
+        (rng.integers(-2**40, 2**40, (9, 7)), str),
+        (rng.random((9, 7)) < 0.5, lambda v: str(int(v))),
+    ]
+    path = tmp_path / "blocks.asc"
+    for vals, text in grids:
+        write_ascii_grid(str(path), raster_of(vals))
+        expected = [" ".join(text(v) for v in row) for row in vals[::-1].tolist()]
+        assert path.read_text().splitlines()[6:] == expected, vals.dtype
 
 
 def test_first_data_row_is_northernmost(tmp_path):

@@ -14,8 +14,9 @@ from conftest import (
     raster_of,
     rasterize_scan,
 )
+from lidarmaps import _kernels
 from lidarmaps._kernels import round_half_away
-from lidarmaps.errors import BadKernel, NoPointsInGrid, ShapeMismatch
+from lidarmaps.errors import BadKernel, GridTooLarge, NoPointsInGrid, ShapeMismatch
 from lidarmaps.grid import (
     GridSpec,
     Raster,
@@ -250,6 +251,30 @@ def test_interpolate_matches_allpairs():
         vals = np.where(valid, z, np.nan)
         got = interpolate_nearest(raster_of(vals))
         np.testing.assert_array_equal(got.values, nearest_fill_scan(vals, valid))
+
+
+@pytest.mark.parametrize("block", [1, 7, 40])
+def test_interpolate_in_bands_and_blocks_matches_allpairs(monkeypatch, block):
+    # A small block splits the column pass into bands of columns and the
+    # search into blocks of void cells, as on a large grid.
+    monkeypatch.setattr(_kernels, "_BLOCK", block)
+    rng = np.random.default_rng(block)
+    for _ in range(25):
+        shape = (int(rng.integers(1, 20)), int(rng.integers(1, 20)))
+        valid = rng.random(shape) < rng.uniform(0.05, 0.9)
+        valid.flat[rng.integers(valid.size)] = True
+        vals = np.where(valid, rng.normal(0, 10, shape), np.nan)
+        got = interpolate_nearest(raster_of(vals))
+        np.testing.assert_array_equal(got.values, nearest_fill_scan(vals, valid))
+
+
+def test_fill_shape_must_leave_key_room():
+    # The largest shapes whose (d2, source) keys stay below the sentinel.
+    _kernels.check_fill_shape(38_967, 38_967)
+    _kernels.check_fill_shape(1, 1_664_510)
+    for h, w in ((38_968, 38_968), (1, 1_664_511), (1_664_511, 1), (10**6, 10**4)):
+        with pytest.raises(GridTooLarge, match="too large"):
+            _kernels.check_fill_shape(h, w)
 
 
 def test_interpolate_tie_prefers_row_major_earliest():

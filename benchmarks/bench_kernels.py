@@ -1,7 +1,10 @@
-"""Time each raster kernel alone on synthetic inputs.
+"""Time each raster kernel alone on synthetic inputs, and trace its memory.
 
-Every case runs its kernel once untimed, then best-of-N with
-perf_counter.  Rasterization takes --points points and is timed through
+Every case runs its kernel once under tracemalloc, then best-of-N with
+perf_counter and tracing off.  The traced peak, the most memory the call
+held at once beyond what was allocated before it (its output included),
+is printed in MB next to the time: how large an extent one call can map
+is set by the scratch arrays of its largest stage, not by its grids.  Rasterization takes --points points and is timed through
 grid.rasterize_min, so the point-to-cell floor is inside the timed call.
 The roughness count runs over every cell and at a random 9% of the cells,
 the share the extraction asks for on the benchmark scenes.  Besides typical inputs, two
@@ -26,6 +29,7 @@ import math
 import os
 import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -42,6 +46,15 @@ def _best_of(fn, args: tuple, repeats: int) -> float:
         fn(*args)
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def _traced_peak_mb(fn, args: tuple) -> float:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def _cases(size: int, n_points: int, rng: np.random.Generator, out_dir: str) -> list:
@@ -63,7 +76,7 @@ def _cases(size: int, n_points: int, rng: np.random.Generator, out_dir: str) -> 
     blobs = rng.random((h, w)) > 0.55
     speckle = rng.random((h, w)) > 0.45
 
-    steps = np.round(surface / 4.0).astype(np.int64)
+    steps = surface / 4.0
     # The extraction computes roughness only at the candidate cells the
     # opening kept, about 9% of the grid on the benchmark scenes.
     some_cells = np.flatnonzero(rng.random(h * w) < 0.09)
@@ -185,14 +198,14 @@ def main() -> int:
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
-    header = f"{'kernel':<18} {'input':<30} {'numpy':>10}"
+    header = f"{'kernel':<18} {'input':<30} {'numpy':>10} {'peak':>10}"
     print(header)
     print("-" * len(header))
     with tempfile.TemporaryDirectory() as out_dir:
         for name, desc, fn, call_args in _cases(args.size, args.points, rng, out_dir):
-            fn(*call_args)
+            peak = _traced_peak_mb(fn, call_args)
             t = _best_of(fn, call_args, args.repeats)
-            print(f"{name:<18} {desc:<30} {t:>9.4f}s")
+            print(f"{name:<18} {desc:<30} {t:>9.4f}s {peak:>7.1f} MB")
     return 0
 
 

@@ -60,7 +60,7 @@ def rasterize_min(cells, zs, inside, height, width):
 # flat index (n = h * w cells): the smaller key is the nearer source, and
 # of two equidistant ones the earlier.  Every key is below
 # (h^2 + w^2 + 1) * n, and a shape is accepted only while that bound stays
-# under the _BIG sentinel, about 38,900 x 38,900 cells for a square grid;
+# under the _BIG sentinel, up to 38,967 x 38,967 cells for a square grid;
 # then _BIG plus any search step still fits in int64.
 #
 # Column pass: every cell gets the key of the nearest source in its own

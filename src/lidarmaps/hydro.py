@@ -45,11 +45,11 @@ class WaterMask:
     params: WaterParams
 
 
-def _window_bounds(n: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
-    """Start and stop of the centered 2r+1 window at each of n positions,
-    clipped to [0, n)."""
+def _window_extent(n: int, radius: int) -> np.ndarray:
+    """Length of the centered 2r+1 window at each of n positions, clipped
+    to [0, n)."""
     i = np.arange(n)
-    return np.maximum(i - radius, 0), np.minimum(i + radius + 1, n)
+    return np.minimum(i + radius + 1, n) - np.maximum(i - radius, 0)
 
 
 def _box_sum(arr: np.ndarray, radius: int) -> np.ndarray:
@@ -80,8 +80,8 @@ def window_cell_count(counts: OccupancyCount, window: int = WaterParams.window) 
     """In-bounds cell total of the centered window (smaller near borders):
     the product of its clipped row and column extents."""
     radius = _check_kernel(window, "window") // 2
-    (r0, r1), (c0, c1) = (_window_bounds(n, radius) for n in counts.counts.values.shape)
-    return counts.counts.with_values(np.outer(r1 - r0, c1 - c0))
+    h, w = counts.counts.values.shape
+    return counts.counts.with_values(np.outer(_window_extent(h, radius), _window_extent(w, radius)))
 
 
 def classify_water(
@@ -105,15 +105,15 @@ def classify_water(
         log.warning("every cell is occupied (p = 1); no water detectable")
         return counts.counts.with_values(np.zeros(occ.shape, bool))
     p = occupied / occ.size
-    radius = window // 2
-    got = _box_sum(occ, radius)
     del occ
-    # n is the product of the window's clipped row and column extents, so
-    # the threshold is one row of values per run of rows of equal extent.
-    (r0, r1), (c0, c1) = (_window_bounds(size, radius) for size in got.shape)
-    rows_n, cols_n = r1 - r0, c1 - c0
+    got = occupied_cell_count(counts, window).values
+    # n is the product of the window's clipped row and column extents (as
+    # in window_cell_count), so the threshold is one row of values per run
+    # of rows of equal extent and no grid of n is made.
+    h, w = got.shape
+    rows_n, cols_n = _window_extent(h, window // 2), _window_extent(w, window // 2)
     water = np.empty(got.shape, bool)
-    cuts = [0, *(np.flatnonzero(np.diff(rows_n)) + 1).tolist(), got.shape[0]]
+    cuts = [0, *(np.flatnonzero(np.diff(rows_n)) + 1).tolist(), h]
     for a, b in zip(cuts[:-1], cuts[1:]):
         n = (rows_n[a] * cols_n).astype(np.float64)
         water[a:b] = got[a:b] <= n * p - sigma_k * np.sqrt(n * p * (1.0 - p))

@@ -45,7 +45,6 @@ from .extract import ExtractParams, ExtractResult, extract_buildings
 from .formats import read_ascii_grid, write_ascii_grid
 from .grid import (
     GridSpec,
-    OccupancyCount,
     Raster,
     connected_components,
     dilate,
@@ -102,7 +101,6 @@ __all__ = [
     "MalformedHeader",
     "NoGround",
     "NoPointsInGrid",
-    "OccupancyCount",
     "OpenRing",
     "OUTPUT_NAMES",
     "ParseError",

@@ -42,13 +42,12 @@ def _shift2(a: np.ndarray, di: int, dj: int, fill) -> np.ndarray:
 
 
 def rasterize_min(cells, zs, inside, height, width):
-    oob = int(inside.size - np.count_nonzero(inside))
-    if oob:
+    if not inside.all():
         cells, zs = cells[inside], zs[inside]
     zmin = np.full(height * width, np.inf, np.float64)
     np.minimum.at(zmin, cells, zs)
     counts = np.bincount(cells, minlength=height * width).astype(np.int32)
-    return zmin.reshape(height, width), counts.reshape(height, width), oob
+    return zmin.reshape(height, width), counts.reshape(height, width)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from .config import (
     load_config,
 )
 from .errors import ConfigError, LidarMapsError
+from .evaluate import DEFAULT_TILE_SIZE
 from .pipeline import (
     SWEEPABLE,
     load_pred_mask,
@@ -90,8 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--truth", required=True, metavar="PATH", help="GeoJSON footprints or a grid"
     )
-    p_eval.add_argument("--tile-size", type=float, default=500.0, metavar="TILE_SIZE",
-                        help="tile edge in meters")
+    p_eval.add_argument("--tile-size", type=float, default=DEFAULT_TILE_SIZE,
+                        metavar="TILE_SIZE", help="tile edge in meters")
     p_eval.add_argument("--out", metavar="DIR", required=True, help="report directory")
 
     p_sweep = sub.add_parser("sweep", help="rerun the pipeline over parameter values")

@@ -20,23 +20,25 @@ OUTPUT_NAMES = ("map2d", "map3d", "dsm", "dtm", "ndhm", "water", "diff")
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Every knob of the map pipeline, defaults matching the robust set."""
+    """Every knob of the map pipeline, defaults matching the robust set.
+
+    The extraction and water defaults are those of the owning types."""
 
     gsd: float = 0.5
     slope_threshold: float = 1.0
-    ht: float = 1.5
-    k1: int = 7
-    k2: int = 5
-    rt: int = 4
-    dt: float = 0.1
-    k3: int = 5
-    kernel_shape: str = "square"
-    median_roof: int = 0
-    map3d_source: str = "ndhm"
-    water_window: int = 9
-    water_sigma_k: float = 2.0
-    water_min_area: float = 1000.0
-    water_buffer: float = 5.0
+    ht: float = ExtractParams.ht
+    k1: int = ExtractParams.k1
+    k2: int = ExtractParams.k2
+    rt: int = ExtractParams.rt
+    dt: float = ExtractParams.dt
+    k3: int = ExtractParams.k3
+    kernel_shape: str = ExtractParams.kernel_shape
+    median_roof: int = ExtractParams.median_roof
+    map3d_source: str = ExtractParams.map3d_source
+    water_window: int = WaterParams.window
+    water_sigma_k: float = WaterParams.sigma_k
+    water_min_area: float = WaterParams.min_area
+    water_buffer: float = WaterParams.buffer
     window_size_m: float = 1000.0
     overlap_m: float = 100.0
     outputs: tuple[str, ...] = ("map2d", "map3d")

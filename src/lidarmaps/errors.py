@@ -1,8 +1,10 @@
 """Exception types raised by the mapping pipeline.
 
-Everything derives from LidarMapsError so callers can fence off library
-failures with one except clause.  ConfigError means the run was set up
-wrong (usage); the rest mean the input data could not be processed.
+Every failure the library raises derives from LidarMapsError, so callers
+can fence off library failures with one except clause.  ConfigError
+means the run was set up wrong (usage); it is also a ValueError, the
+type a bad argument raises in Python.  The rest mean the input data
+could not be processed.
 """
 
 
@@ -10,7 +12,7 @@ class LidarMapsError(Exception):
     """Base class for all lidarmaps failures."""
 
 
-class ConfigError(LidarMapsError):
+class ConfigError(LidarMapsError, ValueError):
     """Invalid parameter combination or unparseable configuration."""
 
 

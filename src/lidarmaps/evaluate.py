@@ -189,8 +189,6 @@ class InstanceReport:
     n_pred: int
     detected: np.ndarray  # [n_truth + 1] bool, index 0 unused
     commission: np.ndarray  # [n_pred + 1] bool, index 0 unused
-    truth_area: np.ndarray  # m^2
-    pred_area: np.ndarray  # m^2
     bands: list[BandStats]
     detection_rate: float | None
     commission_rate: float | None
@@ -230,10 +228,8 @@ def match_instances(pred: Raster, truth_labels: Raster) -> InstanceReport:
     commission[0] = False
 
     cell_area = gsd * gsd
-    truth_area = t_cells * cell_area
-    pred_area = p_cells * cell_area
-    t_band = _band_index(truth_area[1:]) if n_truth else np.zeros(0, np.int64)
-    p_band = _band_index(pred_area[1:]) if n_pred else np.zeros(0, np.int64)
+    t_band = _band_index(t_cells[1:] * cell_area)
+    p_band = _band_index(p_cells[1:] * cell_area)
 
     bands: list[BandStats] = []
     for bi, (lo, hi) in enumerate(AREA_BANDS):
@@ -259,8 +255,6 @@ def match_instances(pred: Raster, truth_labels: Raster) -> InstanceReport:
         n_pred=n_pred,
         detected=detected,
         commission=commission,
-        truth_area=truth_area,
-        pred_area=pred_area,
         bands=bands,
         detection_rate=_ratio(int(np.count_nonzero(detected)), n_truth),
         commission_rate=_ratio(int(np.count_nonzero(commission)), n_truth),
@@ -378,7 +372,8 @@ def rasterize_polygons(
 
 def load_geojson_polygons(path: str) -> list[list[np.ndarray]]:
     """Read Polygon/MultiPolygon footprints; each MultiPolygon part becomes
-    its own polygon.  Coordinates are used as-is (no reprojection)."""
+    its own polygon.  Coordinates are used as-is (no reprojection); a null
+    geometry and a polygon with no rings are skipped."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
@@ -415,6 +410,8 @@ def load_geojson_polygons(path: str) -> list[list[np.ndarray]]:
             coords = geom["coordinates"]
             parts = [coords] if geom["type"] == "Polygon" else coords
             for rings in parts:
+                if not rings:
+                    continue  # empty coordinates read as null (RFC 7946)
                 polygons.append(
                     [np.asarray([pt[:2] for pt in ring], np.float64) for ring in rings]
                 )

@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import IoFailure, MalformedHeader, ShapeMismatch
+from .errors import ConfigError, IoFailure, MalformedHeader, ShapeMismatch
 from .grid import DEFAULT_NODATA, GridSpec, Raster
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize")
@@ -140,7 +140,7 @@ def read_ascii_grid(path: str) -> Raster:
         spec = GridSpec(
             header["xllcorner"], header["yllcorner"], header["cellsize"], width, height
         )
-    except ValueError as exc:
+    except ConfigError as exc:
         raise MalformedHeader(f"{path}: bad grid header: {exc}") from exc
     nodata = header.get("nodata_value", DEFAULT_NODATA)
     flat: list[str] = []

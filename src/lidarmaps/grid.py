@@ -35,11 +35,11 @@ class GridSpec:
     height: int
 
     def __post_init__(self):
-        _check_finite(self.origin_x, "origin_x", error=ValueError)
-        _check_finite(self.origin_y, "origin_y", error=ValueError)
-        _check_positive(self.gsd, "gsd", error=ValueError)
-        _check_count(self.width, "width", error=ValueError)
-        _check_count(self.height, "height", error=ValueError)
+        _check_finite(self.origin_x, "origin_x")
+        _check_finite(self.origin_y, "origin_y")
+        _check_positive(self.gsd, "gsd")
+        _check_count(self.width, "width")
+        _check_count(self.height, "height")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -114,14 +114,6 @@ class Raster:
         return Raster(self.spec, values, self.nodata)
 
 
-@dataclass
-class OccupancyCount:
-    """Per-cell point tallies from rasterization."""
-
-    counts: Raster
-    out_of_bounds: int = 0
-
-
 def require_same_spec(a: Raster, b: Raster, what: str = "rasters") -> None:
     if a.spec != b.spec:
         raise SpecMismatch(f"{what} are on different grids: {a.spec} vs {b.spec}")
@@ -140,25 +132,23 @@ def _check_shape_name(shape: str) -> str:
     return shape
 
 
-def _check_finite(v, name: str, error: type[Exception] = ConfigError) -> None:
+def _check_finite(v, name: str) -> None:
     """Validate a finite real number."""
     if not (isinstance(v, numbers.Real) and np.isfinite(v)):
-        raise error(f"{name} must be a finite number, got {v!r}")
+        raise ConfigError(f"{name} must be a finite number, got {v!r}")
 
 
-def _check_positive(
-    v, name: str, or_zero: bool = False, error: type[Exception] = ConfigError
-) -> None:
+def _check_positive(v, name: str, or_zero: bool = False) -> None:
     """Validate a finite number above zero, or at zero with `or_zero`."""
     if not (isinstance(v, numbers.Real) and (0 <= v if or_zero else 0 < v) and v < np.inf):
         sign = "non-negative" if or_zero else "positive"
-        raise error(f"{name} must be finite and {sign}, got {v!r}")
+        raise ConfigError(f"{name} must be finite and {sign}, got {v!r}")
 
 
-def _check_count(v, name: str, error: type[Exception] = ConfigError) -> None:
+def _check_count(v, name: str) -> None:
     """Validate an integer of at least one."""
     if not isinstance(v, (int, np.integer)) or v < 1:
-        raise error(f"{name} must be a positive integer, got {v!r}")
+        raise ConfigError(f"{name} must be a positive integer, got {v!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -166,22 +156,20 @@ def _check_count(v, name: str, error: type[Exception] = ConfigError) -> None:
 # ---------------------------------------------------------------------------
 
 
-def rasterize_min(
-    points: np.ndarray, spec: GridSpec
-) -> tuple[Raster, OccupancyCount]:
-    """Grid the cloud keeping the minimum z per cell.
+def rasterize_min(points: np.ndarray, spec: GridSpec) -> tuple[Raster, Raster]:
+    """Grid the cloud into a min-z raster and a point-count raster.
 
     The lowest return per cell suppresses vegetation over penetrable canopy
     while solid surfaces keep their own elevation.  Cells with no points
-    come back NaN; points outside the grid are ignored but tallied.  This
-    is rasterize_min_window over the whole grid.
+    come back NaN in the min-z raster; points outside the grid are
+    ignored.  This is rasterize_min_window over the whole grid.
     """
     return rasterize_min_window(points, spec, 0, 0, spec.width, spec.height)
 
 
 def rasterize_min_window(
     points: np.ndarray, spec: GridSpec, col0: int, row0: int, width: int, height: int
-) -> tuple[Raster, OccupancyCount]:
+) -> tuple[Raster, Raster]:
     """rasterize_min restricted to a cell window of a larger grid.
 
     Cell assignment uses the full grid's origin, so a point lands in the
@@ -198,7 +186,7 @@ def rasterize_min_window(
     cells *= width
     cells += cols
     del rows, cols
-    dsm, counts, oob = _kernels.rasterize_min(cells, points[:, 2], inside, height, width)
+    dsm, counts = _kernels.rasterize_min(cells, points[:, 2], inside, height, width)
     del cells, inside
     if int(counts.sum()) == 0:
         raise NoPointsInGrid("no point fell inside the window")
@@ -207,10 +195,7 @@ def rasterize_min_window(
     # their sign from the point order; -0.0 + 0.0 is +0.0, all else is kept.
     dsm[counts == 0] = np.nan
     dsm += 0.0
-    return (
-        Raster(sub, dsm),
-        OccupancyCount(Raster(sub, counts), int(oob)),
-    )
+    return Raster(sub, dsm), Raster(sub, counts)
 
 
 def interpolate_nearest(raster: Raster) -> Raster:
@@ -279,7 +264,7 @@ def opening(mask: Raster, k: int, shape: str = "square") -> Raster:
 def connected_components(mask: Raster, connectivity: int = 8) -> tuple[Raster, int]:
     """Label true regions 1..n in row-major first-encounter order."""
     if connectivity not in (4, 8):
-        raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
+        raise ConfigError(f"connectivity must be 4 or 8, got {connectivity}")
     labels, count = _kernels.label_components(
         np.ascontiguousarray(mask.values, bool), connectivity == 8
     )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateOccupancy
-from .grid import OccupancyCount, Raster, _check_kernel, _check_positive, component_sizes
+from .grid import Raster, _check_kernel, _check_positive, component_sizes
 from .grid import connected_components, dilate
 
 log = logging.getLogger(__name__)
@@ -42,7 +42,6 @@ class WaterParams:
 @dataclass
 class WaterMask:
     mask: Raster
-    params: WaterParams
 
 
 def _window_extent(n: int, radius: int) -> np.ndarray:
@@ -70,22 +69,23 @@ def _box_sum(arr: np.ndarray, radius: int) -> np.ndarray:
     return out
 
 
-def occupied_cell_count(counts: OccupancyCount, window: int = WaterParams.window) -> Raster:
-    """Occupied-cell tally over the centered window, clipped at borders."""
+def occupied_cell_count(counts: Raster, window: int = WaterParams.window) -> Raster:
+    """Occupied-cell tally of a point-count raster over the centered
+    window, clipped at borders."""
     radius = _check_kernel(window, "window") // 2
-    return counts.counts.with_values(_box_sum(counts.counts.values > 0, radius))
+    return counts.with_values(_box_sum(counts.values > 0, radius))
 
 
-def window_cell_count(counts: OccupancyCount, window: int = WaterParams.window) -> Raster:
+def window_cell_count(counts: Raster, window: int = WaterParams.window) -> Raster:
     """In-bounds cell total of the centered window (smaller near borders):
     the product of its clipped row and column extents."""
     radius = _check_kernel(window, "window") // 2
-    h, w = counts.counts.values.shape
-    return counts.counts.with_values(np.outer(_window_extent(h, radius), _window_extent(w, radius)))
+    h, w = counts.values.shape
+    return counts.with_values(np.outer(_window_extent(h, radius), _window_extent(w, radius)))
 
 
 def classify_water(
-    counts: OccupancyCount,
+    counts: Raster,
     window: int = WaterParams.window,
     sigma_k: float = WaterParams.sigma_k,
 ) -> Raster:
@@ -97,13 +97,13 @@ def classify_water(
     flag anything and returns an empty mask, logging a warning.
     """
     _check_kernel(window, "window")
-    occ = counts.counts.values > 0
+    occ = counts.values > 0
     occupied = int(np.count_nonzero(occ))
     if occupied == 0:
         raise DegenerateOccupancy("no occupied cell; occupancy fraction is 0")
     if occupied == occ.size:
         log.warning("every cell is occupied (p = 1); no water detectable")
-        return counts.counts.with_values(np.zeros(occ.shape, bool))
+        return counts.with_values(np.zeros(occ.shape, bool))
     p = occupied / occ.size
     del occ
     got = occupied_cell_count(counts, window).values
@@ -117,7 +117,7 @@ def classify_water(
     for a, b in zip(cuts[:-1], cuts[1:]):
         n = (rows_n[a] * cols_n).astype(np.float64)
         water[a:b] = got[a:b] <= n * p - sigma_k * np.sqrt(n * p * (1.0 - p))
-    return counts.counts.with_values(water)
+    return counts.with_values(water)
 
 
 def filter_and_buffer(water: Raster, params: WaterParams = WaterParams()) -> WaterMask:
@@ -136,12 +136,10 @@ def filter_and_buffer(water: Raster, params: WaterParams = WaterParams()) -> Wat
         mask = keep[labels.values]
     kept = water.with_values(mask)
     k = 2 * math.ceil(params.buffer / gsd) + 1
-    return WaterMask(dilate(kept, k), params)
+    return WaterMask(dilate(kept, k))
 
 
-def detect_water(
-    counts: OccupancyCount, params: WaterParams = WaterParams()
-) -> WaterMask:
+def detect_water(counts: Raster, params: WaterParams = WaterParams()) -> WaterMask:
     """classify_water then filter_and_buffer under one set of parameters."""
     flagged = classify_water(counts, params.window, params.sigma_k)
     return filter_and_buffer(flagged, params)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     BadSignature,
+    ConfigError,
     EmptyCloud,
     IoFailure,
     ParseError,
@@ -49,8 +50,6 @@ class LasHeaderInfo:
     header_size: int
     scale: tuple[float, float, float]
     offset: tuple[float, float, float]
-    declared_min: tuple[float, float, float]
-    declared_max: tuple[float, float, float]
 
 
 @dataclass
@@ -59,7 +58,6 @@ class PointCloud:
 
     points: np.ndarray
     bounds: tuple[float, float, float, float]  # min_x, min_y, max_x, max_y
-    source: str = ""
     dropped_nonfinite: int = 0
 
     def __len__(self) -> int:
@@ -104,9 +102,6 @@ def parse_las_header(buf: bytes) -> LasHeaderInfo:
     count = legacy_count
     if minor == 4 and legacy_count == 0 and len(buf) >= _EXT_COUNT_OFFSET + 8:
         count = struct.unpack_from("<Q", buf, _EXT_COUNT_OFFSET)[0]
-    scale = fields[21:24]
-    offset = fields[24:27]
-    mx, mnx, my, mny, mz, mnz = fields[27:33]
     return LasHeaderInfo(
         version=(major, minor),
         point_format=point_format,
@@ -114,10 +109,8 @@ def parse_las_header(buf: bytes) -> LasHeaderInfo:
         point_count=int(count),
         data_offset=data_offset,
         header_size=header_size,
-        scale=scale,
-        offset=offset,
-        declared_min=(mnx, mny, mnz),
-        declared_max=(mx, my, mz),
+        scale=fields[21:24],
+        offset=fields[24:27],
     )
 
 
@@ -140,7 +133,7 @@ def _as_cloud(pts: np.ndarray, source: str) -> PointCloud:
         float(pts[:, 0].max()),
         float(pts[:, 1].max()),
     )
-    return PointCloud(pts, bounds, source, dropped)
+    return PointCloud(pts, bounds, dropped)
 
 
 def read_las(path: str) -> PointCloud:
@@ -227,7 +220,7 @@ def load_points(path: str, fmt: str = "auto") -> PointCloud:
         return read_las(path)
     if fmt == "xyz":
         return read_xyz_text(path)
-    raise ValueError(f"unknown point format {fmt!r}")
+    raise ConfigError(f"unknown point format {fmt!r}")
 
 
 def merge_clouds(clouds: list[PointCloud]) -> PointCloud:
@@ -245,6 +238,5 @@ def merge_clouds(clouds: list[PointCloud]) -> PointCloud:
             max(c.bounds[2] for c in clouds),
             max(c.bounds[3] for c in clouds),
         ),
-        source=";".join(c.source for c in clouds),
         dropped_nonfinite=sum(c.dropped_nonfinite for c in clouds),
     )

@@ -31,6 +31,7 @@ import numpy as np
 from .config import OUTPUT_NAMES, PipelineConfig, apply_overrides, serialize_config
 from .errors import ConfigError, IoFailure, LidarMapsError
 from .evaluate import (
+    DEFAULT_TILE_SIZE,
     ConfusionMetrics,
     InstanceReport,
     TileReport,
@@ -45,7 +46,6 @@ from .extract import ExtractParams, extract_buildings
 from .formats import read_ascii_grid, write_ascii_grid
 from .grid import (
     GridSpec,
-    OccupancyCount,
     Raster,
     _check_count,
     connected_components,
@@ -109,16 +109,16 @@ def plan_windows(spec: GridSpec, window_size_m: float, overlap_m: float) -> list
 
 
 def _cut_window(
-    dsm: Raster, occ: OccupancyCount, ext: Raster | None, box: tuple[int, int, int, int]
-) -> tuple[Raster, OccupancyCount, Raster | None]:
+    dsm: Raster, counts: Raster, ext: Raster | None, box: tuple[int, int, int, int]
+) -> tuple[Raster, Raster, Raster | None]:
     """The box of the global min-z, count and external-terrain grids as
-    views on its own sub-grid; the window counts no point out of bounds."""
+    views on its own sub-grid."""
     c0, r0, w, h = box
     sub = dsm.spec.subgrid(c0, r0, w, h)
     sl = (slice(r0, r0 + h), slice(c0, c0 + w))
     return (
         Raster(sub, dsm.values[sl]),
-        OccupancyCount(Raster(sub, occ.counts.values[sl])),
+        Raster(sub, counts.values[sl]),
         None if ext is None else Raster(sub, ext.values[sl]),
     )
 
@@ -144,7 +144,7 @@ def _sample_external(ext: Raster, spec: GridSpec) -> Raster:
 
 
 def _window_products(
-    gridded: tuple[Raster, OccupancyCount, Raster | None],
+    gridded: tuple[Raster, Raster, Raster | None],
     window: Window,
     cfg: PipelineConfig,
     params: list[ExtractParams],
@@ -155,8 +155,8 @@ def _window_products(
     padded box.  Returns, per entry of `params`, the core slices of the
     grids in `names`; None for an empty window.
     """
-    dsm_raw, occ, ext = gridded
-    if not occ.counts.values.any():
+    dsm_raw, counts, ext = gridded
+    if not counts.values.any():
         log.warning("window %d is empty; its core stays nodata", window.index)
         return None
     pc0, pr0 = window.padded[:2]
@@ -164,8 +164,8 @@ def _window_products(
     sl = (slice(r0 - pr0, r0 - pr0 + h), slice(c0 - pc0, c0 - pc0 + w))
     try:
         dsm = interpolate_nearest(dsm_raw)
-        water = detect_water(occ, cfg.water_params())
-        terrain = derive_terrain(dsm, occ, cfg.slope_threshold, ext)
+        water = detect_water(counts, cfg.water_params())
+        terrain = derive_terrain(dsm, cfg.slope_threshold, ext)
         surface = {"dsm": terrain.dsm, "dtm": terrain.dtm, "ndhm": terrain.ndhm, "water": water.mask}
         out = []
         for p in params:
@@ -222,13 +222,13 @@ def _run_windows(
         spec.width, spec.height, cfg.gsd, len(windows),
     )
 
-    dsm_raw, occ = rasterize_min(cloud.points, spec)
+    dsm_raw, counts = rasterize_min(cloud.points, spec)
     ext = None if external_dtm is None else _sample_external(external_dtm, spec)
     point_count, dropped = len(cloud), cloud.dropped_nonfinite
     del clouds, cloud
     # Serial windows get views into overlapping boxes of these grids;
     # read-only, so no stage can change a neighbouring window's input.
-    for grid in (dsm_raw, occ.counts, ext):
+    for grid in (dsm_raw, counts, ext):
         if grid is not None:
             grid.values.flags.writeable = False
 
@@ -239,7 +239,7 @@ def _run_windows(
     mosaics: list[dict[str, np.ndarray]] = [{} for _ in params]
     whole = (0, 0, spec.width, spec.height)
     run_window = partial(_window_products, cfg=cfg, params=params, names=names)
-    cuts = (_cut_window(dsm_raw, occ, ext, w.padded) for w in windows)
+    cuts = (_cut_window(dsm_raw, counts, ext, w.padded) for w in windows)
     empty = 0
     # Each worker is sent only its window's padded box of the grids;
     # a pool for one window would only pickle the whole grid to one worker.
@@ -359,7 +359,7 @@ def load_truth_labels(path: str, spec: GridSpec) -> Raster:
 def run_eval(
     pred: Raster,
     truth_labels: Raster,
-    tile_size: float = 500.0,
+    tile_size: float = DEFAULT_TILE_SIZE,
     out_dir: str | None = None,
 ) -> EvalResult:
     """Cellwise, tiled, and instance-level comparison of pred vs truth."""

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import DegenerateScene, NoGround
+from .errors import ConfigError, DegenerateScene, NoGround
 from .grid import (
-    OccupancyCount,
     Raster,
     _check_positive,
     component_sizes,
@@ -39,13 +38,15 @@ class TerrainSet:
     dsm: Raster
     dtm: Raster
     ndhm: Raster
-    occupancy: OccupancyCount
+    # Read by nothing; kept because the benchmark replay builds TerrainSet
+    # from four positional arguments.
+    occupancy: Raster | None = None
 
 
 def _require_full(raster: Raster, name: str) -> np.ndarray:
     vals = raster.values
     if not np.isfinite(vals).all():
-        raise ValueError(f"{name} must be fully valued (interpolate first)")
+        raise ConfigError(f"{name} must be fully valued (interpolate first)")
     return vals
 
 
@@ -65,7 +66,7 @@ def breakline_map(dsm: Raster, slope_threshold: float = 1.0) -> Raster:
     A cell is a break-line cell iff |dz| to at least one 8-neighbor exceeds
     `slope_threshold`; neighbors outside the raster do not count.
     """
-    _check_positive(slope_threshold, "slope_threshold", error=ValueError)
+    _check_positive(slope_threshold, "slope_threshold")
     vals = _require_full(dsm, "dsm")
     br = np.zeros(vals.shape, bool)
     # |a - b| is symmetric, so each of the four directions E, N, NE and NW
@@ -132,7 +133,6 @@ def compute_ndhm(dsm: Raster, dtm: Raster) -> Raster:
 
 def derive_terrain(
     dsm: Raster,
-    occupancy: OccupancyCount,
     slope_threshold: float = 1.0,
     external_dtm: Raster | None = None,
 ) -> TerrainSet:
@@ -143,4 +143,4 @@ def derive_terrain(
     else:
         br = breakline_map(dsm, slope_threshold)
         dtm = fill_ground(dsm, extract_objects(br))
-    return TerrainSet(dsm, dtm, compute_ndhm(dsm, dtm), occupancy)
+    return TerrainSet(dsm, dtm, compute_ndhm(dsm, dtm))

@@ -27,7 +27,6 @@ from lidarmaps.evaluate import (
 from lidarmaps.extract import roughness_layer
 from lidarmaps.grid import (
     GridSpec,
-    OccupancyCount,
     Raster,
     connected_components,
     dilate,
@@ -81,7 +80,7 @@ def cloud_of(field: np.ndarray, gsd: float) -> PointCloud:
         float(pts[:, 0].max()),
         float(pts[:, 1].max()),
     )
-    return PointCloud(pts, bounds, source="memory")
+    return PointCloud(pts, bounds)
 
 
 def scan_cloud(extent_x: float, extent_y: float, boxes, step: float = 0.25) -> PointCloud:
@@ -107,7 +106,7 @@ def scan_cloud(extent_x: float, extent_y: float, boxes, step: float = 0.25) -> P
         float(pts[:, 0].max()),
         float(pts[:, 1].max()),
     )
-    return PointCloud(pts, bounds, source="scan")
+    return PointCloud(pts, bounds)
 
 
 def covered_cells(spec: GridSpec, x0, y0, x1, y1) -> tuple[slice, slice]:
@@ -280,14 +279,13 @@ def test_oracle_rasterize_min():
                 rng.normal(size=n),
             ]
         )
-        zmin, counts, oob = rasterize_scan(pts, spec)
+        zmin, counts, _ = rasterize_scan(pts, spec)
         try:
             ras, occ = rasterize_min(pts, spec)
         except NoPointsInGrid:
             assert counts.sum() == 0
             continue
-        np.testing.assert_array_equal(occ.counts.values, counts)
-        assert occ.out_of_bounds == oob
+        np.testing.assert_array_equal(occ.values, counts)
         np.testing.assert_array_equal(np.isnan(ras.values), counts == 0)
         np.testing.assert_array_equal(ras.values[counts > 0], zmin[counts > 0])
     record_suite("rasterize_min", t0)
@@ -436,7 +434,7 @@ def test_water_binomial():
         rng = np.random.default_rng(seed)
         occ = rng.random((200, 200)) < 0.5
         occ[hole] = False
-        counts = OccupancyCount(raster_of(occ.astype(np.int64), gsd=1.0), 0)
+        counts = raster_of(occ.astype(np.int64), gsd=1.0)
         flags = classify_water(counts, window, sigma).values
         assert flags[89:111, 89:111].all()  # hole interior always flagged
         flagged_out += int(flags[outside].sum())

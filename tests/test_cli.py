@@ -250,6 +250,29 @@ def test_eval_malformed_geojson_exits_2(tmp_path, capsys, doc):
     assert capsys.readouterr().err.startswith(f"error: {truth}: ")
 
 
+@pytest.mark.parametrize(
+    "empty",
+    [{"type": "Polygon", "coordinates": []}, {"type": "MultiPolygon", "coordinates": [[]]}],
+    ids=["polygon", "multipolygon-part"],
+)
+def test_eval_skips_polygons_without_rings(tmp_path, capsys, empty):
+    pred = str(tmp_path / "pred.asc")
+    mask = np.zeros((10, 10), bool)
+    mask[2:7, 2:6] = True
+    write_ascii_grid(pred, raster_of(mask, gsd=1.0))
+    truth = tmp_path / "truth.geojson"
+    argv = ["eval", "--pred", pred, "--truth", str(truth), "--out", str(tmp_path / "eval")]
+    square = {"type": "Polygon", "coordinates": [SQUARE]}
+    features = [{"type": "Feature", "geometry": g} for g in (empty, square)]
+    truth.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
+    assert main(argv) == 0
+    assert "iou=1.0000" in capsys.readouterr().out
+    # Alone, the empty polygon leaves no truth instance.
+    truth.write_text(json.dumps(empty))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: truth layer has no instances\n"
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------

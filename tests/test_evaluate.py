@@ -457,6 +457,30 @@ def test_geojson_bare_geometry(tmp_path):
     assert len(load_geojson_polygons(str(path))) == 1
 
 
+def test_geojson_polygon_without_rings_is_skipped(tmp_path):
+    # RFC 7946 lets a processor read empty coordinates as a null geometry.
+    empty_polygon = {"type": "Polygon", "coordinates": []}
+    empty_part = {"type": "MultiPolygon", "coordinates": [[square_coords(0, 0, 1)], []]}
+    path = tmp_path / "truth.geojson"
+    for geom, kept in ((empty_polygon, 0), (empty_part, 1)):
+        path.write_text(json.dumps(geom))
+        assert len(load_geojson_polygons(str(path))) == kept
+    doc = {
+        "type": "FeatureCollection",
+        "features": [
+            {"type": "Feature", "geometry": empty_polygon},
+            {"type": "Feature", "geometry": empty_part},
+            {"type": "Feature", "geometry": {"type": "Polygon",
+                                             "coordinates": [square_coords(4, 4, 1)]}},
+        ],
+    }
+    path.write_text(json.dumps(doc))
+    polygons = load_geojson_polygons(str(path))
+    assert len(polygons) == 2
+    labels = rasterize_polygons(polygons, GridSpec(0.0, 0.0, 0.5, 12, 12)).values
+    assert labels[0, 0] == 1 and labels[9, 9] == 2
+
+
 def test_geojson_failures(tmp_path):
     missing = tmp_path / "absent.geojson"
     with pytest.raises(IoFailure):

@@ -24,7 +24,6 @@ from lidarmaps.extract import (
 )
 from lidarmaps import _kernels
 from lidarmaps._kernels import round_half_away
-from lidarmaps.grid import OccupancyCount
 from lidarmaps.hydro import WaterMask, WaterParams
 from lidarmaps.terrain import TerrainSet, derive_terrain
 
@@ -33,12 +32,11 @@ def terrain_from(field) -> TerrainSet:
     """TerrainSet whose NDHM is the given field (flat terrain at zero)."""
     arr = np.asarray(field, np.float64)
     surface = raster_of(arr)
-    occ = OccupancyCount(raster_of(np.ones(arr.shape, np.int64)))
-    return TerrainSet(surface, raster_of(np.zeros_like(arr)), surface, occ)
+    return TerrainSet(surface, raster_of(np.zeros_like(arr)), surface)
 
 
 def water_of(mask) -> WaterMask:
-    return WaterMask(raster_of(np.asarray(mask, bool)), WaterParams())
+    return WaterMask(raster_of(np.asarray(mask, bool)))
 
 
 def block(shape, rows, cols, value=True, base=None):
@@ -79,7 +77,7 @@ def test_all_water_clears_everything():
 
 def test_water_mask_requires_same_grid():
     cand = raster_of(np.ones((5, 5), bool))
-    water = WaterMask(raster_of(np.zeros((6, 5), bool)), WaterParams())
+    water = WaterMask(raster_of(np.zeros((6, 5), bool)))
     with pytest.raises(SpecMismatch):
         apply_water_mask(cand, water)
 
@@ -481,9 +479,8 @@ def test_stages_shrink_then_dilation_grows():
 def test_map2d_invariant_to_elevation_offset():
     field = np.zeros((30, 30))
     field[8:20, 8:20] = 5.0
-    occ = OccupancyCount(raster_of(np.ones((30, 30), np.int64)))
-    low = extract_buildings(derive_terrain(raster_of(field), occ))
-    high = extract_buildings(derive_terrain(raster_of(field + 13.25), occ))
+    low = extract_buildings(derive_terrain(raster_of(field)))
+    high = extract_buildings(derive_terrain(raster_of(field + 13.25)))
     assert np.array_equal(low.map2d.values, high.map2d.values)
     assert low.map2d.values.any()
 
@@ -494,7 +491,6 @@ def test_map3d_can_use_surface_elevations():
         raster_of(field + 100.0),
         raster_of(np.full(field.shape, 100.0)),
         raster_of(field),
-        OccupancyCount(raster_of(np.ones(field.shape, np.int64))),
     )
     res = extract_buildings(ts, params=ExtractParams(map3d_source="dsm"))
     box = block((40, 40), slice(10, 20), slice(10, 20))

@@ -16,7 +16,13 @@ from conftest import (
 )
 from lidarmaps import _kernels
 from lidarmaps._kernels import round_half_away
-from lidarmaps.errors import BadKernel, GridTooLarge, NoPointsInGrid, ShapeMismatch
+from lidarmaps.errors import (
+    BadKernel,
+    GridTooLarge,
+    LidarMapsError,
+    NoPointsInGrid,
+    ShapeMismatch,
+)
 from lidarmaps.grid import (
     GridSpec,
     Raster,
@@ -48,8 +54,9 @@ def test_spec_validation():
         (0.0, 0.0, 0.5, 4.0, 4),
     ]
     for args in bad:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             GridSpec(*args)
+        assert isinstance(info.value, LidarMapsError)
     spec = GridSpec(10.0, 20.0, 0.5, 6, 4)
     assert spec.shape == (4, 6)
     assert spec.x_max == 13.0
@@ -116,7 +123,7 @@ def test_rasterize_min_matches_scan():
             rng.uniform(spec.origin_y - 1, spec.y_max + 1, n),
             rng.normal(0, 30, n),
         ])
-        zmin, counts, oob = rasterize_scan(pts, spec)
+        zmin, counts, _ = rasterize_scan(pts, spec)
         if counts.sum() == 0:
             with pytest.raises(NoPointsInGrid):
                 rasterize_min(pts, spec)
@@ -124,8 +131,7 @@ def test_rasterize_min_matches_scan():
         dsm, occ = rasterize_min(pts, spec)
         expect = np.where(counts > 0, zmin, np.nan)
         np.testing.assert_array_equal(dsm.values, expect)
-        np.testing.assert_array_equal(occ.counts.values, counts)
-        assert occ.out_of_bounds == oob
+        np.testing.assert_array_equal(occ.values, counts)
 
 
 def test_rasterize_keeps_minimum_per_cell():
@@ -133,7 +139,7 @@ def test_rasterize_keeps_minimum_per_cell():
     pts = np.array([[0.5, 0.5, 9.0], [0.4, 0.4, 3.0], [0.6, 0.6, 7.0], [1.5, 0.5, 2.0]])
     dsm, occ = rasterize_min(pts, spec)
     np.testing.assert_array_equal(dsm.values, [[3.0, 2.0]])
-    np.testing.assert_array_equal(occ.counts.values, [[3, 1]])
+    np.testing.assert_array_equal(occ.values, [[3, 1]])
 
 
 def test_rasterize_cell_edges_half_open():
@@ -168,8 +174,8 @@ def test_rasterize_crowded_cell_ties_and_max_edge():
     dsm, occ = rasterize_min(pts, spec)
     zmin, counts, oob = rasterize_scan(pts, spec)
     np.testing.assert_array_equal(dsm.values, np.where(counts > 0, zmin, np.nan))
-    np.testing.assert_array_equal(occ.counts.values, counts)
-    assert occ.out_of_bounds == oob == 3
+    np.testing.assert_array_equal(occ.values, counts)
+    assert oob == 3 and int(occ.values.sum()) == len(pts) - 3
     assert counts[0, 0] == n and counts[-1, -1] == 2
     # 0.0 and -0.0 compare equal and the kernel keeps the last of tied
     # minima; a zero minimum is still stored as +0.0 in either point order,
@@ -206,8 +212,8 @@ def test_rasterize_window_slices_global_run():
         win, occ_win = rasterize_min_window(pts, spec, c0, r0, w, h)
         sl = (slice(r0, r0 + h), slice(c0, c0 + w))
         np.testing.assert_array_equal(win.values, full.values[sl])
-        np.testing.assert_array_equal(occ_win.counts.values, occ_full.counts.values[sl])
-        assert occ_win.out_of_bounds == int(np.count_nonzero(~inside))
+        np.testing.assert_array_equal(occ_win.values, occ_full.values[sl])
+        assert int(occ_win.values.sum()) == int(np.count_nonzero(inside))
         assert win.spec.origin_x == spec.origin_x + c0 * GSD
         assert win.spec.origin_y == spec.origin_y + r0 * GSD
         assert win.spec.shape == (h, w)
@@ -451,6 +457,10 @@ def test_diagonal_connectivity_difference():
     _, n8 = connected_components(raster_of(m), 8)
     _, n4 = connected_components(raster_of(m), 4)
     assert (n8, n4) == (1, 2)
+    for bad in (0, 6):
+        with pytest.raises(ValueError) as info:
+            connected_components(raster_of(m), bad)
+        assert isinstance(info.value, LidarMapsError)
 
 
 def test_component_sizes():

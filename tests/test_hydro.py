@@ -10,7 +10,6 @@ import pytest
 
 from conftest import flood_labels, raster_of
 from lidarmaps.errors import BadKernel, ConfigError, DegenerateOccupancy
-from lidarmaps.grid import OccupancyCount
 from lidarmaps.hydro import (
     WaterParams,
     classify_water,
@@ -21,8 +20,9 @@ from lidarmaps.hydro import (
 )
 
 
-def occupancy_of(occ: np.ndarray) -> OccupancyCount:
-    return OccupancyCount(raster_of(np.asarray(occ, np.int64)))
+def occupancy_of(occ: np.ndarray):
+    """The point-count raster of the given counts."""
+    return raster_of(np.asarray(occ, np.int64))
 
 
 def occupied_scan(occ: np.ndarray, k: int) -> np.ndarray:

@@ -40,7 +40,7 @@ def cloud_of(field: np.ndarray, gsd: float = 1.0, origin=(0.0, 0.0)) -> PointClo
         float(pts[:, 0].max()),
         float(pts[:, 1].max()),
     )
-    return PointCloud(pts, bounds, source="memory")
+    return PointCloud(pts, bounds, )
 
 
 def small_cfg(**overrides) -> PipelineConfig:
@@ -558,7 +558,7 @@ def test_cloud_gridded_once(tmp_path, monkeypatch):
     assert res.windows == 4 and len(grids) == 1 and len(sampled) == 1
     # windows get views into overlapping boxes of the three global grids
     dsm, occ = grids[0]
-    assert not dsm.values.flags.writeable and not occ.counts.values.flags.writeable
+    assert not dsm.values.flags.writeable and not occ.values.flags.writeable
     assert sampled[0].spec == res.spec and not sampled[0].values.flags.writeable
 
     cloud, truth_path = sweep_scene(tmp_path)
@@ -578,7 +578,7 @@ def test_sweep_rows_match_pipeline_runs(tmp_path):
     pts = cloud.points.copy()
     narrow = (pts[:, 2] > 0) & (pts[:, 0] < 15)
     pts[narrow, 2] += np.random.default_rng(3).integers(0, 5, np.count_nonzero(narrow))
-    cloud = PointCloud(pts, cloud.bounds, source="memory")
+    cloud = PointCloud(pts, cloud.bounds, )
     cfg = small_cfg(window_size_m=20.0, overlap_m=10.0)
     assert set(SWEEP_VALUES) == set(SWEEPABLE)
     for param, values in SWEEP_VALUES.items():

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import breakline_scan, raster_of
-from lidarmaps.errors import DegenerateScene, NoGround, SpecMismatch
-from lidarmaps.grid import OccupancyCount
+from lidarmaps.errors import DegenerateScene, LidarMapsError, NoGround, SpecMismatch
 from lidarmaps.terrain import (
     breakline_map,
     compute_ndhm,
@@ -30,10 +29,6 @@ def deck_field(with_ramp: bool) -> np.ndarray:
     if with_ramp:
         field[6:15, 8:18] = 0.5 * (np.arange(8, 18) - 7)
     return field
-
-
-def occupancy_like(field: np.ndarray) -> OccupancyCount:
-    return OccupancyCount(raster_of(np.ones(field.shape, np.int64)))
 
 
 # ---------------------------------------------------------------------------
@@ -92,15 +87,17 @@ def test_breaklines_match_scan(shape):
 def test_threshold_must_be_positive():
     dsm = raster_of(np.zeros((4, 4)))
     for bad in (0.0, -1.0, float("nan"), float("inf"), "1"):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             breakline_map(dsm, bad)
+        assert isinstance(info.value, LidarMapsError)
 
 
 def test_breaklines_require_interpolated_surface():
     field = np.zeros((4, 4))
     field[1, 1] = np.nan
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         breakline_map(raster_of(field), 1.0)
+    assert isinstance(info.value, LidarMapsError)
 
 
 # ---------------------------------------------------------------------------
@@ -230,26 +227,26 @@ def test_ndhm_rejects_mismatched_grids():
 
 def test_box_scene_end_to_end():
     field = box_field()
-    ts = derive_terrain(raster_of(field), occupancy_like(field))
+    ts = derive_terrain(raster_of(field))
     box = np.zeros((20, 20), bool)
     box[5:11, 5:11] = True
     assert np.allclose(ts.ndhm.values[box], 5.0, atol=1e-6)
     assert np.array_equal(ts.ndhm.values[~box], np.zeros((20, 20))[~box])
     # ground cells keep their surface elevation exactly
     assert np.array_equal(ts.dtm.values[~box], ts.dsm.values[~box])
-    assert ts.dsm.spec == ts.dtm.spec == ts.ndhm.spec == ts.occupancy.counts.spec
+    assert ts.dsm.spec == ts.dtm.spec == ts.ndhm.spec
 
 
 def test_deck_scene_yields_zero_heights():
     field = deck_field(with_ramp=True)
-    ts = derive_terrain(raster_of(field), occupancy_like(field))
+    ts = derive_terrain(raster_of(field))
     assert not ts.ndhm.values.any()
 
 
 def test_external_terrain_model_is_used_verbatim():
     field = box_field(z=5.0) + 10.0
     ext = raster_of(np.full((20, 20), 12.0))
-    ts = derive_terrain(raster_of(field), occupancy_like(field), external_dtm=ext)
+    ts = derive_terrain(raster_of(field), external_dtm=ext)
     assert ts.dtm is ext
     assert np.allclose(ts.ndhm.values, np.maximum(field - 12.0, 0.0))
 
@@ -258,4 +255,4 @@ def test_external_terrain_model_must_share_grid():
     field = box_field()
     ext = raster_of(np.zeros((20, 20)), origin=(5.0, 5.0))
     with pytest.raises(SpecMismatch):
-        derive_terrain(raster_of(field), occupancy_like(field), external_dtm=ext)
+        derive_terrain(raster_of(field), external_dtm=ext)

@@ -17,8 +17,11 @@ each distinct cell value once, so its cost follows the number of distinct
 values.  One case is a surface on a 0.001 m lattice with 10% NaN, where
 values repeat as they do in grids made from LAS points, whose z is
 quantised; the other is a grid of all-distinct floats, the writer's worst
-case.  Correctness is not checked here; the test suite compares every
-kernel with a brute-force oracle and the writer with a per-cell format.
+case.  The grid reader is timed on the same two grids, written once
+beforehand: it parses the body with one np.fromstring, so its cost
+follows the cells and the characters, not the distinct values.
+Correctness is not checked here; the test suite compares every kernel
+with a brute-force oracle and the writer with a per-cell format.
 
 Usage:
     python3 benchmarks/bench_kernels.py [--size N] [--points N] [--repeats N]
@@ -35,7 +38,7 @@ import numpy as np
 
 from lidarmaps import _kernels as kernels
 from lidarmaps import grid
-from lidarmaps.formats import write_ascii_grid
+from lidarmaps.formats import read_ascii_grid, write_ascii_grid
 from lidarmaps.grid import GridSpec, Raster
 
 
@@ -96,6 +99,10 @@ def _cases(size: int, n_points: int, rng: np.random.Generator, out_dir: str) -> 
     lattice[rng.random((h, w)) < 0.10] = np.nan
     distinct = rng.uniform(0.0, 50.0, (h, w))
     grid_path = os.path.join(out_dir, "grid.asc")
+    lattice_path = os.path.join(out_dir, "lattice.asc")
+    distinct_path = os.path.join(out_dir, "distinct.asc")
+    write_ascii_grid(lattice_path, Raster(spec, lattice))
+    write_ascii_grid(distinct_path, Raster(spec, distinct))
 
     return [
         (
@@ -181,6 +188,18 @@ def _cases(size: int, n_points: int, rng: np.random.Generator, out_dir: str) -> 
             f"{w}x{h}, all distinct",
             write_ascii_grid,
             (grid_path, Raster(spec, distinct)),
+        ),
+        (
+            "read_ascii_grid",
+            f"{w}x{h}, 1 mm lattice, 10% NaN",
+            read_ascii_grid,
+            (lattice_path,),
+        ),
+        (
+            "read_ascii_grid",
+            f"{w}x{h}, all distinct",
+            read_ascii_grid,
+            (distinct_path,),
         ),
     ]
 

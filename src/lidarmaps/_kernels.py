@@ -18,16 +18,15 @@ _BIG = np.int64(2) ** 62
 _BLOCK = 1 << 16
 
 
-def _shift2(a: np.ndarray, di: int, dj: int, fill) -> np.ndarray:
-    """Shift a 2-D array by (di, dj) filling vacated cells with `fill`."""
-    out = np.full_like(a, fill)
-    h, w = a.shape
-    si0, si1 = max(0, di), min(h, h + di)
-    sj0, sj1 = max(0, dj), min(w, w + dj)
-    if si0 >= si1 or sj0 >= sj1:
-        return out
-    out[si0:si1, sj0:sj1] = a[si0 - di:si1 - di, sj0 - dj:sj1 - dj]
-    return out
+def _runs(mask):
+    """(line, start, end) of every run of true cells along the rows of a
+    2-D mask, in row-major order: row `line`, columns start..end-1."""
+    edges = np.zeros((mask.shape[0], mask.shape[1] + 2), np.int8)
+    edges[:, 1:-1] = mask
+    step = np.diff(edges, axis=1)
+    del edges
+    line, start = np.nonzero(step == 1)
+    return line, start, np.nonzero(step == -1)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -64,8 +63,8 @@ def rasterize_min(cells, zs, inside, height, width):
 #
 # Column pass: every cell gets the key of the nearest source in its own
 # column; a valid cell is its own source at d2 = 0.  The void cells of a
-# column form vertical runs, found with np.diff on the transposed mask as
-# the labeller finds its runs.  A void cell's candidates are the valid
+# column form vertical runs, found by the labeller's run finder _runs on
+# the transposed void mask.  A void cell's candidates are the valid
 # cells just above and below its run; the smaller key wins, and a missing
 # neighbour (or a column with no source at all) reads _BIG.  The pass runs
 # over bands of about _BLOCK cells' worth of columns, so its run and
@@ -93,16 +92,10 @@ def check_fill_shape(h: int, w: int) -> None:
 def _column_keys(valid, key, c0):
     """Write the column-pass keys of the void cells of valid[:, c0:...]
     into the flat key grid, valid being a band of the grid's columns."""
-    h, bw = valid.shape
+    h = valid.shape[0]
     n = key.size
     w = n // h
-    edges = np.zeros((bw, h + 2), np.int8)
-    np.logical_not(valid.T, out=edges[:, 1:-1])
-    step = np.diff(edges, axis=1)
-    del edges
-    col, start = np.nonzero(step == 1)
-    end = np.nonzero(step == -1)[1]
-    del step
+    col, start, end = _runs(~valid.T)
     col += c0
     length = end - start
     above = np.where(start > 0, (start - 1) * w + col, _BIG)
@@ -172,29 +165,37 @@ def nearest_fill(values, valid):
 # Erosion treats cells outside the raster as false (windows reaching past
 # the border erode away); dilation clips the window at the border.  One
 # body per footprint serves both: `op` is np.logical_and to erode and
-# np.logical_or to dilate, applied in place.  The square is a row pass then
-# a column pass over its result; the diamond is `radius` steps of the
-# 4-neighbour cross.
+# np.logical_or to dilate, applied in place on array slices; a cell with
+# no neighbour at a step meets False, so no branch on `op` is needed.  The
+# square is a row pass then a column pass over its result; the diamond is
+# `radius` steps of the 4-neighbour cross.
+
+
+def _meet(out, src, d, op):
+    """op each cell of `out`, in place, with the cells of `src` d columns
+    to its left and right; a cell with no such neighbour meets False."""
+    op(out[:, d:], src[:, :-d], out=out[:, d:])
+    op(out[:, :-d], src[:, d:], out=out[:, :-d])
+    op(out[:, :d], False, out=out[:, :d])
+    op(out[:, -d:], False, out=out[:, -d:])
 
 
 def morph_square(mask, r, op):
-    out = mask.copy()
+    rows = mask.copy()
     for d in range(1, r + 1):
-        op(out, _shift2(mask, 0, d, False), out=out)
-        op(out, _shift2(mask, 0, -d, False), out=out)
-    tmp = out.copy()
+        _meet(rows, mask, d, op)
+    out = rows.copy()
     for d in range(1, r + 1):
-        op(out, _shift2(tmp, d, 0, False), out=out)
-        op(out, _shift2(tmp, -d, 0, False), out=out)
+        _meet(out.T, rows.T, d, op)
     return out
 
 
 def morph_diamond(mask, radius, op):
-    cur = mask.copy()
+    cur, prev = mask.copy(), np.empty_like(mask)
     for _ in range(radius):
-        prev = cur.copy()
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            op(cur, _shift2(prev, di, dj, False), out=cur)
+        np.copyto(prev, cur)
+        _meet(cur, prev, 1, op)
+        _meet(cur.T, prev.T, 1, op)
     return cur
 
 
@@ -218,11 +219,7 @@ def morph_diamond(mask, radius, op):
 def label_components(mask, eight):
     h, w = mask.shape
     out = np.zeros((h, w), np.int32)
-    edges = np.zeros((h, w + 2), np.int8)
-    edges[:, 1:-1] = mask
-    step = np.diff(edges, axis=1)
-    run_row, run_start = np.nonzero(step == 1)
-    run_end = np.nonzero(step == -1)[1]
+    run_row, run_start, run_end = _runs(mask)
     n = run_start.size
     if n == 0:
         return out, 0

@@ -182,11 +182,7 @@ def build_3d(heights: Raster, map2d: Raster, median_roof: int = 0) -> Raster:
     mask = map2d.values.astype(bool)
     if median_roof:
         _check_kernel(median_roof, "median_roof")
-        vals = _kernels.masked_median(
-            np.ascontiguousarray(heights.values, np.float64),
-            np.ascontiguousarray(mask),
-            median_roof,
-        )
+        vals = _kernels.masked_median(np.asarray(heights.values, np.float64), mask, median_roof)
     else:
         vals = np.where(mask, heights.values, np.nan)
     return heights.with_values(vals)

@@ -6,7 +6,9 @@ same bytes, so outputs can be diffed across runs and platforms.
 
 from __future__ import annotations
 
+import itertools
 import math
+import warnings
 from typing import Callable
 
 import numpy as np
@@ -111,49 +113,50 @@ def read_ascii_grid(path: str) -> Raster:
     """Parse a grid file back into a Raster of float64 values.
 
     Header keys are case-insensitive; NODATA_value is optional and
-    defaults to -9999.  Cells equal to the sentinel come back as NaN.
+    defaults to -9999.  The body is parsed by one np.fromstring as a flat
+    run of whitespace-separated numbers, so its line wrapping is free.
+    Cells equal to the sentinel come back as NaN.
     """
+    header: dict[str, float] = {}
     try:
         with open(path, "r", encoding="ascii") as f:
-            text = f.read()
+            for i in itertools.count(1):
+                mark = f.tell()
+                line = f.readline().rstrip("\n")
+                parts = line.split()
+                if len(parts) != 2 or parts[0].lower() not in _HEADER_KEYS + ("nodata_value",):
+                    f.seek(mark)
+                    break
+                try:
+                    header[parts[0].lower()] = float(parts[1])
+                except ValueError as exc:
+                    raise MalformedHeader(f"{path}: bad header line {i}: {line!r}") from exc
+            body = f.read()
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    lines = text.splitlines()
-    header: dict[str, float] = {}
-    body_start = 0
-    for i, line in enumerate(lines):
-        parts = line.split()
-        if len(parts) == 2 and parts[0].lower() in _HEADER_KEYS + ("nodata_value",):
-            try:
-                header[parts[0].lower()] = float(parts[1])
-            except ValueError as exc:
-                raise MalformedHeader(f"{path}: bad header line {i + 1}: {line!r}") from exc
-            body_start = i + 1
-        else:
-            break
+    except UnicodeDecodeError as exc:
+        raise MalformedHeader(f"{path}: not ASCII text: {exc}") from exc
     missing = [k for k in _HEADER_KEYS if k not in header]
     if missing:
         raise MalformedHeader(f"{path}: missing header keys {missing}")
     # An integral ncols/nrows becomes an int; GridSpec rejects anything else.
     width, height = (int(v) if v.is_integer() else v for v in (header["ncols"], header["nrows"]))
     try:
-        spec = GridSpec(
-            header["xllcorner"], header["yllcorner"], header["cellsize"], width, height
-        )
+        spec = GridSpec(header["xllcorner"], header["yllcorner"], header["cellsize"], width, height)
     except ConfigError as exc:
         raise MalformedHeader(f"{path}: bad grid header: {exc}") from exc
     nodata = header.get("nodata_value", DEFAULT_NODATA)
-    flat: list[str] = []
-    for line in lines[body_start:]:
-        flat.extend(line.split())
-    if len(flat) != width * height:
-        raise ShapeMismatch(
-            f"{path}: expected {width * height} cells, found {len(flat)}"
-        )
     try:
-        vals = np.array(flat, np.float64).reshape(height, width)
-    except ValueError as exc:
+        # numpy releases that only warn on a token they cannot parse would
+        # return the cells before it; a blank body would read as one -1.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            vals = np.empty(0) if body.isspace() else np.fromstring(body, sep=" ")
+    except (ValueError, DeprecationWarning) as exc:
         raise MalformedHeader(f"{path}: non-numeric cell data") from exc
-    vals = vals[::-1].copy()
+    del body
+    if vals.size != width * height:
+        raise ShapeMismatch(f"{path}: expected {width * height} cells, found {vals.size}")
+    vals = vals.reshape(height, width)[::-1].copy()
     vals[vals == nodata] = np.nan
     return Raster(spec, vals, nodata=nodata)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import BadKernel, ConfigError, NoPointsInGrid, ShapeMismatch, SpecMismatch
+from .errors import BadKernel, ConfigError, GridTooLarge, NoPointsInGrid, ShapeMismatch, SpecMismatch
 
 DEFAULT_NODATA = -9999.0
 
@@ -84,10 +84,17 @@ def grid_from_bounds(
 ) -> GridSpec:
     """Smallest grid anchored at (min_x, min_y) containing both corners.
 
-    A point exactly on the max edge still lands in the last cell.
+    A point exactly on the max edge still lands in the last cell.  An
+    extent of no finite number of cells, or of more cells than the exact
+    nearest fill takes, raises GridTooLarge before anything is allocated.
     """
-    width = int(np.floor((max_x - min_x) / gsd)) + 1
-    height = int(np.floor((max_y - min_y) / gsd)) + 1
+    _check_positive(gsd, "gsd")
+    with np.errstate(over="ignore"):
+        spans = ((max_x - min_x) / gsd, (max_y - min_y) / gsd)
+    if not np.isfinite(spans).all():
+        raise GridTooLarge(f"extent ({min_x}, {min_y}) to ({max_x}, {max_y}) is too large to grid")
+    width, height = (int(np.floor(s)) + 1 for s in spans)
+    _kernels.check_fill_shape(height, width)
     return GridSpec(min_x, min_y, gsd, width, height)
 
 

@@ -128,13 +128,9 @@ def filter_and_buffer(water: Raster, params: WaterParams = WaterParams()) -> Wat
     """
     gsd = water.spec.gsd
     labels, count = connected_components(water, 8)
-    mask = np.zeros(water.values.shape, bool)
-    if count:
-        sizes = component_sizes(labels, count)
-        keep = sizes * (gsd * gsd) >= params.min_area
-        keep[0] = False
-        mask = keep[labels.values]
-    kept = water.with_values(mask)
+    keep = component_sizes(labels, count) * (gsd * gsd) >= params.min_area
+    keep[0] = False
+    kept = water.with_values(keep[labels.values])
     k = 2 * math.ceil(params.buffer / gsd) + 1
     return WaterMask(dilate(kept, k))
 

@@ -225,7 +225,7 @@ def _run_windows(
     dsm_raw, counts = rasterize_min(cloud.points, spec)
     ext = None if external_dtm is None else _sample_external(external_dtm, spec)
     point_count, dropped = len(cloud), cloud.dropped_nonfinite
-    del clouds, cloud
+    del clouds, cloud, external_dtm
     # Serial windows get views into overlapping boxes of these grids;
     # read-only, so no stage can change a neighbouring window's input.
     for grid in (dsm_raw, counts, ext):
@@ -337,8 +337,7 @@ class EvalResult:
 
 def load_pred_mask(path: str) -> Raster:
     r = read_ascii_grid(path)
-    mask = np.nan_to_num(r.values, nan=0.0) > 0.5
-    return Raster(r.spec, mask)
+    return Raster(r.spec, r.values > 0.5)
 
 
 def load_truth_labels(path: str, spec: GridSpec) -> Raster:

@@ -99,6 +99,22 @@ def test_non_finite_grid_header_exits_2(tmp_path, capsys, key, value):
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "corners",
+    [((-1.7e308, 0.0), (1.7e308, 0.0)), ((0.0, 0.0), (100000.0, 100000.0))],
+    ids=["extent_overflows", "too_many_cells"],
+)
+def test_oversized_extent_exits_2(tmp_path, capsys, corners):
+    """An extent of no finite cell count, or of more cells than the exact
+    fill takes, is refused before any grid is allocated."""
+    scene = str(tmp_path / "far.xyz")
+    write_xyz_text(np.array([[x, y, 0.0] for x, y in corners]), scene)
+    out = tmp_path / "out"
+    assert main(["map", scene, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["map", "eval", "sweep"])
 def test_unwritable_out_exits_2(tmp_path, capsys, command):
     scene, truth = sweep_inputs(tmp_path)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -146,12 +148,12 @@ def test_output_bytes_are_deterministic(tmp_path):
 
 def test_header_keys_case_insensitive(tmp_path):
     path = tmp_path / "caps.asc"
-    path.write_text(
-        "NCOLS 2\nNROWS 1\nXLLCorner 10\nYLLCORNER 20\nCellSize 1\n3 4\n"
-    )
-    r = read_ascii_grid(str(path))
-    assert r.spec.width == 2 and r.spec.origin_x == 10.0
-    assert r.values.tolist() == [[3.0, 4.0]]
+    text = "NCOLS 2\nNROWS 1\nXLLCorner 10\nYLLCORNER 20\nCellSize 1\n3 4\n"
+    for newline in ("\n", "\r\n", "\r"):
+        path.write_bytes(text.replace("\n", newline).encode("ascii"))
+        r = read_ascii_grid(str(path))
+        assert r.spec.width == 2 and r.spec.origin_x == 10.0
+        assert r.values.tolist() == [[3.0, 4.0]]
 
 
 def test_nodata_header_is_optional(tmp_path):
@@ -205,20 +207,45 @@ def test_non_finite_header_values(tmp_path, key, value):
 
 
 def test_wrong_cell_count(tmp_path):
+    """Cells are counted flat, whatever the line wrapping; a blank body
+    holds no cell."""
     path = tmp_path / "count.asc"
-    path.write_text(
-        "ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n1 2 3\n"
-    )
+    header = "ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
+    for body in ("1 2 3\n", "1\n2 3\n", "1 2\n3\n4\n5\n", "", "\n  \n"):
+        path.write_text(header + body)
+        with pytest.raises(ShapeMismatch):
+            read_ascii_grid(str(path))
+    path.write_text(header.replace("2", "1") + "\n \n")
     with pytest.raises(ShapeMismatch):
         read_ascii_grid(str(path))
+    for body in ("1\n2 3\n4\n", "\n1 2 3 4", "1\t2\r\n3  4 \n\n"):
+        path.write_text(header + body)
+        assert read_ascii_grid(str(path)).values.tolist() == [[3.0, 4.0], [1.0, 2.0]]
 
 
-def test_non_numeric_cell(tmp_path):
+def test_non_numeric_cell(tmp_path, monkeypatch):
     path = tmp_path / "alpha.asc"
     path.write_text(
         "ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n1 x\n"
     )
     with pytest.raises(MalformedHeader):
+        read_ascii_grid(str(path))
+    header = "ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
+    for body in ("1 x\n3 4\n", "1 2\n3 x\n", "1 2\n3 4x\n", "1, 2\n3 4\n", "1 2\n3 \u00e9\n"):
+        path.write_text(header + body, encoding="utf-8")
+        with pytest.raises(MalformedHeader):
+            read_ascii_grid(str(path))
+
+    # numpy releases before the ValueError only warned, and returned the
+    # cells before the bad token; outside a test run that warning is
+    # ignored by default.
+    def warn_and_stop(text, sep):
+        warnings.warn("string or file could not be read to its end", DeprecationWarning)
+        return np.array([1.0, 2.0, 3.0])
+
+    monkeypatch.setattr(formats.np, "fromstring", warn_and_stop)
+    with warnings.catch_warnings(), pytest.raises(MalformedHeader):
+        warnings.simplefilter("ignore")
         read_ascii_grid(str(path))
 
 

@@ -5,7 +5,8 @@ Its peak above the memory held before it (outputs included) must stay under
 a budget in bytes per cell, set at the value measured when the budget was
 written plus 25%.  A stage that starts building full-grid temporaries again
 (a dense int64 column pass, shifted float copies, a rounded copy of the
-grid, a whole-file text) breaks its budget.
+grid, a whole-file text, one Python string per cell read) breaks its
+budget.  The last stage reads back the float grid the write stage wrote.
 
 The second half checks that run_pipeline's products are writeable arrays
 that share no memory with the read-only global grids the windows are cut
@@ -24,7 +25,7 @@ from conftest import GSD, build_las, raster_of
 from lidarmaps import pipeline
 from lidarmaps.config import PipelineConfig
 from lidarmaps.extract import ExtractParams, extract_buildings
-from lidarmaps.formats import write_ascii_grid
+from lidarmaps.formats import read_ascii_grid, write_ascii_grid
 from lidarmaps.grid import grid_from_bounds, interpolate_nearest, rasterize_min
 from lidarmaps.hydro import WaterParams, detect_water
 from lidarmaps.ingest import PointCloud, read_las
@@ -44,6 +45,7 @@ BUDGETS = {
     "terrain": 32.2,  # measured 25.7
     "extract": 52.0,  # measured 41.6
     "write": 25.8,  # measured 20.6
+    "read": 21.0,  # measured 16.8
 }
 
 
@@ -109,6 +111,7 @@ def stage_peaks(tmp_path_factory):
     res = run("extract", lambda: extract_buildings(terrain, water, ExtractParams()))
     assert res.map2d.values.any() and water.mask.values.any()
     run("write", lambda: write_ascii_grid(str(tmp / "dsm.asc"), terrain.dsm))
+    run("read", lambda: read_ascii_grid(str(tmp / "dsm.asc")))
     return peaks
 
 

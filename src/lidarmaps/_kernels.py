@@ -77,7 +77,8 @@ def rasterize_min(cells, zs, inside, height, width):
 # k^2 * n no later column can win or tie, and the cell stops.  The void
 # cells are searched _BLOCK at a time, as flat indices; each round writes
 # the cells that met the stop rule to the output and compacts the rest, so
-# a round costs the cells still searching rather than the whole grid.
+# a round costs the cells still searching rather than the whole grid.  Only
+# void cells are written and only sources read, so the output is the one copy.
 
 
 def check_fill_shape(h: int, w: int) -> None:
@@ -121,7 +122,7 @@ def _column_keys(valid, key, c0):
     key[row] = up
 
 
-def _search(cell, key, vals_flat, out_flat, w):
+def _search(cell, key, out_flat, w):
     """Fill the void cells `cell` (flat indices) from their best key."""
     n = key.size
     best = key[cell]
@@ -130,7 +131,7 @@ def _search(cell, key, vals_flat, out_flat, w):
         k2n = k * k * n
         done = best < k2n
         if done.any():
-            out_flat[cell[done]] = vals_flat[best[done] % n]
+            out_flat[cell[done]] = out_flat[best[done] % n]
             keep = ~done
             cell, col, best = cell[keep], col[keep], best[keep]
             if cell.size == 0:
@@ -140,13 +141,13 @@ def _search(cell, key, vals_flat, out_flat, w):
             cand = key.take(cell + off, mode="clip")
             cand += k2n
             np.minimum(best, cand, out=best, where=ok)
-    out_flat[cell] = vals_flat[best % n]
+    out_flat[cell] = out_flat[best % n]
 
 
 def nearest_fill(values, valid):
     h, w = values.shape
     check_fill_shape(h, w)
-    out = values.copy()
+    out = np.array(values, np.float64, order="C")
     voids = np.flatnonzero(~valid)
     if voids.size == 0:
         return out
@@ -155,7 +156,7 @@ def nearest_fill(values, valid):
     for c0 in range(0, w, band):
         _column_keys(valid[:, c0:c0 + band], key, c0)
     for s in range(0, voids.size, _BLOCK):
-        _search(voids[s:s + _BLOCK], key, values.reshape(-1), out.reshape(-1), w)
+        _search(voids[s:s + _BLOCK], key, out.reshape(-1), w)
     return out
 
 

@@ -6,7 +6,6 @@ same bytes, so outputs can be diffed across runs and platforms.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from typing import Callable
@@ -120,17 +119,18 @@ def read_ascii_grid(path: str) -> Raster:
     header: dict[str, float] = {}
     try:
         with open(path, "r", encoding="ascii") as f:
-            for i in itertools.count(1):
-                mark = f.tell()
-                line = f.readline().rstrip("\n")
+            mark = 0
+            for i, line in enumerate(iter(f.readline, ""), 1):
                 parts = line.split()
                 if len(parts) != 2 or parts[0].lower() not in _HEADER_KEYS + ("nodata_value",):
+                    # Put the body's first line back: a join would copy the body.
                     f.seek(mark)
                     break
                 try:
                     header[parts[0].lower()] = float(parts[1])
                 except ValueError as exc:
-                    raise MalformedHeader(f"{path}: bad header line {i}: {line!r}") from exc
+                    raise MalformedHeader(f"{path}: bad header line {i}: {line.rstrip()!r}") from exc
+                mark = f.tell()
             body = f.read()
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc

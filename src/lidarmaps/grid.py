@@ -85,8 +85,7 @@ def grid_from_bounds(
     """Smallest grid anchored at (min_x, min_y) containing both corners.
 
     A point exactly on the max edge still lands in the last cell.  An
-    extent of no finite number of cells, or of more cells than the exact
-    nearest fill takes, raises GridTooLarge before anything is allocated.
+    extent of no finite number of cells raises GridTooLarge.
     """
     _check_positive(gsd, "gsd")
     with np.errstate(over="ignore"):
@@ -94,7 +93,6 @@ def grid_from_bounds(
     if not np.isfinite(spans).all():
         raise GridTooLarge(f"extent ({min_x}, {min_y}) to ({max_x}, {max_y}) is too large to grid")
     width, height = (int(np.floor(s)) + 1 for s in spans)
-    _kernels.check_fill_shape(height, width)
     return GridSpec(min_x, min_y, gsd, width, height)
 
 
@@ -223,10 +221,7 @@ def nearest_fill_from(values: np.ndarray, sources: np.ndarray) -> np.ndarray:
     Same metric and tie rule as interpolate_nearest; `sources` must have at
     least one true cell.
     """
-    return _kernels.nearest_fill(
-        np.ascontiguousarray(values, np.float64),
-        np.ascontiguousarray(sources),
-    )
+    return _kernels.nearest_fill(values, np.asarray(sources, bool))
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +267,7 @@ def connected_components(mask: Raster, connectivity: int = 8) -> tuple[Raster, i
     """Label true regions 1..n in row-major first-encounter order."""
     if connectivity not in (4, 8):
         raise ConfigError(f"connectivity must be 4 or 8, got {connectivity}")
-    labels, count = _kernels.label_components(
-        np.ascontiguousarray(mask.values, bool), connectivity == 8
-    )
+    labels, count = _kernels.label_components(np.asarray(mask.values, bool), connectivity == 8)
     return mask.with_values(labels), count
 
 

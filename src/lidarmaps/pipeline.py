@@ -28,8 +28,9 @@ from functools import partial
 
 import numpy as np
 
+from . import _kernels
 from .config import OUTPUT_NAMES, PipelineConfig, apply_overrides, serialize_config
-from .errors import ConfigError, IoFailure, LidarMapsError
+from .errors import ConfigError, GridTooLarge, IoFailure, LidarMapsError
 from .evaluate import (
     DEFAULT_TILE_SIZE,
     ConfusionMetrics,
@@ -221,8 +222,13 @@ def _run_windows(
         "grid %dx%d cells at %.3g m, %d window(s)",
         spec.width, spec.height, cfg.gsd, len(windows),
     )
+    # The fill sees one padded box at a time; some box is both the tallest and widest.
+    _kernels.check_fill_shape(max(w.padded[3] for w in windows), max(w.padded[2] for w in windows))
 
-    dsm_raw, counts = rasterize_min(cloud.points, spec)
+    try:
+        dsm_raw, counts = rasterize_min(cloud.points, spec)
+    except MemoryError as exc:
+        raise GridTooLarge(f"a {spec.width} x {spec.height} grid does not fit in memory") from exc
     ext = None if external_dtm is None else _sample_external(external_dtm, spec)
     point_count, dropped = len(cloud), cloud.dropped_nonfinite
     del clouds, cloud, external_dtm

@@ -1,7 +1,9 @@
 """Command-line behavior: exit codes, flag precedence, and the three
 subcommands run end to end through main()."""
 
+import contextlib
 import json
+import resource
 
 import numpy as np
 import pytest
@@ -99,20 +101,45 @@ def test_non_finite_grid_header_exits_2(tmp_path, capsys, key, value):
         assert not out.exists()
 
 
+@contextlib.contextmanager
+def address_space_cap(nbytes):
+    """Cap this process's address space, so an allocation beyond it fails
+    at once even where the kernel overcommits memory."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = nbytes if hard == resource.RLIM_INFINITY else min(nbytes, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
 @pytest.mark.parametrize(
-    "corners",
-    [((-1.7e308, 0.0), (1.7e308, 0.0)), ((0.0, 0.0), (100000.0, 100000.0))],
-    ids=["extent_overflows", "too_many_cells"],
+    "corners, maps",
+    [
+        (((-1.7e308, 0.0), (1.7e308, 0.0)), False),
+        (((0.0, 0.0), (100000.0, 100000.0)), False),
+        # One row of 1,664,511 cells: over the fill's key limit as one grid,
+        # but the fill only ever sees one window's padded box.
+        (((0.0, 0.0), (832_255.0, 0.0)), True),
+    ],
+    ids=["extent_overflows", "too_many_cells", "long_corridor_maps"],
 )
-def test_oversized_extent_exits_2(tmp_path, capsys, corners):
-    """An extent of no finite cell count, or of more cells than the exact
-    fill takes, is refused before any grid is allocated."""
+def test_oversized_extent_exits_2(tmp_path, capsys, corners, maps):
+    """An extent of no finite cell count, or one whose global grid cannot
+    be allocated (200,001 x 200,001 cells), exits 2 with an error line; a
+    corridor too long for one fill but not for its windows still maps."""
     scene = str(tmp_path / "far.xyz")
     write_xyz_text(np.array([[x, y, 0.0] for x, y in corners]), scene)
     out = tmp_path / "out"
-    assert main(["map", scene, "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
-    assert not out.exists()
+    with address_space_cap(64 << 30):
+        rc = main(["map", scene, "--out", str(out), "--emit", "map2d"])
+    if maps:
+        assert rc == 0 and (out / "map2d.asc").exists()
+    else:
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["map", "eval", "sweep"])

@@ -7,7 +7,9 @@ is printed in MB next to the time: how large an extent one call can map
 is set by the scratch arrays of its largest stage, not by its grids.  Rasterization takes --points points and is timed through
 grid.rasterize_min, so the point-to-cell floor is inside the timed call.
 The roughness count runs over every cell and at a random 9% of the cells,
-the share the extraction asks for on the benchmark scenes.  Besides typical inputs, two
+the share the extraction asks for on the benchmark scenes.  The square
+morphology kernel is also timed as the water tally: np.add over a 0/1
+int32 grid in the default 9x9 water window.  Besides typical inputs, two
 cases time the worst inputs of the nearest fill and the labelling: a grid
 void but for one corner cell, where every cell searches out to its
 distance from that corner (run at a third of --size to keep it short),
@@ -134,6 +136,12 @@ def _cases(size: int, n_points: int, rng: np.random.Generator, out_dir: str) -> 
             f"{w}x{h}, k=7, dilate",
             kernels.morph_square,
             (blobs, 3, np.logical_or),
+        ),
+        (
+            "morph_square",
+            f"{w}x{h}, k=9, water tally",
+            kernels.morph_square,
+            (blobs.astype(np.int32), 4, np.add),
         ),
         (
             "morph_diamond",

@@ -168,6 +168,8 @@ def nearest_fill(values, valid):
 # body per footprint serves both: `op` is np.logical_and to erode and
 # np.logical_or to dilate, applied in place on array slices; a cell with
 # no neighbour at a step meets False, so no branch on `op` is needed.  The
+# square also counts: with np.add on a 0/1 integer grid, False adds 0, so
+# it gives the window sum clipped at the border (the water tally).  The
 # square is a row pass then a column pass over its result; the diamond is
 # `radius` steps of the 4-neighbour cross.
 

@@ -123,18 +123,19 @@ def _cmd_map(args: argparse.Namespace) -> int:
     return 0
 
 
+def _show(v: float | None) -> str:
+    """A ratio as printed on stdout: four decimals, nan when undefined."""
+    return "nan" if v is None else f"{v:.4f}"
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     pred = load_pred_mask(args.pred)
     truth = load_truth_labels(args.truth, pred.spec)
     res = run_eval(pred, truth, args.tile_size, args.out)
     c = res.cells
-
-    def show(v: float | None) -> str:
-        return "nan" if v is None else f"{v:.4f}"
-
     print(
-        f"iou={show(c.iou)} precision={show(c.precision)} "
-        f"recall={show(c.recall)} f1={show(c.f1)} -> {args.out}"
+        f"iou={_show(c.iou)} precision={_show(c.precision)} "
+        f"recall={_show(c.recall)} f1={_show(c.f1)} -> {args.out}"
     )
     return 0
 
@@ -154,8 +155,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         input_format=args.format,
     )
     for v, m in rows:
-        iou = "nan" if m.iou is None else f"{m.iou:.4f}"
-        print(f"{args.param}={v} iou={iou}")
+        print(f"{args.param}={v} iou={_show(m.iou)}")
     return 0
 
 

@@ -212,16 +212,7 @@ def interpolate_nearest(raster: Raster) -> Raster:
     valid = np.isfinite(raster.values)
     if not valid.any():
         raise NoPointsInGrid("cannot interpolate a raster with no valued cell")
-    return raster.with_values(nearest_fill_from(raster.values, valid))
-
-
-def nearest_fill_from(values: np.ndarray, sources: np.ndarray) -> np.ndarray:
-    """Fill cells outside `sources` from their nearest source cell.
-
-    Same metric and tie rule as interpolate_nearest; `sources` must have at
-    least one true cell.
-    """
-    return _kernels.nearest_fill(values, np.asarray(sources, bool))
+    return raster.with_values(_kernels.nearest_fill(raster.values, valid))
 
 
 # ---------------------------------------------------------------------------

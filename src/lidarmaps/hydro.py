@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .errors import DegenerateOccupancy
 from .grid import Raster, _check_kernel, _check_positive, component_sizes
 from .grid import connected_components, dilate
@@ -51,37 +52,15 @@ def _window_extent(n: int, radius: int) -> np.ndarray:
     return np.minimum(i + radius + 1, n) - np.maximum(i - radius, 0)
 
 
-def _box_sum(arr: np.ndarray, radius: int) -> np.ndarray:
-    """Sum over the centered (2r+1)^2 window, clipped at the borders: along
-    each axis in turn, the difference of two prefix sums.  The prefix sums
-    and the sums take turns in two int64 grids, the second of which is
-    returned."""
-    prefix = np.empty(arr.shape, np.int64)
-    out = arr.astype(np.int64)
-    for axis in (0, 1):
-        np.cumsum(out, axis, out=prefix)
-        p, o = np.moveaxis(prefix, axis, 0), np.moveaxis(out, axis, 0)
-        n = p.shape[0]
-        # cell i sums prefix[min(i + r, n - 1)] - prefix[i - r - 1]
-        o[:max(n - radius, 0)] = p[radius:]
-        o[max(n - radius, 0):] = p[n - 1]
-        o[radius + 1:] -= p[:max(n - radius - 1, 0)]
-    return out
-
-
 def occupied_cell_count(counts: Raster, window: int = WaterParams.window) -> Raster:
     """Occupied-cell tally of a point-count raster over the centered
-    window, clipped at borders."""
+    window, clipped at borders: the morphology's square kernel summing a
+    0/1 grid, where a cell past the border adds 0.  A tally never exceeds
+    its window's in-bounds cells, so int32 holds it below 2^31 cells."""
     radius = _check_kernel(window, "window") // 2
-    return counts.with_values(_box_sum(counts.values > 0, radius))
-
-
-def window_cell_count(counts: Raster, window: int = WaterParams.window) -> Raster:
-    """In-bounds cell total of the centered window (smaller near borders):
-    the product of its clipped row and column extents."""
-    radius = _check_kernel(window, "window") // 2
-    h, w = counts.values.shape
-    return counts.with_values(np.outer(_window_extent(h, radius), _window_extent(w, radius)))
+    dtype = np.int32 if counts.values.size < 2**31 else np.int64
+    occupied = (counts.values > 0).astype(dtype)
+    return counts.with_values(_kernels.morph_square(occupied, radius, np.add))
 
 
 def classify_water(
@@ -107,9 +86,9 @@ def classify_water(
     p = occupied / occ.size
     del occ
     got = occupied_cell_count(counts, window).values
-    # n is the product of the window's clipped row and column extents (as
-    # in window_cell_count), so the threshold is one row of values per run
-    # of rows of equal extent and no grid of n is made.
+    # n is the product of the window's clipped row and column extents, so
+    # the threshold is one row of values per run of rows of equal extent
+    # and no grid of n is made.
     h, w = got.shape
     rows_n, cols_n = _window_extent(h, window // 2), _window_extent(w, window // 2)
     water = np.empty(got.shape, bool)

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import _kernels
 from .config import OUTPUT_NAMES, PipelineConfig, apply_overrides, serialize_config
-from .errors import ConfigError, GridTooLarge, IoFailure, LidarMapsError
+from .errors import ConfigError, GridTooLarge, IoFailure, LidarMapsError, SpecMismatch
 from .evaluate import (
     DEFAULT_TILE_SIZE,
     ConfusionMetrics,
@@ -53,7 +53,6 @@ from .grid import (
     grid_from_bounds,
     interpolate_nearest,
     rasterize_min,
-    require_same_spec,
 )
 from .hydro import detect_water
 from .ingest import PointCloud, load_points, merge_clouds
@@ -357,7 +356,8 @@ def load_truth_labels(path: str, spec: GridSpec) -> Raster:
         labels = rasterize_polygons(load_geojson_polygons(path), spec)
     else:
         labels, _ = connected_components(load_pred_mask(path), 8)
-    require_same_spec(Raster(spec, np.zeros(spec.shape, bool)), labels, "pred and truth")
+    if labels.spec != spec:
+        raise SpecMismatch(f"pred and truth are on different grids: {spec} vs {labels.spec}")
     return labels
 
 

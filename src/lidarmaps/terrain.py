@@ -24,7 +24,6 @@ from .grid import (
     _check_positive,
     component_sizes,
     connected_components,
-    nearest_fill_from,
     require_same_spec,
 )
 
@@ -119,7 +118,7 @@ def fill_ground(dsm: Raster, objects: Raster) -> Raster:
     ground = ~objects.values.astype(bool)
     if not ground.any():
         raise NoGround("object mask covers the whole raster")
-    return dsm.with_values(nearest_fill_from(vals, ground))
+    return dsm.with_values(_kernels.nearest_fill(vals, ground))
 
 
 def compute_ndhm(dsm: Raster, dtm: Raster) -> Raster:

@@ -371,6 +371,39 @@ def test_sweep_end_to_end(tmp_path, capsys):
     assert len(table) == 5
 
 
+def test_printed_ratio_lines(tmp_path, capsys):
+    # eval: tp=2, fp=1, fn=2; with no predicted cell, precision and f1
+    # are undefined.
+    pred = np.zeros((10, 10), bool)
+    pred[2:5, 2] = True
+    truth = np.zeros((10, 10), bool)
+    truth[3:7, 2] = True
+    paths = {}
+    for name, mask in (("pred", pred), ("truth", truth), ("none", np.zeros_like(pred))):
+        paths[name] = str(tmp_path / f"{name}.asc")
+        write_ascii_grid(paths[name], raster_of(mask, gsd=1.0))
+    out = str(tmp_path / "eval")
+    assert main(["eval", "--pred", paths["pred"], "--truth", paths["truth"], "--out", out]) == 0
+    assert capsys.readouterr().out == (
+        f"iou=0.4000 precision=0.6667 recall=0.5000 f1=0.5714 -> {out}\n"
+    )
+    assert main(["eval", "--pred", paths["none"], "--truth", paths["truth"], "--out", out]) == 0
+    assert capsys.readouterr().out == f"iou=0.0000 precision=nan recall=0.0000 f1=nan -> {out}\n"
+
+    # sweep against a truth with no footprint: k1=3 keeps both blocks
+    # (iou 0), k1=31 keeps nothing (iou undefined).
+    scene, _ = sweep_inputs(tmp_path)
+    empty = tmp_path / "empty.geojson"
+    empty.write_text(json.dumps({"type": "FeatureCollection", "features": []}))
+    rc = main(
+        ["sweep", scene, "--param", "k1", "--values", "31,3", "--truth", str(empty),
+         "--out", str(tmp_path / "sweep"), "--gsd", "1", "--k2", "3", "--k3", "3",
+         "--overlap", "40"]
+    )
+    assert rc == 0
+    assert capsys.readouterr().out == "k1=3 iou=0.0000\nk1=31 iou=nan\n"
+
+
 def test_sweep_rejects_bad_values(tmp_path, capsys):
     scene, truth = sweep_inputs(tmp_path)
     rc = main(

@@ -32,7 +32,6 @@ from lidarmaps.grid import (
     erode,
     grid_from_bounds,
     interpolate_nearest,
-    nearest_fill_from,
     opening,
     rasterize_min,
     rasterize_min_window,
@@ -306,10 +305,10 @@ def test_interpolate_full_raster_is_identity():
     np.testing.assert_array_equal(interpolate_nearest(raster_of(vals)).values, vals)
 
 
-def test_nearest_fill_from_overrides_non_source_cells():
+def test_nearest_fill_overrides_non_source_cells():
     vals = np.array([[1.0, 50.0], [60.0, 2.0]])
     sources = np.array([[True, False], [False, True]])
-    got = nearest_fill_from(vals, sources)
+    got = _kernels.nearest_fill(vals, sources)
     np.testing.assert_array_equal(got, [[1.0, 1.0], [1.0, 2.0]])
 
 

@@ -16,7 +16,6 @@ from lidarmaps.hydro import (
     detect_water,
     filter_and_buffer,
     occupied_cell_count,
-    window_cell_count,
 )
 
 
@@ -47,6 +46,7 @@ def test_full_grid_window_counts():
     assert counts[4:16, 4:16].min() == 81
     assert counts[0, 0] == 25  # clipped 5x5 corner window
     assert counts[0, 10] == 45
+    assert counts[19, 19] == 25
 
 
 def test_empty_grid_counts_zero():
@@ -65,22 +65,15 @@ def test_single_occupied_cell_window3():
 
 def test_tally_matches_window_scan():
     rng = np.random.default_rng(11)
-    for shape in ((23, 31), (1, 17), (17, 1), (1, 1)):
-        for k in (1, 3, 5, 9):
-            occ = rng.integers(0, 3, size=shape)
-            counts = occupancy_of(occ)
-            got = occupied_cell_count(counts, k).values
-            assert np.array_equal(got, occupied_scan(occ, k))
-            cells = window_cell_count(counts, k).values
-            assert np.array_equal(cells, occupied_scan(np.ones(shape), k))
-
-
-def test_window_cell_count_shrinks_at_borders():
-    n = window_cell_count(occupancy_of(np.zeros((20, 20))), 9).values
-    assert n[10, 10] == 81
-    assert n[0, 0] == 25
-    assert n[0, 10] == 45
-    assert n[19, 19] == 25
+    cases = [(shape, k) for shape in ((23, 31), (1, 17), (17, 1), (1, 1)) for k in (1, 3, 5, 9)]
+    cases.append(((3, 5), 11))  # window wider than the grid on both axes
+    for shape, k in cases:
+        occ = rng.integers(0, 3, size=shape)
+        got = occupied_cell_count(occupancy_of(occ), k).values
+        assert got.dtype == np.int32
+        assert np.array_equal(got, occupied_scan(occ, k))
+        cells = occupied_cell_count(occupancy_of(np.ones(shape)), k).values
+        assert np.array_equal(cells, occupied_scan(np.ones(shape), k))
 
 
 def test_window_must_be_positive_odd():
@@ -166,7 +159,8 @@ def test_fixed_p_monotonicity():
     removed[drop] = 0
 
     p = np.count_nonzero(base) / base.size
-    n = window_cell_count(occupancy_of(base), 9).values.astype(float)
+    n = occupied_cell_count(occupancy_of(np.ones_like(base)), 9).values.astype(float)
+    assert np.array_equal(n, occupied_scan(np.ones_like(base), 9))
     threshold = n * p - 2.0 * np.sqrt(n * p * (1.0 - p))
     flag_base = occupied_cell_count(occupancy_of(base), 9).values <= threshold
     flag_removed = occupied_cell_count(occupancy_of(removed), 9).values <= threshold

@@ -14,14 +14,18 @@ cases time the worst inputs of the nearest fill and the labelling: a grid
 void but for one corner cell, where every cell searches out to its
 distance from that corner (run at a third of --size to keep it short),
 and a serpentine mask, one component that winds through every other row.
-The grid writer is timed too, writing to a temporary directory: it formats
-each distinct cell value once, so its cost follows the number of distinct
-values.  One case is a surface on a 0.001 m lattice with 10% NaN, where
-values repeat as they do in grids made from LAS points, whose z is
-quantised; the other is a grid of all-distinct floats, the writer's worst
-case.  The grid reader is timed on the same two grids, written once
-beforehand: it parses the body with one np.fromstring, so its cost
-follows the cells and the characters, not the distinct values.
+The grid writer is timed too, writing to a temporary directory, once on
+each of its paths: it formats each distinct cell value once into a byte
+table and gathers each cell's text from it.  A mask indexes the table by
+value.  A 0-25 m surface on a 0.001 m lattice with 10% NaN, where values
+repeat as they do in grids made from LAS points, whose z is quantised,
+finds its rows by the millimetre key of each cell, as does a lattice
+around zero where 0.0 and -0.0 each keep their own text.  A grid of
+all-distinct floats over 0-1000 m has 2M millimetre keys, more than the
+cells of any --size up to 1414, so it falls back to a binary search per
+cell: the writer's worst case.  The grid reader is timed on the lattice and the all-distinct grid,
+written once beforehand: it parses the body with one np.fromstring, so
+its cost follows the cells and the characters, not the distinct values.
 Correctness is not checked here; the test suite compares every kernel
 with a brute-force oracle and the writer with a per-cell format.
 
@@ -97,9 +101,11 @@ def _cases(size: int, n_points: int, rng: np.random.Generator, out_dir: str) -> 
     serpentine[3::4, 0] = True
 
     spec = GridSpec(0.0, 0.0, 1.0, w, h)
-    lattice = np.round(surface, 3)
+    lattice = np.round(surface / 2, 3)
     lattice[rng.random((h, w)) < 0.10] = np.nan
-    distinct = rng.uniform(0.0, 50.0, (h, w))
+    signed_zeros = np.round(rng.uniform(-0.5, 0.5, (h, w)), 3)
+    signed_zeros[rng.random((h, w)) < 0.2] = -0.0
+    distinct = rng.uniform(0.0, 1000.0, (h, w))
     grid_path = os.path.join(out_dir, "grid.asc")
     lattice_path = os.path.join(out_dir, "lattice.asc")
     distinct_path = os.path.join(out_dir, "distinct.asc")
@@ -187,13 +193,25 @@ def _cases(size: int, n_points: int, rng: np.random.Generator, out_dir: str) -> 
         ),
         (
             "write_ascii_grid",
+            f"{w}x{h}, mask",
+            write_ascii_grid,
+            (grid_path, Raster(spec, blobs)),
+        ),
+        (
+            "write_ascii_grid",
             f"{w}x{h}, 1 mm lattice, 10% NaN",
             write_ascii_grid,
             (grid_path, Raster(spec, lattice)),
         ),
         (
             "write_ascii_grid",
-            f"{w}x{h}, all distinct",
+            f"{w}x{h}, 1 mm lattice, +-0.0",
+            write_ascii_grid,
+            (grid_path, Raster(spec, signed_zeros)),
+        ),
+        (
+            "write_ascii_grid",
+            f"{w}x{h}, all distinct, search",
             write_ascii_grid,
             (grid_path, Raster(spec, distinct)),
         ),

@@ -282,14 +282,6 @@ def _window_blocks(vals, k, cells, fill):
         yield s, flat[(row * stride + col)[:, None] + offsets]
 
 
-def round_half_away(x: np.ndarray) -> np.ndarray:
-    """Round to the nearest integer with halves away from zero, as a new
-    float64 array."""
-    out = np.array(x, np.float64)
-    _round_half_away_in_place(out)
-    return out
-
-
 def _round_half_away_in_place(x: np.ndarray) -> None:
     """floor(x + 0.5) where x >= 0, else ceil(x - 0.5), written into x."""
     pos = x >= 0

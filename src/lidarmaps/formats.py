@@ -17,6 +17,9 @@ from .grid import DEFAULT_NODATA, GridSpec, Raster
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize")
 _BLOCK_CELLS = 1 << 14
+# A millimetre key table may have an entry per cell of the grid, and at
+# least this many, so that small grids take the key path too.
+_KEY_TABLE_MIN = 1 << 16
 
 
 def _fmt_num(v: float) -> str:
@@ -35,38 +38,107 @@ def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
     return ordered[first]
 
 
-def _cell_texts(vals: np.ndarray, sentinel: str) -> tuple[list[str], Callable]:
-    """Return (texts, index_of): for any block of rows of vals, the text of
-    its cell (i, j) is texts[index_of(block)[i, j]].
+def _byte_table(texts: str) -> np.ndarray:
+    """The byte table of `texts`, cell texts joined by single spaces: row i
+    is text i and its space, NUL-padded to 1, 2, 4 or a multiple of 8
+    bytes and viewed as unsigned words, so a cell's text is gathered as
+    one to a few words."""
+    chars = np.frombuffer((texts + " ").encode("ascii"), np.uint8)
+    ends = np.flatnonzero(chars == ord(" "))
+    starts = np.concatenate([[0], ends[:-1] + 1])
+    lengths = ends - starts + 1
+    size = int(lengths.max())
+    width = 1 << (size - 1).bit_length() if size <= 8 else -(-size // 8) * 8
+    table = np.zeros((ends.size, width), np.uint8)
+    for c in range(size):
+        rows = np.flatnonzero(lengths > c)
+        table[rows, c] = chars[starts[rows] + c]
+    words = table.view(f"u{min(width, 8)}")
+    return words[:, 0] if width <= 8 else words
 
-    Each distinct value is formatted once.  Booleans and integers index a
-    table by value; floats, and integers whose range is wider than the
-    grid has cells, find their value by np.searchsorted in the sorted
-    distinct keys, so no full-size argsort or inverse index is made.
-    Floats are keyed by their float64 bit patterns, so 0.0 and -0.0 keep
-    their own text and every NaN gets the sentinel.
+
+def _millimetre_keys(v: np.ndarray) -> np.ndarray:
+    """2·rint(1000·v) + signbit(v) as float64: values that print alike
+    under %.3f mostly share a key, and 0.0 and -0.0 do not."""
+    key = np.multiply(v, 1000.0, dtype=np.float64)
+    np.rint(key, out=key)
+    key *= 2
+    key += np.signbit(v)
+    return key
+
+
+def _millimetre_index(distinct: np.ndarray, words: np.ndarray, cells: int) -> Callable | None:
+    """index_of for a float grid by table lookup of each cell's millimetre
+    key, or None when the table would not be exact or not small.
+
+    `distinct` holds the grid's distinct values and words their texts.
+    The table maps each key to the row of a value with that key; it is
+    used only if all values that share a key have the same text, so the
+    row found is the cell's own text.  NaN, inf and -inf take the three
+    entries after the finite keys.
+    """
+    finite = np.isfinite(distinct)
+    with np.errstate(over="ignore", invalid="ignore"):
+        keys = _millimetre_keys(distinct)
+        lo, hi = (keys[finite].min(), keys[finite].max()) if finite.any() else (0.0, 0.0)
+        span = hi - lo + 1
+    if not span + 3 <= max(cells, _KEY_TABLE_MIN):
+        return None
+    span = int(span)
+    special = not finite.all()
+
+    def slots(key):
+        key -= lo
+        if special:
+            np.nan_to_num(key, copy=False, nan=span, posinf=span + 1, neginf=span + 2)
+        return key.astype(np.intp)
+
+    at = slots(keys)
+    table = np.zeros(span + 3, np.min_scalar_type(distinct.size))
+    table[at] = np.arange(distinct.size)
+    if not np.array_equal(words[table[at]], words):
+        return None
+    return lambda block: table[slots(_millimetre_keys(block))]
+
+
+def _cell_words(vals: np.ndarray, sentinel: str) -> tuple[np.ndarray, Callable]:
+    """Return (words, index_of): for any block of rows of vals, the text
+    of its cell (i, j) is row index_of(block)[i, j] of the byte table
+    words (see _byte_table).
+
+    Each distinct value is formatted once.  Booleans and integers index
+    the table by value; floats take their row from a millimetre key table
+    when it is exact and small (_millimetre_index).  Otherwise, for
+    integers whose range is wider than the grid has cells and for floats,
+    the row is found by np.searchsorted in the sorted distinct keys, so no
+    full-size argsort or inverse index is made.  Floats are keyed there by
+    their float64 bit patterns, so 0.0 and -0.0 keep their own text and
+    every NaN gets the sentinel.
     """
     if vals.dtype == bool:
-        return ["0", "1"], lambda block: block.astype(np.intp)
+        return _byte_table("0 1"), lambda block: block.view(np.uint8)
     if np.issubdtype(vals.dtype, np.integer):
         lo, hi = vals.min(), vals.max()
         if int(hi) - int(lo) < vals.size:
             # intp arithmetic wraps, so the offset is exact for any dtype.
-            texts = [str(v) for v in range(int(lo), int(hi) + 1)]
-            return texts, lambda block: np.subtract(block, lo, dtype=np.intp)
+            texts = " ".join(map(str, range(int(lo), int(hi) + 1)))
+            return _byte_table(texts), lambda block: np.subtract(block, lo, dtype=np.intp)
         distinct = _sorted_distinct(vals)
-        return [str(v) for v in distinct.tolist()], lambda block: np.searchsorted(distinct, block)
+        texts = " ".join(map(str, distinct.tolist()))
+        return _byte_table(texts), lambda block: np.searchsorted(distinct, block)
 
     def bits(block):
         return np.asarray(block, np.float64).view(np.int64)
 
     distinct = _sorted_distinct(bits(vals))
-    floats = distinct.view(np.float64).tolist()
+    floats = distinct.view(np.float64)
     # %.3f prints every NaN, signed or not, as "nan" and no other value
     # contains it, so one replace writes the sentinel; neither a value nor
-    # the sentinel contains a space, so the split gives one text per value.
-    text = (" ".join(["%.3f"] * len(floats)) % tuple(floats)).replace("nan", sentinel)
-    return text.split(" "), lambda block: np.searchsorted(distinct, bits(block))
+    # the sentinel contains a space, so the spaces part one text per value.
+    texts = (" ".join(["%.3f"] * floats.size) % tuple(floats.tolist())).replace("nan", sentinel)
+    words = _byte_table(texts)
+    index_of = _millimetre_index(floats, words, vals.size)
+    return words, index_of or (lambda block: np.searchsorted(distinct, bits(block)))
 
 
 def write_ascii_grid(path: str, raster: Raster) -> None:
@@ -75,10 +147,12 @@ def write_ascii_grid(path: str, raster: Raster) -> None:
     Float cells print as %.3f with NaN replaced by the nodata sentinel;
     boolean cells print as 0/1; integer cells print as-is.  Line endings
     are "\\n" regardless of platform.  Each distinct value is formatted
-    once and every cell takes its text by index, so formatting costs
-    follow the distinct values, not the cells.  Rows are joined and
-    written _BLOCK_CELLS cells at a time, so the text in memory is one
-    block's, not the file's.
+    once into a fixed-width byte table, and every cell takes its text by
+    index, so formatting costs follow the distinct values, not the cells.
+    The body is written _BLOCK_CELLS cells at a time: a block gathers its
+    cells' rows of the table, turns the space after its last column into
+    a newline, drops the NUL padding and is written as bytes, so the text
+    in memory is one block's, not the file's.
     """
     spec = raster.spec
     sentinel = _fmt_num(raster.nodata)
@@ -91,19 +165,18 @@ def write_ascii_grid(path: str, raster: Raster) -> None:
         f"NODATA_value {sentinel}\n"
     )
     vals = raster.values[::-1]
-    texts, index_of = _cell_texts(vals, sentinel)
-    # Each text carries the separator after it: a space, or a newline in
-    # the last column, so a block is one join.
-    table = np.array([t + " " for t in texts], object)
+    words, index_of = _cell_words(vals, sentinel)
+    padded = not words.view(np.uint8).all()
     rows = max(1, _BLOCK_CELLS // spec.width)
     try:
-        with open(path, "w", encoding="ascii", newline="\n") as f:
-            f.write(header)
+        with open(path, "wb") as f:
+            f.write(header.encode("ascii"))
             for r0 in range(0, spec.height, rows):
-                index = index_of(vals[r0:r0 + rows])
-                cells = table[index]
-                cells[:, -1] = [texts[i] + "\n" for i in index[:, -1].tolist()]
-                f.write("".join(cells.ravel().tolist()))
+                cells = np.take(words, index_of(vals[r0:r0 + rows]), axis=0)
+                text = cells.view(np.uint8).reshape(cells.shape[0], spec.width, -1)
+                last = text[:, -1]
+                last[last == ord(" ")] = ord("\n")
+                f.write(text.tobytes().translate(None, b"\0") if padded else text)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 

@@ -202,13 +202,6 @@ def read_xyz_text(path: str) -> PointCloud:
     return _as_cloud(np.array(rows, np.float64), path)
 
 
-def write_xyz_text(points: np.ndarray, path: str) -> None:
-    """Write points as text triples that read back to the same floats."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for x, y, z in points:
-            f.write(f"{float(x)!r} {float(y)!r} {float(z)!r}\n")
-
-
 def load_points(path: str, fmt: str = "auto") -> PointCloud:
     """Read one point file, picking the reader from the extension.
 

@@ -13,6 +13,7 @@ from collections import deque
 
 import numpy as np
 
+from lidarmaps._kernels import _round_half_away_in_place
 from lidarmaps.grid import GridSpec, Raster
 
 GSD = 0.5
@@ -38,6 +39,21 @@ def points_from_field(zfield: np.ndarray, gsd: float = GSD, origin=(0.0, 0.0)) -
     ys = origin[1] + (rows + 0.5) * gsd
     pts = np.column_stack([xs.ravel(), ys.ravel(), zfield.ravel()])
     return pts[np.isfinite(pts[:, 2])]
+
+
+def write_xyz_text(points: np.ndarray, path: str) -> None:
+    """Write points as text triples that read back to the same floats."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        for x, y, z in points:
+            f.write(f"{float(x)!r} {float(y)!r} {float(z)!r}\n")
+
+
+def round_half_away(x: np.ndarray) -> np.ndarray:
+    """Round to the nearest integer with halves away from zero, as a new
+    float64 array, by the in-place rounding the roughness count uses."""
+    out = np.array(x, np.float64)
+    _round_half_away_in_place(out)
+    return out
 
 
 # Minimum record size of each LAS point format, from ASPRS LAS 1.4 R15.

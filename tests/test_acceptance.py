@@ -15,7 +15,6 @@ from functools import wraps
 import numpy as np
 import pytest
 
-from lidarmaps._kernels import round_half_away
 from lidarmaps.config import PipelineConfig
 from lidarmaps.errors import NoPointsInGrid
 from lidarmaps.evaluate import (
@@ -50,6 +49,7 @@ from conftest import (
     points_from_field,
     raster_of,
     rasterize_scan,
+    round_half_away,
 )
 
 

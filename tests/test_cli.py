@@ -10,9 +10,8 @@ import pytest
 
 from lidarmaps.cli import main
 from lidarmaps.formats import write_ascii_grid
-from lidarmaps.ingest import write_xyz_text
 
-from conftest import points_from_field, raster_of
+from conftest import points_from_field, raster_of, write_xyz_text
 
 
 def write_scene(tmp_path, field: np.ndarray) -> str:

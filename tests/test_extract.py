@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import distinct_scan, masked_median_scan, raster_of
+from conftest import distinct_scan, masked_median_scan, raster_of, round_half_away
 from lidarmaps.errors import BadKernel, ConfigError, SpecMismatch
 from lidarmaps.extract import (
     DIFF_DILATION,
@@ -23,7 +23,6 @@ from lidarmaps.extract import (
     threshold_candidates,
 )
 from lidarmaps import _kernels
-from lidarmaps._kernels import round_half_away
 from lidarmaps.hydro import WaterMask, WaterParams
 from lidarmaps.terrain import TerrainSet, derive_terrain
 

@@ -22,6 +22,42 @@ GOLDEN_1X1 = (
     "5.000\n"
 )
 
+inf, nan = np.inf, np.nan
+HALVES = np.array([0.0005, 1.0005, 2.0025, -0.0125, 23.4565, -7.0015, 0.0125, 0.0025])
+# On a grid under _KEY_TABLE_MIN cells, 0 to TOP/1000 m spans all but the
+# table's last three entries (NaN, inf, -inf): 2*TOP + 1 millimetre keys.
+# -0.001 m adds one more key below them (-1; 0.0 is 0 and -0.0 is 1).
+TOP = (formats._KEY_TABLE_MIN - 4) // 2
+
+
+def _lattice() -> np.ndarray:
+    """100,000 cells on a 0.001 m lattice, 10% NaN, over several blocks."""
+    rng = np.random.default_rng(16)
+    vals = np.round(rng.uniform(-20.0, 20.0, (250, 400)), 3)
+    vals[rng.random(vals.shape) < 0.1] = nan
+    return vals
+
+
+# Float grids at the edges of the millimetre key path, each with whether
+# the writer looks its cells up by key (True) or by binary search.
+KEY_PATH_CASES = [
+    ("half_thousandths", np.tile(HALVES.reshape(2, 4), (3, 2)), True),
+    ("half_thousandths_and_ulps",
+     np.concatenate([HALVES, np.nextafter(HALVES, inf), np.nextafter(HALVES, -inf)]).reshape(4, 6),
+     False),
+    ("signed_zeros", np.array([[0.0, -0.0, -0.0004], [0.0004, -0.0006, -0.0]]), True),
+    # 0.0125, the median of 0.012 and 0.013, prints as 0.013 but has the
+    # key of 0.012 (rint rounds 12.5 to even).
+    ("median_beside_neighbour", np.array([[0.0125, 0.012, 0.013]]), False),
+    ("key_range_at_bound", np.array([[0.0, TOP / 1000, nan, inf, -inf]]), True),
+    ("key_range_over_bound", np.array([[-0.001, TOP / 1000, nan]]), False),
+    ("overflowing_keys", np.array([[1e300, -1.5e308, 2.0], [nan, 1e300, 2.0]]), False),
+    ("infinities_beside_nan", np.array([[inf, nan, -inf], [-nan, 1.5, -inf]]), True),
+    ("float32", np.tile(np.array([[0.1, 2.0005, -0.0, nan], [1.2345, -inf, 30.5, 0.0]],
+                                 np.float32), (3, 2)), True),
+    ("lattice_100k", _lattice(), True),
+]
+
 
 def test_golden_single_cell(tmp_path):
     path = tmp_path / "one.asc"
@@ -71,8 +107,7 @@ def test_nan_written_as_sentinel(tmp_path):
 
     # Each body row must equal the cell-by-cell formula, sentinel if NaN
     # else f"{v:.3f}", on signed zeros and NaNs, infinities, half-way
-    # roundings, all-NaN rows and other nodata values.
-    inf, nan = np.inf, np.nan
+    # roundings, all-NaN rows, other nodata values and the key path's edges.
     cases = [
         ([[-0.0, -nan, inf, -inf], [0.0005, -0.0005, 0.0015, -2.5e6]], -9999.0, "-9999"),
         ([[nan, nan, nan], [1.0, -nan, 2.0]], -9999.0, "-9999"),
@@ -86,6 +121,7 @@ def test_nan_written_as_sentinel(tmp_path):
                   [inf, -inf, 1.0005, 0.0, -0.0005, -0.0]], (6, 3)), -9999.0, "-9999"),
         (np.tile(np.array([[2.5, nan, -0.0], [0.1, 2.5, 0.0]], np.float32), (4, 5)),
          -9999.0, "-9999"),
+        *[(values, -9999.0, "-9999") for _, values, _ in KEY_PATH_CASES],
     ]
     for values, nodata, sentinel in cases:
         vals = np.asarray(values)
@@ -109,12 +145,30 @@ def test_row_blocks_write_the_cell_formula(tmp_path, monkeypatch, block):
         (rng.integers(0, 4, (9, 7)).astype(np.uint8), str),
         (rng.integers(-2**40, 2**40, (9, 7)), str),
         (rng.random((9, 7)) < 0.5, lambda v: str(int(v))),
+        *[(values, lambda v: "-9999" if np.isnan(v) else f"{v:.3f}")
+          for _, values, _ in KEY_PATH_CASES],
     ]
     path = tmp_path / "blocks.asc"
     for vals, text in grids:
         write_ascii_grid(str(path), raster_of(vals))
         expected = [" ".join(text(v) for v in row) for row in vals[::-1].tolist()]
         assert path.read_text().splitlines()[6:] == expected, vals.dtype
+
+
+@pytest.mark.parametrize("values,key_path", [c[1:] for c in KEY_PATH_CASES],
+                         ids=[c[0] for c in KEY_PATH_CASES])
+def test_key_path_only_where_exact_and_small(tmp_path, monkeypatch, values, key_path):
+    taken = []
+    real = formats._millimetre_index
+
+    def spy(*args):
+        index_of = real(*args)
+        taken.append(index_of is not None)
+        return index_of
+
+    monkeypatch.setattr(formats, "_millimetre_index", spy)
+    write_ascii_grid(str(tmp_path / "path.asc"), raster_of(values))
+    assert taken == [key_path]
 
 
 def test_first_data_row_is_northernmost(tmp_path):

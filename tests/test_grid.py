@@ -13,9 +13,9 @@ from conftest import (
     nearest_fill_scan,
     raster_of,
     rasterize_scan,
+    round_half_away,
 )
 from lidarmaps import _kernels
-from lidarmaps._kernels import round_half_away
 from lidarmaps.errors import (
     BadKernel,
     GridTooLarge,

@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import LAS_CORE_SIZES, build_las
+from conftest import LAS_CORE_SIZES, build_las, write_xyz_text
 from lidarmaps.errors import (
     BadSignature,
     EmptyCloud,
@@ -24,7 +24,6 @@ from lidarmaps.ingest import (
     parse_las_header,
     read_las,
     read_xyz_text,
-    write_xyz_text,
 )
 
 PTS = np.array([[1.25, 2.5, 50.0], [10.0, 10.0, 2.0], [0.0, 0.0, 1.0]])

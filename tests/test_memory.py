@@ -6,7 +6,9 @@ a budget in bytes per cell, set at the value measured when the budget was
 written plus 25%.  A stage that starts building full-grid temporaries again
 (a dense int64 column pass, shifted float copies, a rounded copy of the
 grid, a whole-file text, one Python string per cell read) breaks its
-budget.  The last stage reads back the float grid the write stage wrote.
+budget.  The write stage writes the scene's dsm and a float grid whose
+millimetre keys span the writer's whole key table, its largest; the last
+stage reads back the dsm.
 
 The second half checks that run_pipeline's products are writeable arrays
 that share no memory with the read-only global grids the windows are cut
@@ -22,7 +24,7 @@ import numpy as np
 import pytest
 
 from conftest import GSD, build_las, raster_of
-from lidarmaps import pipeline
+from lidarmaps import formats, pipeline
 from lidarmaps.config import PipelineConfig
 from lidarmaps.extract import ExtractParams, extract_buildings
 from lidarmaps.formats import read_ascii_grid, write_ascii_grid
@@ -110,7 +112,16 @@ def stage_peaks(tmp_path_factory):
     terrain = run("terrain", lambda: derive_terrain(dsm, 1.0))
     res = run("extract", lambda: extract_buildings(terrain, water, ExtractParams()))
     assert res.map2d.values.any() and water.mask.values.any()
-    run("write", lambda: write_ascii_grid(str(tmp / "dsm.asc"), terrain.dsm))
+    # 0.0 and -0.0 to `top` m, NaN and the infinities: the key range sits
+    # exactly at the table bound, max(cells, _KEY_TABLE_MIN) entries.
+    top = (max(SIDE * SIDE, formats._KEY_TABLE_MIN) - 4) // 2 / 1000
+    widest = raster_of(np.resize([0.0, -0.0, top, np.nan, np.inf, -np.inf], (SIDE, SIDE)))
+
+    def write():
+        write_ascii_grid(str(tmp / "dsm.asc"), terrain.dsm)
+        write_ascii_grid(str(tmp / "widest.asc"), widest)
+
+    run("write", write)
     run("read", lambda: read_ascii_grid(str(tmp / "dsm.asc")))
     return peaks
 

@@ -16,7 +16,7 @@ from lidarmaps.evaluate import ConfusionMetrics, confusion
 from lidarmaps.extract import ExtractParams
 from lidarmaps.formats import read_ascii_grid, write_ascii_grid
 from lidarmaps.grid import GridSpec, Raster
-from lidarmaps.ingest import PointCloud, write_xyz_text
+from lidarmaps.ingest import PointCloud
 from lidarmaps.pipeline import (
     SWEEPABLE,
     Window,
@@ -29,7 +29,7 @@ from lidarmaps.pipeline import (
     run_sweep,
 )
 
-from conftest import points_from_field, raster_of
+from conftest import points_from_field, raster_of, write_xyz_text
 
 
 def cloud_of(field: np.ndarray, gsd: float = 1.0, origin=(0.0, 0.0)) -> PointCloud:

@@ -24,7 +24,6 @@ from .grid import (
     _check_kernel,
     _check_positive,
     _check_shape_name,
-    component_sizes,
     connected_components,
     dilate,
     opening,
@@ -70,13 +69,12 @@ class ExtractParams:
 
 @dataclass
 class CandidateSet:
-    """Post-planarity candidates with per-component statistics."""
+    """Post-planarity candidates with per-component statistics; the arrays
+    have count + 1 entries, index 0 (the background) unused and 0."""
 
     mask: Raster
-    labels: Raster
     count: int
-    cell_count: np.ndarray  # [count + 1], index 0 unused
-    planar_count: np.ndarray  # [count + 1], index 0 unused (always 0)
+    cell_count: np.ndarray
     planarity: np.ndarray
     kept: np.ndarray
 
@@ -89,34 +87,13 @@ class ExtractResult:
     candidates: CandidateSet
 
 
-def threshold_candidates(ndhm: Raster, ht: float = 1.5) -> Raster:
-    """Cells at least ht above the terrain."""
-    return ndhm.with_values(ndhm.values >= ht)
-
-
-def apply_water_mask(candidates: Raster, water: WaterMask) -> Raster:
-    """Remove candidate cells inside the buffered water mask."""
-    require_same_spec(candidates, water.mask, "candidates and water mask")
-    return candidates.with_values(candidates.values & ~water.mask.values)
-
-
-def morphological_filter(
-    candidates: Raster, k1: int = 7, kernel_shape: str = "square"
-) -> Raster:
-    """Opening that erases candidate blobs narrower than k1 cells."""
-    return opening(candidates, k1, kernel_shape)
-
-
-def roughness_layer(
-    ndhm: Raster, k2: int = 5, where: Raster | None = None
-) -> Raster:
-    """Distinct rounded-integer heights in the k2 window around each cell.
+def roughness_at(ndhm: Raster, k2: int, cells: np.ndarray) -> np.ndarray:
+    """Distinct rounded-integer heights in the k2 window around each flat
+    row-major cell of `cells`, as int32.
 
     Halves round away from zero; windows clip at the raster border.  A NaN
     or infinite height has no rounded value: every such cell of a window
-    counts as one value together, distinct from every height.  With
-    `where` (a boolean raster on the same grid) only its true cells are
-    computed; every other cell holds 0, which means not computed.
+    counts as one value together, distinct from every height.
     """
     k2 = _check_kernel(k2, "k2")
     heights = np.asarray(ndhm.values, np.float64)
@@ -124,52 +101,36 @@ def roughness_layer(
     if not finite.all():
         heights = np.where(finite, heights, -np.inf)
     del finite
-    if where is None:
-        cells = np.arange(heights.size)
-    else:
-        require_same_spec(ndhm, where, "ndhm and where")
-        cells = np.flatnonzero(where.values)
-    out = np.zeros(heights.shape, np.int32)
-    out.reshape(-1)[cells] = _kernels.distinct_count(heights, k2, cells)
-    return ndhm.with_values(out)
+    return _kernels.distinct_count(heights, k2, cells)
 
 
 def planarity_filter(
-    candidates: Raster, roughness: Raster, rt: int = 4, dt: float = 0.1
+    candidates: Raster, ndhm: Raster, k2: int = 5, rt: int = 4, dt: float = 0.1
 ) -> CandidateSet:
     """Keep components whose planar-cell share is at least dt.
 
-    A cell is planar iff its roughness is strictly below rt; a component
-    is kept iff planar_cells / total_cells >= dt.  Roughness is read only
-    at candidate cells, so it need not be computed anywhere else.
+    A cell is planar iff its k2 roughness is strictly below rt; a component
+    is kept iff planar_cells / total_cells >= dt.  Roughness is computed
+    only at the candidate cells, in row-major order.
     """
-    require_same_spec(candidates, roughness, "candidates and roughness")
+    require_same_spec(candidates, ndhm, "candidates and ndhm")
+    cells = np.flatnonzero(candidates.values)
+    planar = roughness_at(ndhm, k2, cells) < rt
     labels, count = connected_components(candidates, 8)
     lab = labels.values
-    inside = lab > 0
-    total = component_sizes(labels, count)
-    planar = np.bincount(
-        lab[inside][roughness.values[inside] < rt], minlength=count + 1
-    )
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(total > 0, planar / np.maximum(total, 1), 0.0)
+    inside = lab.reshape(-1)[cells]
+    del cells
+    total = np.bincount(inside, minlength=count + 1)
+    ratio = np.bincount(inside[planar], minlength=count + 1) / np.maximum(total, 1)
     kept = ratio >= dt
     kept[0] = False
-    mask = kept[lab]
     return CandidateSet(
-        mask=candidates.with_values(mask),
-        labels=labels.with_values(np.where(mask, lab, 0)),
+        mask=candidates.with_values(kept[lab]),
         count=count,
         cell_count=total,
-        planar_count=planar,
         planarity=ratio,
         kept=kept,
     )
-
-
-def refine_boundary(mask: Raster, k3: int = 5) -> Raster:
-    """Square dilation recovering the underestimated building boundary."""
-    return dilate(mask, k3, "square")
 
 
 def build_3d(heights: Raster, map2d: Raster, median_roof: int = 0) -> Raster:
@@ -194,25 +155,28 @@ def extract_buildings(
     params: ExtractParams = ExtractParams(),
 ) -> ExtractResult:
     """Run the full candidate -> filter -> refine chain on one grid."""
-    raw = threshold_candidates(terrain.ndhm, params.ht)
-    after_water = apply_water_mask(raw, water) if water is not None else raw
-    after_open = morphological_filter(after_water, params.k1, params.kernel_shape)
-    rough = roughness_layer(terrain.ndhm, params.k2, where=after_open)
-    cand = planarity_filter(after_open, rough, params.rt, params.dt)
-    map2d = refine_boundary(cand.mask, params.k3)
-    source = terrain.ndhm if params.map3d_source == "ndhm" else terrain.dsm
+    ndhm = terrain.ndhm
+    raw = ndhm.values >= params.ht
+    after_water = raw
+    if water is not None:
+        require_same_spec(ndhm, water.mask, "candidates and water mask")
+        after_water = raw & ~water.mask.values
+    after_open = opening(ndhm.with_values(after_water), params.k1, params.kernel_shape)
+    cand = planarity_filter(after_open, ndhm, params.k2, params.rt, params.dt)
+    map2d = dilate(cand.mask, params.k3, "square")
+    source = ndhm if params.map3d_source == "ndhm" else terrain.dsm
     map3d = build_3d(source, map2d, params.median_roof)
 
-    diff = np.zeros(raw.values.shape, np.uint8)
+    diff = np.zeros(raw.shape, np.uint8)
     final = map2d.values
-    removed = raw.values & ~final
-    diff[removed & ~after_water.values] = DIFF_WATER
-    diff[removed & after_water.values & ~after_open.values] = DIFF_MORPHOLOGY
+    removed = raw & ~final
+    diff[removed & ~after_water] = DIFF_WATER
+    diff[removed & after_water & ~after_open.values] = DIFF_MORPHOLOGY
     diff[removed & after_open.values & ~cand.mask.values] = DIFF_PLANARITY
-    diff[final & ~raw.values] = DIFF_DILATION
+    diff[final & ~raw] = DIFF_DILATION
     return ExtractResult(
         map2d=map2d,
         map3d=map3d,
-        difference=raw.with_values(diff),
+        difference=ndhm.with_values(diff),
         candidates=cand,
     )

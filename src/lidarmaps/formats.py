@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -38,23 +38,39 @@ def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
     return ordered[first]
 
 
-def _byte_table(texts: str) -> np.ndarray:
-    """The byte table of `texts`, cell texts joined by single spaces: row i
-    is text i and its space, NUL-padded to 1, 2, 4 or a multiple of 8
-    bytes and viewed as unsigned words, so a cell's text is gathered as
-    one to a few words."""
-    chars = np.frombuffer((texts + " ").encode("ascii"), np.uint8)
-    ends = np.flatnonzero(chars == ord(" "))
-    starts = np.concatenate([[0], ends[:-1] + 1])
-    lengths = ends - starts + 1
-    size = int(lengths.max())
-    width = 1 << (size - 1).bit_length() if size <= 8 else -(-size // 8) * 8
-    table = np.zeros((ends.size, width), np.uint8)
-    for c in range(size):
-        rows = np.flatnonzero(lengths > c)
-        table[rows, c] = chars[starts[rows] + c]
-    words = table.view(f"u{min(width, 8)}")
-    return words[:, 0] if width <= 8 else words
+def _joined(values, fmt: str) -> Iterator[str]:
+    """The texts of `values` under the %-format fmt, joined by single
+    spaces, _BLOCK_CELLS values per string."""
+    for i in range(0, len(values), _BLOCK_CELLS):
+        block = values[i:i + _BLOCK_CELLS]
+        block = block.tolist() if isinstance(block, np.ndarray) else block
+        yield " ".join([fmt] * len(block)) % tuple(block)
+
+
+def _byte_table(count: int, blocks: Iterable[str]) -> np.ndarray:
+    """The byte table of `count` texts, given in order as blocks of texts
+    joined by single spaces: row i is text i and its space, NUL-padded to
+    1, 2, 4 or a multiple of 8 bytes and viewed as unsigned words, so a
+    cell's text is gathered as one to a few words.  The table is filled
+    one block at a time and widened when a block holds a longer text."""
+    table = np.zeros((count, 1), np.uint8)
+    row = 0
+    for texts in blocks:
+        chars = np.frombuffer((texts + " ").encode("ascii"), np.uint8)
+        ends = np.flatnonzero(chars == ord(" "))
+        starts = np.concatenate([[0], ends[:-1] + 1])
+        lengths = ends - starts + 1
+        size = int(lengths.max())
+        if size > table.shape[1]:
+            width = 1 << (size - 1).bit_length() if size <= 8 else -(-size // 8) * 8
+            table = np.pad(table, ((0, 0), (0, width - table.shape[1])))
+        rows = table[row:row + ends.size]
+        for c in range(size):
+            at = np.flatnonzero(lengths > c)
+            rows[at, c] = chars[starts[at] + c]
+        row += ends.size
+    words = table.view(f"u{min(table.shape[1], 8)}")
+    return words[:, 0] if table.shape[1] <= 8 else words
 
 
 def _millimetre_keys(v: np.ndarray) -> np.ndarray:
@@ -116,16 +132,17 @@ def _cell_words(vals: np.ndarray, sentinel: str) -> tuple[np.ndarray, Callable]:
     every NaN gets the sentinel.
     """
     if vals.dtype == bool:
-        return _byte_table("0 1"), lambda block: block.view(np.uint8)
+        return _byte_table(2, ["0 1"]), lambda block: block.view(np.uint8)
     if np.issubdtype(vals.dtype, np.integer):
         lo, hi = vals.min(), vals.max()
         if int(hi) - int(lo) < vals.size:
             # intp arithmetic wraps, so the offset is exact for any dtype.
-            texts = " ".join(map(str, range(int(lo), int(hi) + 1)))
-            return _byte_table(texts), lambda block: np.subtract(block, lo, dtype=np.intp)
+            values = range(int(lo), int(hi) + 1)
+            words = _byte_table(len(values), _joined(values, "%d"))
+            return words, lambda block: np.subtract(block, lo, dtype=np.intp)
         distinct = _sorted_distinct(vals)
-        texts = " ".join(map(str, distinct.tolist()))
-        return _byte_table(texts), lambda block: np.searchsorted(distinct, block)
+        words = _byte_table(distinct.size, _joined(distinct, "%d"))
+        return words, lambda block: np.searchsorted(distinct, block)
 
     def bits(block):
         return np.asarray(block, np.float64).view(np.int64)
@@ -135,8 +152,8 @@ def _cell_words(vals: np.ndarray, sentinel: str) -> tuple[np.ndarray, Callable]:
     # %.3f prints every NaN, signed or not, as "nan" and no other value
     # contains it, so one replace writes the sentinel; neither a value nor
     # the sentinel contains a space, so the spaces part one text per value.
-    texts = (" ".join(["%.3f"] * floats.size) % tuple(floats.tolist())).replace("nan", sentinel)
-    words = _byte_table(texts)
+    texts = (block.replace("nan", sentinel) for block in _joined(floats, "%.3f"))
+    words = _byte_table(floats.size, texts)
     index_of = _millimetre_index(floats, words, vals.size)
     return words, index_of or (lambda block: np.searchsorted(distinct, bits(block)))
 

@@ -99,6 +99,8 @@ def parse_las_header(buf: bytes) -> LasHeaderInfo:
         )
     if header_size < _HEADER_MIN:
         raise Truncated(f"declared header size {header_size} below {_HEADER_MIN}")
+    if data_offset < header_size:
+        raise Truncated(f"point data offset {data_offset} inside the {header_size}-byte header")
     count = legacy_count
     if minor == 4 and legacy_count == 0 and len(buf) >= _EXT_COUNT_OFFSET + 8:
         count = struct.unpack_from("<Q", buf, _EXT_COUNT_OFFSET)[0]

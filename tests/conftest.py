@@ -237,6 +237,62 @@ def masked_median_scan(vals: np.ndarray, mask: np.ndarray, k: int) -> np.ndarray
     return out
 
 
+def extract_scan(ndhm: np.ndarray, water, params, dsm=None):
+    """Reference building extraction: (map2d, map3d, diff, kept).
+
+    Restates the chain from the scans above: the inclusive `ht`
+    threshold, the water cut, an erode-then-dilate opening by k1, an
+    8-connected flood labelling, a set-based roughness per candidate cell
+    (heights rounded half away from zero, one cell at a time, non-finite
+    heights one value), the planar share of each component against dt, a
+    square k3 dilation, and the roof heights of `ndhm` (or of `dsm`, as
+    params.map3d_source says) on the final cells, median-smoothed if
+    asked.  diff codes each cell by the stage that removed it (1 water,
+    2 opening, 3 planarity) or added it (4 dilation).
+    """
+    ndhm = np.asarray(ndhm, np.float64)
+    raw = ndhm >= params.ht
+    after_water = raw & ~water if water is not None else raw
+    after_open = dilate_scan(
+        erode_scan(after_water, params.k1, params.kernel_shape), params.k1, params.kernel_shape
+    )
+    labels, count = flood_labels(after_open, eight=True)
+
+    def rounded(v: float) -> float:
+        if not math.isfinite(v):
+            return -math.inf
+        return float(math.floor(v + 0.5) if v >= 0 else math.ceil(v - 0.5))
+
+    ints = np.array([rounded(v) for v in ndhm.ravel().tolist()]).reshape(ndhm.shape)
+    rough = distinct_scan(ints, params.k2)
+    kept = np.zeros(count + 1, bool)
+    for c in range(1, count + 1):
+        cells = labels == c
+        planar = np.count_nonzero(rough[cells] < params.rt)
+        kept[c] = planar / np.count_nonzero(cells) >= params.dt
+    mask = kept[labels]
+    map2d = dilate_scan(mask, params.k3, "square")
+
+    heights = ndhm if params.map3d_source == "ndhm" else np.asarray(dsm, np.float64)
+    if params.median_roof:
+        map3d = masked_median_scan(heights, map2d, params.median_roof)
+    else:
+        map3d = np.where(map2d, heights, np.nan)
+
+    diff = np.zeros(ndhm.shape, np.uint8)
+    for i, j in np.ndindex(ndhm.shape):
+        if map2d[i, j] and not raw[i, j]:
+            diff[i, j] = 4
+        elif raw[i, j] and not map2d[i, j]:
+            if not after_water[i, j]:
+                diff[i, j] = 1
+            elif not after_open[i, j]:
+                diff[i, j] = 2
+            elif not mask[i, j]:
+                diff[i, j] = 3
+    return map2d, map3d, diff, kept
+
+
 def point_in_rings(x: float, y: float, rings) -> bool:
     """Even-odd crossing count, evaluated edge by edge."""
     inside = False

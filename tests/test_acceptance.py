@@ -23,7 +23,7 @@ from lidarmaps.evaluate import (
     rasterize_polygons,
     tiling_comparison,
 )
-from lidarmaps.extract import roughness_layer
+from lidarmaps.extract import roughness_at
 from lidarmaps.grid import (
     GridSpec,
     Raster,
@@ -347,7 +347,7 @@ def test_oracle_roughness():
         field = np.kron(base, np.ones((2, 2)))[:h, :w]
         field += rng.uniform(-0.3, 0.3, (h, w))
         k = int(rng.choice([3, 5]))
-        got = roughness_layer(raster_of(field), k).values
+        got = roughness_at(raster_of(field), k, np.arange(h * w)).reshape(h, w)
         want = distinct_scan(round_half_away(field), k)
         np.testing.assert_array_equal(got, want)
     record_suite("roughness", t0)

@@ -5,7 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import distinct_scan, masked_median_scan, raster_of, round_half_away
+from conftest import (
+    distinct_scan,
+    extract_scan,
+    flood_labels,
+    masked_median_scan,
+    raster_of,
+    round_half_away,
+)
 from lidarmaps.errors import BadKernel, ConfigError, SpecMismatch
 from lidarmaps.extract import (
     DIFF_DILATION,
@@ -13,18 +20,20 @@ from lidarmaps.extract import (
     DIFF_PLANARITY,
     DIFF_WATER,
     ExtractParams,
-    apply_water_mask,
     build_3d,
     extract_buildings,
-    morphological_filter,
     planarity_filter,
-    refine_boundary,
-    roughness_layer,
-    threshold_candidates,
+    roughness_at,
 )
 from lidarmaps import _kernels
+from lidarmaps.grid import dilate, opening
 from lidarmaps.hydro import WaterMask, WaterParams
 from lidarmaps.terrain import TerrainSet, derive_terrain
+
+# k1 = k2 = k3 = 1: the opening and the dilation are identities and every
+# cell's roughness is 1, below rt, so the map is the thresholded, water-cut
+# candidates.
+KEEP_ALL = ExtractParams(k1=1, k2=1, k3=1)
 
 
 def terrain_from(field) -> TerrainSet:
@@ -44,63 +53,85 @@ def block(shape, rows, cols, value=True, base=None):
     return arr
 
 
+def roughness_grid(field, k2: int) -> np.ndarray:
+    """Roughness at every cell of field, as a grid."""
+    field = np.asarray(field, np.float64)
+    return roughness_at(raster_of(field), k2, np.arange(field.size)).reshape(field.shape)
+
+
+def planarity_of(monkeypatch, cand, rough, rt=4, dt=0.1, asked=None):
+    """planarity_filter on the candidates `cand` with the roughness grid
+    `rough` read at the cells it asks for; those cells go to `asked`."""
+
+    def read(heights, k, cells):
+        if asked is not None:
+            asked.append(cells.copy())
+        return np.asarray(rough).reshape(-1)[cells]
+
+    monkeypatch.setattr(_kernels, "distinct_count", read)
+    cand = np.asarray(cand, bool)
+    return planarity_filter(raster_of(cand), raster_of(np.zeros(cand.shape)), 5, rt, dt)
+
+
 # ---------------------------------------------------------------------------
 # stage operations
 # ---------------------------------------------------------------------------
 
 
 def test_threshold_is_inclusive():
-    ndhm = raster_of(np.array([[2.0, 1.0, 1.5]]))
-    assert threshold_candidates(ndhm, 1.5).values.tolist() == [[True, False, True]]
+    res = extract_buildings(terrain_from([[2.0, 1.0, 1.5]]), params=KEEP_ALL)
+    assert res.map2d.values.tolist() == [[True, False, True]]
 
 
 def test_water_mask_cuts_candidates():
-    cand = raster_of(np.ones((6, 6), bool))
     water = np.zeros((6, 6), bool)
     water[2:4, 2:4] = True
-    out = apply_water_mask(cand, water_of(water))
-    assert np.array_equal(out.values, ~water)
+    res = extract_buildings(terrain_from(np.full((6, 6), 5.0)), water_of(water), KEEP_ALL)
+    assert np.array_equal(res.map2d.values, ~water)
+    assert np.array_equal(res.difference.values == DIFF_WATER, water)
 
 
 def test_empty_water_mask_is_identity():
-    cand = raster_of(np.eye(5, dtype=bool))
-    out = apply_water_mask(cand, water_of(np.zeros((5, 5), bool)))
-    assert np.array_equal(out.values, cand.values)
+    cand = np.eye(5, dtype=bool)
+    res = extract_buildings(terrain_from(cand * 5.0), water_of(np.zeros((5, 5), bool)), KEEP_ALL)
+    assert np.array_equal(res.map2d.values, cand)
+    assert not res.difference.values.any()
 
 
 def test_all_water_clears_everything():
-    cand = raster_of(np.ones((5, 5), bool))
-    out = apply_water_mask(cand, water_of(np.ones((5, 5), bool)))
-    assert not out.values.any()
+    res = extract_buildings(
+        terrain_from(np.full((5, 5), 5.0)), water_of(np.ones((5, 5), bool)), KEEP_ALL
+    )
+    assert not res.map2d.values.any()
+    assert (res.difference.values == DIFF_WATER).all()
 
 
 def test_water_mask_requires_same_grid():
-    cand = raster_of(np.ones((5, 5), bool))
     water = WaterMask(raster_of(np.zeros((6, 5), bool)))
     with pytest.raises(SpecMismatch):
-        apply_water_mask(cand, water)
+        extract_buildings(terrain_from(np.full((5, 5), 5.0)), water)
 
 
 def test_opening_erases_narrow_blobs():
     small = raster_of(block((20, 20), slice(5, 11), slice(5, 11)))  # 3 m wide
-    assert not morphological_filter(small, 7).values.any()
+    assert not opening(small, 7).values.any()
     big = raster_of(block((20, 20), slice(5, 13), slice(5, 13)))  # 4 m wide
-    out = morphological_filter(big, 7)
+    out = opening(big, 7)
     assert np.array_equal(out.values, big.values)
 
 
 def test_opening_erases_singletons():
     rng = np.random.default_rng(2)
     scatter = rng.random((30, 30)) < 0.02
-    out = morphological_filter(raster_of(scatter), 3)
+    out = opening(raster_of(scatter), 3)
     assert not out.values.any()
 
 
 def test_diamond_kernel_keeps_diamond_corners():
     di, dj = np.meshgrid(np.arange(21) - 10, np.arange(21) - 10, indexing="ij")
     diamond = np.abs(di) + np.abs(dj) <= 6
-    kept_diamond = morphological_filter(raster_of(diamond), 5, "diamond").values
-    kept_square = morphological_filter(raster_of(diamond), 5, "square").values
+    kept_diamond = opening(raster_of(diamond), 5, "diamond").values
+    kept_square = opening(raster_of(diamond), 5, "square").values
     assert np.array_equal(kept_diamond, diamond)
     assert kept_square.sum() < diamond.sum()
     assert not kept_square[10, 16]  # tip clipped by the square kernel
@@ -108,13 +139,14 @@ def test_diamond_kernel_keeps_diamond_corners():
 
 
 def test_roughness_constant_field():
-    rough = roughness_layer(raster_of(np.full((9, 9), 3.0)), 5)
-    assert (rough.values == 1).all()
+    rough = roughness_grid(np.full((9, 9), 3.0), 5)
+    assert rough.dtype == np.int32
+    assert (rough == 1).all()
 
 
 def test_roughness_staircase():
     field = np.tile(np.arange(20.0), (9, 1))
-    rough = roughness_layer(raster_of(field), 5).values
+    rough = roughness_grid(field, 5)
     assert (rough[:, 2:18] == 5).all()
     assert (rough[:, 0] == 3).all()  # window clipped at the border
 
@@ -123,7 +155,7 @@ def test_roughness_three_distinct_counts_as_planar():
     field = np.zeros((5, 5))
     field[0, :3] = 3.0
     field[1, 2] = 5.0
-    rough = roughness_layer(raster_of(field), 5).values
+    rough = roughness_grid(field, 5)
     assert rough[2, 2] == 3
     assert rough[2, 2] < 4  # planar under the default cutoff
 
@@ -131,7 +163,7 @@ def test_roughness_three_distinct_counts_as_planar():
 def test_roughness_rounds_halves_away_from_zero():
     field = np.full((7, 7), 2.5)
     field[3, 3] = 3.4
-    rough = roughness_layer(raster_of(field), 3).values
+    rough = roughness_grid(field, 3)
     assert (rough == 1).all()
 
 
@@ -140,7 +172,7 @@ def test_roughness_matches_distinct_oracle():
     field = rng.uniform(0.0, 6.0, (21, 26))
     ints = round_half_away(field)
     for k2 in (3, 5, 7):
-        got = roughness_layer(raster_of(field), k2).values
+        got = roughness_grid(field, k2)
         assert np.array_equal(got, distinct_scan(ints, k2))
 
 
@@ -162,13 +194,12 @@ def test_roughness_where_matches_oracle_on_its_cells():
             m[1:-1, 1:-1] = False  # border cells only
         else:
             m = rng.random(shape) < rng.uniform(0.05, 0.6)
-        got = roughness_layer(raster_of(field), k2, where=raster_of(m)).values
+        cells = np.flatnonzero(m)
+        got = roughness_at(raster_of(field), k2, cells)
         want = distinct_scan(round_half_away(field), k2)
-        np.testing.assert_array_equal(got[m], want[m], err_msg=f"k2={k2}")
-        assert not got[~m].any()  # not computed
-        np.testing.assert_array_equal(
-            roughness_layer(raster_of(field), k2).values, want
-        )
+        assert got.dtype == np.int32 and got.shape == cells.shape
+        np.testing.assert_array_equal(got, want.reshape(-1)[cells], err_msg=f"k2={k2}")
+        np.testing.assert_array_equal(roughness_grid(field, k2), want)
 
 
 @pytest.mark.parametrize("block", [1, 30, 1 << 16])
@@ -187,81 +218,85 @@ def test_roughness_non_finite_heights_count_as_one_value(monkeypatch, block):
         field[(odd >= 0.15) & (odd < 0.2)] = -np.inf
         k2 = int(rng.choice([1, 3, 5]))
         want = distinct_scan(np.where(np.isfinite(field), round_half_away(field), -np.inf), k2)
-        np.testing.assert_array_equal(roughness_layer(raster_of(field), k2).values, want)
+        np.testing.assert_array_equal(roughness_grid(field, k2), want)
     field = np.full((3, 3), 2.0)
     field[1, 1] = np.nan
-    assert (roughness_layer(raster_of(field), 3).values == 2).all()
+    assert (roughness_grid(field, 3) == 2).all()
 
 
-def test_roughness_where_requires_same_grid():
+def test_planarity_requires_same_grid():
     with pytest.raises(SpecMismatch):
-        roughness_layer(
-            raster_of(np.zeros((5, 5))), 3, where=raster_of(np.ones((5, 6), bool))
-        )
+        planarity_filter(raster_of(np.ones((5, 5), bool)), raster_of(np.zeros((5, 6))), 3)
 
 
 def test_roughness_window_validation():
     ndhm = raster_of(np.zeros((5, 5)))
     for bad in (0, 2, -3):
         with pytest.raises(BadKernel):
-            roughness_layer(ndhm, bad)
+            roughness_at(ndhm, bad, np.arange(25))
 
 
-def test_planarity_ratio_of_a_fifth():
+def test_planarity_ratio_of_a_fifth(monkeypatch):
     cand = block((12, 12), slice(1, 11), slice(1, 11))
     rough = np.full((12, 12), 7)
     rough[1:3, 1:11] = 1  # 20 planar cells of 100
-    cs = planarity_filter(raster_of(cand), raster_of(rough), rt=4, dt=0.1)
+    cs = planarity_of(monkeypatch, cand, rough, rt=4, dt=0.1)
     assert cs.count == 1
     assert cs.planarity[1] == pytest.approx(0.2)
     assert cs.kept[1]
     assert np.array_equal(cs.mask.values, cand)
 
 
-def test_planarity_below_cutoff_drops_component():
+def test_planarity_below_cutoff_drops_component(monkeypatch):
     cand = block((12, 12), slice(1, 11), slice(1, 11))
     rough = np.full((12, 12), 7)
     rough[1, 1:6] = 1  # 5 planar cells of 100
-    cs = planarity_filter(raster_of(cand), raster_of(rough), rt=4, dt=0.1)
+    cs = planarity_of(monkeypatch, cand, rough, rt=4, dt=0.1)
     assert cs.planarity[1] == pytest.approx(0.05)
     assert not cs.kept[1]
     assert not cs.mask.values.any()
-    assert not cs.labels.values.any()  # labels cleared with the mask
 
 
-def test_planarity_zero_cutoff_keeps_everything():
+def test_planarity_zero_cutoff_keeps_everything(monkeypatch):
     rng = np.random.default_rng(4)
     cand = rng.random((24, 24)) < 0.3
     rough = rng.integers(1, 9, (24, 24))
-    cs = planarity_filter(raster_of(cand), raster_of(rough), rt=4, dt=0.0)
+    cs = planarity_of(monkeypatch, cand, rough, rt=4, dt=0.0)
     assert np.array_equal(cs.mask.values, cand)
-    assert np.array_equal(cs.labels.values > 0, cand)
+    assert cs.kept[1:].all()
 
 
-def test_planarity_full_cutoff_demands_all_planar():
+def test_planarity_full_cutoff_demands_all_planar(monkeypatch):
     cand = np.zeros((10, 20), bool)
     cand[2:6, 2:6] = True
     cand[2:6, 10:14] = True
     rough = np.ones((10, 20), np.int64)
     rough[3, 11] = 9  # one rough cell in the second block
-    cs = planarity_filter(raster_of(cand), raster_of(rough), rt=4, dt=1.0)
+    cs = planarity_of(monkeypatch, cand, rough, rt=4, dt=1.0)
     assert cs.mask.values[2:6, 2:6].all()
     assert not cs.mask.values[2:6, 10:14].any()
 
 
-def test_planarity_stats_are_consistent():
+def test_planarity_stats_are_consistent(monkeypatch):
     rng = np.random.default_rng(8)
     cand = rng.random((30, 30)) < 0.35
     rough = rng.integers(1, 8, (30, 30))
-    cs = planarity_filter(raster_of(cand), raster_of(rough), rt=4, dt=0.3)
+    cs = planarity_of(monkeypatch, cand, rough, rt=4, dt=0.3)
+    labels, count = flood_labels(cand, eight=True)
+    assert cs.count == count
+    assert cs.cell_count[0] == 0 and cs.planarity[0] == 0.0 and not cs.kept[0]
     for i in range(1, cs.count + 1):
-        assert cs.cell_count[i] > 0
-        assert cs.planarity[i] == pytest.approx(cs.planar_count[i] / cs.cell_count[i])
+        cells = labels == i
+        assert cs.cell_count[i] == np.count_nonzero(cells)
+        planar = np.count_nonzero(rough[cells] < 4)
+        assert cs.planarity[i] * cs.cell_count[i] == pytest.approx(planar)
         assert cs.kept[i] == (cs.planarity[i] >= 0.3)
-    assert np.array_equal(cs.labels.values > 0, cs.mask.values)
+    np.testing.assert_array_equal(cs.mask.values, cs.kept[labels])
 
 
-def test_planarity_never_reads_roughness_outside_candidates():
+def test_planarity_never_reads_roughness_outside_candidates(monkeypatch):
+    # The roughness kernel is asked for the candidate cells only, once, in
+    # row-major order; changing roughness elsewhere changes nothing.
     rng = np.random.default_rng(9)
     for trial in range(40):
         shape = (int(rng.integers(1, 30)), int(rng.integers(1, 30)))
@@ -269,33 +304,51 @@ def test_planarity_never_reads_roughness_outside_candidates():
         rough = rng.integers(1, 9, shape)
         rt = int(rng.integers(1, 8))
         dt = float(rng.choice([0.0, 0.1, 0.5, 1.0]))
-        ref = planarity_filter(raster_of(cand), raster_of(rough), rt, dt)
-        assert ref.planar_count[0] == 0
+        asked = []
+        ref = planarity_of(monkeypatch, cand, rough, rt, dt, asked)
+        assert len(asked) == 1
+        np.testing.assert_array_equal(asked[0], np.flatnonzero(cand))
         for garbage in (-1, 10**6):
             noisy = np.where(cand, rough, garbage)
-            cs = planarity_filter(raster_of(cand), raster_of(noisy), rt, dt)
-            np.testing.assert_array_equal(cs.kept[1:], ref.kept[1:])
-            np.testing.assert_array_equal(cs.planarity[1:], ref.planarity[1:])
+            cs = planarity_of(monkeypatch, cand, noisy, rt, dt)
+            np.testing.assert_array_equal(cs.kept, ref.kept)
+            np.testing.assert_array_equal(cs.planarity, ref.planarity)
             np.testing.assert_array_equal(cs.mask.values, ref.mask.values)
-            np.testing.assert_array_equal(cs.labels.values, ref.labels.values)
+    # In the chain, the cells asked for are the candidates the water cut
+    # and the opening left: raw cells with no water or opening code.
+    monkeypatch.undo()
+    real, asked = _kernels.distinct_count, []
+
+    def spy(heights, k, cells):
+        asked.append(cells.copy())
+        return real(heights, k, cells)
+
+    monkeypatch.setattr(_kernels, "distinct_count", spy)
+    field = np.kron(rng.uniform(0.0, 5.0, (8, 8)), np.ones((4, 4)))
+    res = extract_buildings(terrain_from(field), water_of(rng.random((32, 32)) < 0.1))
+    diff = res.difference.values
+    opened = (field >= 1.5) & (diff != DIFF_WATER) & (diff != DIFF_MORPHOLOGY)
+    assert len(asked) == 1
+    np.testing.assert_array_equal(asked[0], np.flatnonzero(opened))
 
 
 def test_boundary_dilation_examples():
     blob = raster_of(block((20, 20), slice(5, 15), slice(5, 15)))
-    grown = refine_boundary(blob, 5).values
+    grown = dilate(blob, 5, "square").values
     assert np.array_equal(grown, block((20, 20), slice(3, 17), slice(3, 17)))
-    assert np.array_equal(refine_boundary(blob, 1).values, blob.values)
+    assert np.array_equal(dilate(blob, 1, "square").values, blob.values)
 
 
 def test_boundary_dilation_merges_close_blobs():
     two = np.zeros((10, 20), bool)
     two[4:6, 2:6] = True
     two[4:6, 9:13] = True  # 3-cell gap
-    from conftest import flood_labels
-
-    merged = refine_boundary(raster_of(two), 5).values
+    merged = dilate(raster_of(two), 5, "square").values
     _, count = flood_labels(merged, eight=True)
     assert count == 1
+    # The chain grows the kept candidates by the same square k3 dilation.
+    res = extract_buildings(terrain_from(two * 5.0), params=ExtractParams(k1=1, k2=1, k3=5))
+    assert np.array_equal(res.map2d.values, merged)
 
 
 def test_build_3d_flat_roof():
@@ -439,6 +492,9 @@ def test_submerged_scene_marks_water_stage():
 
 
 def test_stages_shrink_then_dilation_grows():
+    # Each filter only removes candidates and the dilation only adds, as
+    # the difference codes show: a removed cell is a raw candidate coded by
+    # the stage that cut it, an added cell is coded as dilation.
     rng = np.random.default_rng(12)
     for trial in range(24):
         coarse = rng.uniform(0.0, 5.0, (8, 8))
@@ -454,25 +510,58 @@ def test_stages_shrink_then_dilation_grows():
             dt=float(rng.choice([0.0, 0.1, 0.5])),
             kernel_shape="diamond" if trial % 2 else "square",
         )
-        ts = terrain_from(field)
-        wm = water_of(water)
+        res = extract_buildings(terrain_from(field), water_of(water), params)
+        raw = field >= params.ht
+        kept, final, diff = res.candidates.mask.values, res.map2d.values, res.difference.values
 
-        raw = threshold_candidates(ts.ndhm, params.ht)
-        aw = apply_water_mask(raw, wm)
-        ao = morphological_filter(aw, params.k1, params.kernel_shape)
-        cs = planarity_filter(
-            ao, roughness_layer(ts.ndhm, params.k2), params.rt, params.dt
+        assert (kept <= raw & ~water).all()
+        assert (kept <= final).all()
+        assert (field[kept] >= params.ht).all()
+        assert np.array_equal(diff == DIFF_DILATION, final & ~raw)
+        assert np.array_equal(np.isin(diff, (DIFF_WATER, DIFF_MORPHOLOGY, DIFF_PLANARITY)), raw & ~final)
+        assert np.array_equal(diff == DIFF_WATER, raw & water & ~final)
+        assert not (kept & (diff != 0)).any()
+
+
+def test_extract_matches_scan_oracle():
+    # The whole chain against extract_scan, bit for bit, on random blocky
+    # scenes with cells exactly at ht, both kernel shapes, the roof median
+    # on and off, both map3d sources, and water that misses or overlaps
+    # the candidates.
+    rng = np.random.default_rng(41)
+    for trial in range(60):
+        h, w = int(rng.integers(1, 41)), int(rng.integers(1, 41))
+        coarse = rng.uniform(0.0, 5.0, (h // 4 + 1, w // 4 + 1))
+        field = np.kron(coarse, np.ones((4, 4)))[:h, :w] + rng.normal(0, 0.4, (h, w))
+        params = ExtractParams(
+            ht=float(rng.choice([1.0, 1.5, 2.25])),
+            k1=int(rng.choice([1, 3, 5, 7])),
+            k2=int(rng.choice([1, 3, 5])),
+            rt=int(rng.integers(1, 8)),
+            dt=float(rng.choice([0.0, 0.1, 0.5, 1.0])),
+            k3=int(rng.choice([1, 3, 5])),
+            kernel_shape="diamond" if trial % 2 else "square",
+            median_roof=3 if trial % 3 == 0 else 0,
+            map3d_source="dsm" if trial % 4 >= 2 else "ndhm",
         )
-        final = refine_boundary(cs.mask, params.k3)
-
-        assert (aw.values <= raw.values).all()
-        assert (ao.values <= aw.values).all()
-        assert (cs.mask.values <= ao.values).all()
-        assert (cs.mask.values <= final.values).all()
-        assert (field[cs.mask.values] >= params.ht).all()
-
-        res = extract_buildings(ts, wm, params)
-        assert np.array_equal(res.map2d.values, final.values)
+        field[rng.random((h, w)) < 0.15] = params.ht  # ties at the threshold
+        kind = trial % 3
+        if kind == 0:
+            water = None
+        elif kind == 1:
+            water = (field < params.ht) & (rng.random((h, w)) < 0.5)  # misses the candidates
+        else:
+            water = rng.random((h, w)) < 0.15  # overlaps them
+        dsm = field + rng.uniform(90.0, 110.0, (h, w))
+        ts = TerrainSet(raster_of(dsm), raster_of(dsm - field), raster_of(field))
+        res = extract_buildings(ts, None if water is None else water_of(water), params)
+        map2d, map3d, diff, kept = extract_scan(field, water, params, dsm)
+        msg = f"trial {trial}: {params}"
+        np.testing.assert_array_equal(res.map2d.values, map2d, err_msg=msg)
+        np.testing.assert_array_equal(res.map3d.values, map3d, err_msg=msg)
+        np.testing.assert_array_equal(res.difference.values, diff, err_msg=msg)
+        np.testing.assert_array_equal(res.candidates.kept, kept, err_msg=msg)
+        assert res.candidates.count == kept.size - 1
 
 
 def test_map2d_invariant_to_elevation_offset():

@@ -145,6 +145,9 @@ def test_row_blocks_write_the_cell_formula(tmp_path, monkeypatch, block):
         (rng.integers(0, 4, (9, 7)).astype(np.uint8), str),
         (rng.integers(-2**40, 2**40, (9, 7)), str),
         (rng.random((9, 7)) < 0.5, lambda v: str(int(v))),
+        # Texts that grow from block to block, so the byte table widens.
+        (np.arange(63).reshape(9, 7) ** 3, str),
+        (np.arange(63.0).reshape(9, 7) ** 4 * 1.5, lambda v: f"{v:.3f}"),
         *[(values, lambda v: "-9999" if np.isnan(v) else f"{v:.3f}")
           for _, values, _ in KEY_PATH_CASES],
     ]

@@ -18,6 +18,7 @@ from lidarmaps.errors import (
     UnsupportedPointFormat,
     UnsupportedVersion,
 )
+from lidarmaps.cli import main
 from lidarmaps.ingest import (
     load_points,
     merge_clouds,
@@ -116,6 +117,22 @@ def test_declared_header_size_too_small():
     struct.pack_into("<H", buf, 94, 100)  # header_size field
     with pytest.raises(Truncated):
         parse_las_header(bytes(buf))
+
+
+def test_point_data_offset_inside_header(tmp_path, capsys):
+    # An offset of 100 would read header bytes as point records.
+    buf = bytearray(build_las(PTS[:2]))
+    struct.pack_into("<I", buf, 96, 100)  # offset to point data
+    with pytest.raises(Truncated, match="offset 100"):
+        parse_las_header(bytes(buf))
+    path = _write(tmp_path, "inside.las", bytes(buf))
+    with pytest.raises(Truncated):
+        read_las(path)
+    assert main(["map", path, "--out", str(tmp_path / "out")]) == 2
+    assert "offset 100" in capsys.readouterr().err
+    struct.pack_into("<I", buf, 96, 227)  # at the header's end: valid
+    cloud = read_las(_write(tmp_path, "at_end.las", bytes(buf)))
+    np.testing.assert_allclose(cloud.points, PTS[:2])
 
 
 def test_extended_count_read_for_1_4():

@@ -7,8 +7,9 @@ written plus 25%.  A stage that starts building full-grid temporaries again
 (a dense int64 column pass, shifted float copies, a rounded copy of the
 grid, a whole-file text, one Python string per cell read) breaks its
 budget.  The write stage writes the scene's dsm and a float grid whose
-millimetre keys span the writer's whole key table, its largest; the last
-stage reads back the dsm.
+millimetre keys span the writer's whole key table, its largest; the
+write_distinct stage writes a float grid whose every cell is a distinct
+value; the last stage reads back the dsm.
 
 The second half checks that run_pipeline's products are writeable arrays
 that share no memory with the read-only global grids the windows are cut
@@ -47,6 +48,7 @@ BUDGETS = {
     "terrain": 32.2,  # measured 25.7
     "extract": 52.0,  # measured 41.6
     "write": 25.8,  # measured 20.6
+    "write_distinct": 62.3,  # measured 49.8
     "read": 21.0,  # measured 16.8
 }
 
@@ -122,6 +124,11 @@ def stage_peaks(tmp_path_factory):
         write_ascii_grid(str(tmp / "widest.asc"), widest)
 
     run("write", write)
+    # Every cell a distinct float whose millimetre keys overflow the key
+    # table: one text per cell, found by np.searchsorted.
+    distinct = raster_of(np.random.default_rng(7).uniform(-1000.0, 1000.0, (SIDE, SIDE)))
+    assert np.unique(distinct.values).size == SIDE * SIDE
+    run("write_distinct", lambda: write_ascii_grid(str(tmp / "distinct.asc"), distinct))
     run("read", lambda: read_ascii_grid(str(tmp / "dsm.asc")))
     return peaks
 

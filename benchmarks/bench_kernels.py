@@ -4,8 +4,14 @@ Every case runs its kernel once under tracemalloc, then best-of-N with
 perf_counter and tracing off.  The traced peak, the most memory the call
 held at once beyond what was allocated before it (its output included),
 is printed in MB next to the time: how large an extent one call can map
-is set by the scratch arrays of its largest stage, not by its grids.  Rasterization takes --points points and is timed through
-grid.rasterize_min, so the point-to-cell floor is inside the timed call.
+is set by the scratch arrays of its largest stage, not by its grids.
+Rasterization takes --points points and is timed through
+grid.rasterize_min, so the point-to-cell floor is inside the timed call,
+and again as the same points split into four inputs, gridded together
+by grid.rasterize_min_clouds as a map of four tile files is; both grid
+one block of points at a time, so neither peak grows with the points.
+The XYZ text reader is timed on a file of the first 200,000 points (or
+all of them, if fewer), written once beforehand.
 The roughness count runs over every cell and at a random 9% of the cells,
 the share the extraction asks for on the benchmark scenes.  The square
 morphology kernel is also timed as the water tally: np.add over a 0/1
@@ -46,6 +52,7 @@ from lidarmaps import _kernels as kernels
 from lidarmaps import grid
 from lidarmaps.formats import read_ascii_grid, write_ascii_grid
 from lidarmaps.grid import GridSpec, Raster
+from lidarmaps.ingest import read_xyz_text
 
 
 def _best_of(fn, args: tuple, repeats: int) -> float:
@@ -111,6 +118,9 @@ def _cases(size: int, n_points: int, rng: np.random.Generator, out_dir: str) -> 
     distinct_path = os.path.join(out_dir, "distinct.asc")
     write_ascii_grid(lattice_path, Raster(spec, lattice))
     write_ascii_grid(distinct_path, Raster(spec, distinct))
+    xyz_points = points[:200_000]
+    xyz_path = os.path.join(out_dir, "points.xyz")
+    np.savetxt(xyz_path, xyz_points, fmt="%.3f")
 
     return [
         (
@@ -118,6 +128,18 @@ def _cases(size: int, n_points: int, rng: np.random.Generator, out_dir: str) -> 
             f"{n_points / 1e6:.1f}M pts -> {w}x{h}",
             grid.rasterize_min,
             (points, spec),
+        ),
+        (
+            "rasterize_min",
+            f"{n_points / 1e6:.1f}M pts in 4 inputs",
+            grid.rasterize_min_clouds,
+            (np.array_split(points, 4), spec, 0, 0, w, h),
+        ),
+        (
+            "read_xyz_text",
+            f"{len(xyz_points) / 1e3:.0f}k pts",
+            read_xyz_text,
+            (xyz_path,),
         ),
         (
             "nearest_fill",

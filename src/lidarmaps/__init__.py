@@ -56,7 +56,7 @@ from .grid import (
     rasterize_min_window,
 )
 from .hydro import WaterMask, WaterParams, detect_water
-from .ingest import PointCloud, load_points, merge_clouds, read_las, read_xyz_text
+from .ingest import PointCloud, load_points, read_las, read_xyz_text
 from .pipeline import (
     EvalResult,
     PipelineResult,
@@ -132,7 +132,6 @@ __all__ = [
     "load_geojson_polygons",
     "load_points",
     "match_instances",
-    "merge_clouds",
     "opening",
     "parse_config",
     "plan_windows",

@@ -13,8 +13,8 @@ import numpy as np
 from .errors import GridTooLarge
 
 _BIG = np.int64(2) ** 62
-# Kernels that work block by block take about this many cells or values
-# (512 kB of float64) at a time, so their scratch memory stays flat.
+# Kernels that work block by block take about this many cells, values or
+# points (512 kB of float64) at a time, so their scratch memory stays flat.
 _BLOCK = 1 << 16
 
 
@@ -32,21 +32,18 @@ def _runs(mask):
 # ---------------------------------------------------------------------------
 # minimum-z rasterization
 # ---------------------------------------------------------------------------
-# Points come in as flat row-major cell indices of the window, with a mask
-# of the points inside it; the indices and z values are copied only when
-# some point falls outside.  Counts are one np.bincount over the flat
-# indices and the minimum is a 1-D np.minimum.at, which numpy runs far
-# faster than ufunc.at with a (row, col) tuple index.  Points are applied
-# in input order either way, so the result is the same to the bit.
+# Each block of points comes in as flat row-major cell indices of the
+# window with a mask of the points inside it.  A 1-D np.minimum.at lowers
+# the min-z grid and an np.add.at of int32 ones (a scalar 1 takes numpy's
+# slow path) raises the count grid, both in input order, so gridding block
+# by block gives the same grids to the bit as one pass.
 
 
-def rasterize_min(cells, zs, inside, height, width):
+def rasterize_min(zmin, counts, cells, zs, inside):
     if not inside.all():
         cells, zs = cells[inside], zs[inside]
-    zmin = np.full(height * width, np.inf, np.float64)
-    np.minimum.at(zmin, cells, zs)
-    counts = np.bincount(cells, minlength=height * width).astype(np.int32)
-    return zmin.reshape(height, width), counts.reshape(height, width)
+    np.minimum.at(zmin.reshape(-1), cells, zs)
+    np.add.at(counts.reshape(-1), cells, np.ones(cells.size, np.int32))
 
 
 # ---------------------------------------------------------------------------

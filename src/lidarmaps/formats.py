@@ -91,17 +91,22 @@ def _millimetre_index(distinct: np.ndarray, words: np.ndarray, cells: int) -> Ca
     The table maps each key to the row of a value with that key; it is
     used only if all values that share a key have the same text, so the
     row found is the cell's own text.  NaN, inf and -inf take the three
-    entries after the finite keys.
+    entries after the finite keys.  The key span is found _BLOCK_CELLS
+    values at a time; all keys are made only for a table within bounds.
     """
-    finite = np.isfinite(distinct)
+    lo, hi, special = np.inf, -np.inf, False
     with np.errstate(over="ignore", invalid="ignore"):
-        keys = _millimetre_keys(distinct)
-        lo, hi = (keys[finite].min(), keys[finite].max()) if finite.any() else (0.0, 0.0)
+        for i in range(0, distinct.size, _BLOCK_CELLS):
+            block = distinct[i:i + _BLOCK_CELLS]
+            keys = _millimetre_keys(block[np.isfinite(block)])
+            special |= keys.size < block.size
+            lo, hi = keys.min(initial=lo), keys.max(initial=hi)
+        if lo > hi:  # no finite value
+            lo = hi = 0.0
         span = hi - lo + 1
     if not span + 3 <= max(cells, _KEY_TABLE_MIN):
         return None
     span = int(span)
-    special = not finite.all()
 
     def slots(key):
         key -= lo
@@ -109,7 +114,7 @@ def _millimetre_index(distinct: np.ndarray, words: np.ndarray, cells: int) -> Ca
             np.nan_to_num(key, copy=False, nan=span, posinf=span + 1, neginf=span + 2)
         return key.astype(np.intp)
 
-    at = slots(keys)
+    at = slots(_millimetre_keys(distinct))
     table = np.zeros(span + 3, np.min_scalar_type(distinct.size))
     table[at] = np.arange(distinct.size)
     if not np.array_equal(words[table[at]], words):

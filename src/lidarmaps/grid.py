@@ -181,19 +181,30 @@ def rasterize_min_window(
     same global cell whether gridded whole or window by window; each
     window's grid is bit-identical to its block of a single-pass run.
     """
-    points = np.asarray(points, np.float64)
-    rows, cols = spec.cell_of(points[:, 0], points[:, 1])
-    rows -= row0
-    cols -= col0
-    inside = (cols >= 0) & (cols < width) & (rows >= 0) & (rows < height)
-    # The flat index row * width + col, built in place in rows.
-    cells = rows
-    cells *= width
-    cells += cols
-    del rows, cols
-    dsm, counts = _kernels.rasterize_min(cells, points[:, 2], inside, height, width)
-    del cells, inside
-    if int(counts.sum()) == 0:
+    return rasterize_min_clouds([points], spec, col0, row0, width, height)
+
+
+def rasterize_min_clouds(
+    clouds: list[np.ndarray], spec: GridSpec, col0: int, row0: int, width: int, height: int
+) -> tuple[Raster, Raster]:
+    """rasterize_min_window of several (n, 3) point arrays as one cloud,
+    without joining them: each is gridded _kernels._BLOCK points at a time
+    straight into the window's grids, in input order, so the grids are
+    those of one array of all the points, to the bit."""
+    dsm = np.full((height, width), np.inf)
+    counts = np.zeros((height, width), np.int32)
+    for points in clouds:
+        for s in range(0, len(points), _kernels._BLOCK):
+            block = np.asarray(points[s:s + _kernels._BLOCK], np.float64)
+            rows, cols = spec.cell_of(block[:, 0], block[:, 1])
+            rows -= row0
+            cols -= col0
+            inside = (cols >= 0) & (cols < width) & (rows >= 0) & (rows < height)
+            # The flat index row * width + col, built in place in rows.
+            rows *= width
+            rows += cols
+            _kernels.rasterize_min(dsm, counts, rows, block[:, 2], inside)
+    if not counts.any():
         raise NoPointsInGrid("no point fell inside the window")
     sub = spec.subgrid(col0, row0, width, height)
     # The kernel keeps the last of tied minima, so 0.0 and -0.0 would take

@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 import os
 import struct
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,7 +182,8 @@ def read_xyz_text(path: str) -> PointCloud:
     '#' starts a comment; blank lines are skipped.  Any other malformed
     line raises ParseError naming the line number.
     """
-    rows: list[tuple[float, float, float]] = []
+    # One flat run of doubles, x y z per point, viewed as (n, 3) at the end.
+    values = array("d")
     try:
         with open(path, "r", encoding="utf-8") as f:
             for lineno, line in enumerate(f, start=1):
@@ -194,14 +196,14 @@ def read_xyz_text(path: str) -> PointCloud:
                         f"{path}:{lineno}: expected 3 values, got {len(parts)}"
                     )
                 try:
-                    rows.append((float(parts[0]), float(parts[1]), float(parts[2])))
+                    values.extend([float(parts[0]), float(parts[1]), float(parts[2])])
                 except ValueError as exc:
                     raise ParseError(f"{path}:{lineno}: {exc}") from exc
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    if not rows:
+    if not values:
         raise EmptyCloud(f"no data rows in {path}")
-    return _as_cloud(np.array(rows, np.float64), path)
+    return _as_cloud(np.frombuffer(values, np.float64).reshape(-1, 3), path)
 
 
 def load_points(path: str, fmt: str = "auto") -> PointCloud:
@@ -217,21 +219,3 @@ def load_points(path: str, fmt: str = "auto") -> PointCloud:
         return read_xyz_text(path)
     raise ConfigError(f"unknown point format {fmt!r}")
 
-
-def merge_clouds(clouds: list[PointCloud]) -> PointCloud:
-    """Concatenate clouds; bounds become the union."""
-    if not clouds:
-        raise EmptyCloud("no input clouds")
-    if len(clouds) == 1:
-        return clouds[0]
-    pts = np.concatenate([c.points for c in clouds], axis=0)
-    return PointCloud(
-        pts,
-        (
-            min(c.bounds[0] for c in clouds),
-            min(c.bounds[1] for c in clouds),
-            max(c.bounds[2] for c in clouds),
-            max(c.bounds[3] for c in clouds),
-        ),
-        dropped_nonfinite=sum(c.dropped_nonfinite for c in clouds),
-    )

@@ -1,15 +1,16 @@
 """End-to-end orchestration: overlapped-window planning, the per-window
 stage chain, mosaicking, and the eval and sweep drivers.
 
-The merged cloud is gridded once into a global min-z grid and a global
-count grid, and an external terrain grid is sampled once onto the same
-grid; each window cuts its padded box from those grids and never sees a
-point.  Windows are processed independently (optionally in
-parallel) and only each window's core region is written back.  The
-mosaic differs from a one-window run (the default window_size_m gives one
-to any extent under 1000 m on a side): every stage with a non-local rule
-(the occupancy rate p, the ground regions, the nearest fills, the
-per-component statistics) sees only the window's padded box.
+Every input cloud is gridded in place, block by block, into one global
+min-z grid and one global count grid, and an external terrain grid is
+sampled once onto the same grid; each window cuts its padded box from
+those grids and never sees a point.  Windows are processed independently
+(optionally in parallel) and only each window's core region is written
+back.  The mosaic differs from a one-window run (the default
+window_size_m gives one to any extent under 1000 m on a side): every
+stage with a non-local rule (the occupancy rate p, the ground regions,
+the nearest fills, the per-component statistics) sees only the window's
+padded box.
 
 The chain splits at terrain: the surface stages run once per window, then
 extraction once per ExtractParams, one for `map` and one per value for
@@ -52,10 +53,10 @@ from .grid import (
     connected_components,
     grid_from_bounds,
     interpolate_nearest,
-    rasterize_min,
+    rasterize_min_clouds,
 )
 from .hydro import detect_water
-from .ingest import PointCloud, load_points, merge_clouds
+from .ingest import PointCloud, load_points
 from .terrain import derive_terrain
 
 log = logging.getLogger(__name__)
@@ -212,10 +213,10 @@ def _run_windows(
     clouds = [
         c if isinstance(c, PointCloud) else load_points(c, input_format) for c in inputs
     ]
-    cloud = merge_clouds(clouds)
     if isinstance(external_dtm, str):
         external_dtm = read_ascii_grid(external_dtm)
-    spec = grid_from_bounds(*cloud.bounds, cfg.gsd)
+    lo_x, lo_y, hi_x, hi_y = zip(*(c.bounds for c in clouds))
+    spec = grid_from_bounds(min(lo_x), min(lo_y), max(hi_x), max(hi_y), cfg.gsd)
     windows = plan_windows(spec, cfg.window_size_m, cfg.overlap_m)
     log.info(
         "grid %dx%d cells at %.3g m, %d window(s)",
@@ -224,13 +225,14 @@ def _run_windows(
     # The fill sees one padded box at a time; some box is both the tallest and widest.
     _kernels.check_fill_shape(max(w.padded[3] for w in windows), max(w.padded[2] for w in windows))
 
+    whole = (0, 0, spec.width, spec.height)
     try:
-        dsm_raw, counts = rasterize_min(cloud.points, spec)
+        dsm_raw, counts = rasterize_min_clouds([c.points for c in clouds], spec, *whole)
     except MemoryError as exc:
         raise GridTooLarge(f"a {spec.width} x {spec.height} grid does not fit in memory") from exc
     ext = None if external_dtm is None else _sample_external(external_dtm, spec)
-    point_count, dropped = len(cloud), cloud.dropped_nonfinite
-    del clouds, cloud, external_dtm
+    point_count, dropped = sum(len(c) for c in clouds), sum(c.dropped_nonfinite for c in clouds)
+    del clouds, external_dtm
     # Serial windows get views into overlapping boxes of these grids;
     # read-only, so no stage can change a neighbouring window's input.
     for grid in (dsm_raw, counts, ext):
@@ -242,7 +244,6 @@ def _run_windows(
     # as the products; a read-only one is a cut of a global grid (the
     # external terrain) and is copied, so every product is writeable.
     mosaics: list[dict[str, np.ndarray]] = [{} for _ in params]
-    whole = (0, 0, spec.width, spec.height)
     run_window = partial(_window_products, cfg=cfg, params=params, names=names)
     cuts = (_cut_window(dsm_raw, counts, ext, w.padded) for w in windows)
     empty = 0
@@ -283,7 +284,7 @@ def run_pipeline(
     external_dtm: Raster | str | None = None,
     input_format: str = "auto",
 ) -> PipelineResult:
-    """Plan windows over the merged cloud, run each, mosaic the cores.
+    """Plan windows over the inputs' extent, run each, mosaic the cores.
 
     `inputs` mixes file paths and in-memory clouds.  With out_dir set, the
     configured outputs plus the canonical config and a run summary are

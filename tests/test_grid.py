@@ -34,6 +34,7 @@ from lidarmaps.grid import (
     interpolate_nearest,
     opening,
     rasterize_min,
+    rasterize_min_clouds,
     rasterize_min_window,
 )
 
@@ -216,6 +217,59 @@ def test_rasterize_window_slices_global_run():
         assert win.spec.origin_x == spec.origin_x + c0 * GSD
         assert win.spec.origin_y == spec.origin_y + r0 * GSD
         assert win.spec.shape == (h, w)
+
+
+@pytest.mark.parametrize("block", [1, 7, _kernels._BLOCK])
+def test_clouds_grid_bit_for_bit_as_one_array(monkeypatch, block):
+    # One to four inputs split at random points, gridded in blocks of 1, 7
+    # and the default number of points, into the whole grid or a window
+    # that leaves points outside.  Most z are 0.0 or -0.0, so tied zero
+    # minima fall on both sides of input and block boundaries; they are
+    # stored as +0.0 whatever the order.
+    rng = np.random.default_rng(block)
+    spec = GridSpec(-3.0, 2.0, GSD, 12, 9)
+    cases = []
+    for i in range(30):
+        n = int(rng.integers(1, 600))
+        pts = np.column_stack([
+            rng.uniform(spec.origin_x - 1, spec.x_max + 1, n),
+            rng.uniform(spec.origin_y - 1, spec.y_max + 1, n),
+            rng.choice([0.0, -0.0, 0.0, -0.0, 1.5, -2.0], n),
+        ])
+        box = (0, 0, spec.width, spec.height)
+        if i % 3:
+            c0, r0 = int(rng.integers(spec.width)), int(rng.integers(spec.height))
+            w = int(rng.integers(1, spec.width - c0 + 1))
+            box = (c0, r0, w, int(rng.integers(1, spec.height - r0 + 1)))
+        cuts = np.sort(rng.integers(0, n + 1, int(rng.integers(0, 4))))
+        cases.append((pts, box, np.split(pts, cuts)))
+    # The reference grids one array in one block.
+    whole = []
+    for pts, box, _ in cases:
+        try:
+            whole.append(rasterize_min_window(pts, spec, *box))
+        except NoPointsInGrid:
+            whole.append(None)
+    monkeypatch.setattr(_kernels, "_BLOCK", block)
+    zero_minima = 0
+    for (pts, (c0, r0, w, h), parts), ref in zip(cases, whole):
+        zmin, counts, _ = rasterize_scan(pts, spec)
+        sl = (slice(r0, r0 + h), slice(c0, c0 + w))
+        if ref is None:
+            assert counts[sl].sum() == 0
+            with pytest.raises(NoPointsInGrid):
+                rasterize_min_clouds(parts, spec, c0, r0, w, h)
+            continue
+        dsm, occ = rasterize_min_clouds(parts, spec, c0, r0, w, h)
+        expect = np.where(counts[sl] > 0, zmin[sl], np.nan) + 0.0
+        for want in (expect, ref[0].values):
+            np.testing.assert_array_equal(dsm.values.view(np.int64), want.view(np.int64))
+        for want in (counts[sl], ref[1].values):
+            np.testing.assert_array_equal(occ.values, want)
+        assert occ.values.dtype == ref[1].values.dtype == np.int32
+        assert dsm.spec == ref[0].spec == spec.subgrid(c0, r0, w, h)
+        zero_minima += int(np.count_nonzero(dsm.values == 0))
+    assert zero_minima > 100
 
 
 # ---------------------------------------------------------------------------

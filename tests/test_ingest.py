@@ -21,7 +21,6 @@ from lidarmaps.errors import (
 from lidarmaps.cli import main
 from lidarmaps.ingest import (
     load_points,
-    merge_clouds,
     parse_las_header,
     read_las,
     read_xyz_text,
@@ -289,7 +288,7 @@ def test_all_nonfinite_is_empty(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# dispatch and merging
+# dispatch
 # ---------------------------------------------------------------------------
 
 
@@ -308,18 +307,6 @@ def test_load_points_dispatch(tmp_path):
     with pytest.raises(ValueError) as info:
         load_points(str(xyz), fmt="csv")
     assert isinstance(info.value, LidarMapsError)
-
-
-def test_merge_clouds(tmp_path):
-    a = read_xyz_text(_write_text(tmp_path, "a.xyz", "0 0 1\n1 1 2\n"))
-    b = read_xyz_text(_write_text(tmp_path, "b.xyz", "5 5 3\n"))
-    merged = merge_clouds([a, b])
-    assert len(merged) == 3
-    assert merged.bounds == (0.0, 0.0, 5.0, 5.0)
-    np.testing.assert_array_equal(merged.points[:2], a.points)
-    assert merge_clouds([a]) is a
-    with pytest.raises(EmptyCloud):
-        merge_clouds([])
 
 
 def _write_text(tmp_path, name, text):

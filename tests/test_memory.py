@@ -6,10 +6,14 @@ a budget in bytes per cell, set at the value measured when the budget was
 written plus 25%.  A stage that starts building full-grid temporaries again
 (a dense int64 column pass, shifted float copies, a rounded copy of the
 grid, a whole-file text, one Python string per cell read) breaks its
-budget.  The write stage writes the scene's dsm and a float grid whose
-millimetre keys span the writer's whole key table, its largest; the
-write_distinct stage writes a float grid whose every cell is a distinct
-value; the last stage reads back the dsm.
+budget.  The XYZ load stage reads the scene as text and is held to bytes
+per point, so a Python object per point breaks it.  The rasterize stage
+grids 4,096 points at a time, so the scene spans many blocks and a
+temporary the size of the cloud breaks its budget.  The write stage
+writes the scene's dsm and a float grid whose millimetre keys span the
+writer's whole key table, its largest; the write_distinct stage writes a
+float grid whose every cell is a distinct value; the last stage reads
+back the dsm.
 
 The second half checks that run_pipeline's products are writeable arrays
 that share no memory with the read-only global grids the windows are cut
@@ -24,31 +28,33 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import GSD, build_las, raster_of
-from lidarmaps import formats, pipeline
+from conftest import GSD, build_las, raster_of, write_xyz_text
+from lidarmaps import _kernels, formats, pipeline
 from lidarmaps.config import PipelineConfig
 from lidarmaps.extract import ExtractParams, extract_buildings
 from lidarmaps.formats import read_ascii_grid, write_ascii_grid
 from lidarmaps.grid import grid_from_bounds, interpolate_nearest, rasterize_min
 from lidarmaps.hydro import WaterParams, detect_water
-from lidarmaps.ingest import PointCloud, read_las
+from lidarmaps.ingest import PointCloud, read_las, read_xyz_text
 from lidarmaps.pipeline import run_pipeline
 from lidarmaps.terrain import breakline_map, derive_terrain, extract_objects, fill_ground
 
 SIDE = 256  # cells a side at GSD
 
-# Peak bytes per cell above what was held before the stage: the value
-# measured on this scene when the budget was set, plus 25%.
+# Peak bytes per cell (per point for load_xyz) above what was held before
+# the stage: the value measured on this scene when the budget was set,
+# plus 25%.
 BUDGETS = {
     "load": 40.3,  # measured 32.2
-    "rasterize": 35.4,  # measured 28.3
+    "load_xyz": 36.1,  # measured 28.8
+    "rasterize": 18.3,  # measured 14.6
     "fill": 57.5,  # measured 46.0
     "ground_fill": 29.5,  # measured 23.6
     "water": 25.0,  # measured 20.0
     "terrain": 32.2,  # measured 25.7
     "extract": 52.0,  # measured 41.6
     "write": 25.8,  # measured 20.6
-    "write_distinct": 62.3,  # measured 49.8
+    "write_distinct": 62.2,  # measured 49.8
     "read": 21.0,  # measured 16.8
 }
 
@@ -91,21 +97,28 @@ def traced_peak(fn):
 
 @pytest.fixture(scope="module")
 def stage_peaks(tmp_path_factory):
-    """Bytes per cell of each stage's peak, stages run in pipeline order."""
+    """Bytes per cell (per point for load_xyz) of each stage's peak,
+    stages run in pipeline order."""
     tmp = tmp_path_factory.mktemp("memory")
-    las = tmp / "scene.las"
-    las.write_bytes(build_las(memory_scene()))
+    las, xyz = tmp / "scene.las", tmp / "scene.xyz"
+    pts = memory_scene()
+    las.write_bytes(build_las(pts))
+    write_xyz_text(pts, str(xyz))
     peaks = {}
 
-    def run(name, fn):
+    def run(name, fn, per=SIDE * SIDE):
         out, peak = traced_peak(fn)
-        peaks[name] = peak / (SIDE * SIDE)
+        peaks[name] = peak / per
         return out
 
+    run("load_xyz", lambda: read_xyz_text(str(xyz)), per=len(pts))
     cloud = run("load", lambda: read_las(str(las)))
     spec = grid_from_bounds(*cloud.bounds, GSD)
     assert spec.shape == (SIDE, SIDE)
-    dsm_raw, occ = run("rasterize", lambda: rasterize_min(cloud.points, spec))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_BLOCK", 4096)
+        assert len(cloud) > 10 * _kernels._BLOCK
+        dsm_raw, occ = run("rasterize", lambda: rasterize_min(cloud.points, spec))
     del cloud
     dsm = run("fill", lambda: interpolate_nearest(dsm_raw))
     water = run("water", lambda: detect_water(occ, WaterParams()))
@@ -147,10 +160,10 @@ def test_products_are_writeable_and_own_their_memory(monkeypatch, window_size_m,
     pts = memory_scene()
     cloud = PointCloud(pts, (pts[:, 0].min(), pts[:, 1].min(), pts[:, 0].max(), pts[:, 1].max()))
     globals_ = []
-    real_rasterize, real_sample = pipeline.rasterize_min, pipeline._sample_external
+    real_rasterize, real_sample = pipeline.rasterize_min_clouds, pipeline._sample_external
 
-    def rasterize_kept(points, spec):
-        dsm, occ = real_rasterize(points, spec)
+    def rasterize_kept(clouds, spec, *box):
+        dsm, occ = real_rasterize(clouds, spec, *box)
         globals_.extend([dsm.values, occ.values])
         return dsm, occ
 
@@ -159,7 +172,7 @@ def test_products_are_writeable_and_own_their_memory(monkeypatch, window_size_m,
         globals_.append(sampled.values)
         return sampled
 
-    monkeypatch.setattr(pipeline, "rasterize_min", rasterize_kept)
+    monkeypatch.setattr(pipeline, "rasterize_min_clouds", rasterize_kept)
     monkeypatch.setattr(pipeline, "_sample_external", sample_kept)
     # The sample grid matches the map grid cell for cell, so the dtm
     # product would be a plain cut of the global sample if not copied.

@@ -362,6 +362,29 @@ def test_write_products_default_outputs(tmp_path):
     np.testing.assert_array_equal(mask.values, res.products["map2d"].values)
 
 
+def test_two_inputs_grid_together(tmp_path):
+    # Two XYZ files, the west and the east half of the field, the second
+    # with one non-finite point: the grid spans the union of their bounds
+    # and summary.txt counts the points of both.
+    cfg = small_cfg(window_size_m=20.0)
+    one = run_pipeline(cfg, [cloud_of(straddle_field())])
+    pts = points_from_field(straddle_field(), 1.0)
+    west = pts[:, 0] < 20.0
+    a, b = tmp_path / "west.xyz", tmp_path / "east.xyz"
+    write_xyz_text(pts[west], str(a))
+    write_xyz_text(pts[~west], str(b))
+    with open(b, "a", encoding="utf-8") as f:
+        f.write("30.5 3.5 nan\n")
+    out = tmp_path / "run"
+    res = run_pipeline(cfg, [str(a), str(b)], out_dir=str(out))
+    assert res.spec == one.spec == GridSpec(0.5, 0.5, 1.0, 40, 40)
+    assert (res.point_count, res.dropped_nonfinite) == (1600, 1)
+    for name, product in one.products.items():
+        np.testing.assert_array_equal(res.products[name].values, product.values)
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert "points=1600" in summary and "dropped_nonfinite=1" in summary
+
+
 def test_write_products_custom_outputs(tmp_path):
     cfg = small_cfg(outputs=("dsm", "ndhm", "map2d"))
     assert cfg.outputs == ("map2d", "dsm", "ndhm")
@@ -537,10 +560,10 @@ def test_sweep_k1_orders_values_and_reports(tmp_path):
 
 def test_cloud_gridded_once(tmp_path, monkeypatch):
     grids = []
-    real = pipeline.rasterize_min
+    real = pipeline.rasterize_min_clouds
 
-    def counted(points, spec):
-        grids.append(real(points, spec))
+    def counted(clouds, spec, *box):
+        grids.append(real(clouds, spec, *box))
         return grids[-1]
 
     sampled = []
@@ -550,7 +573,7 @@ def test_cloud_gridded_once(tmp_path, monkeypatch):
         sampled.append(real_sample(ext, spec))
         return sampled[-1]
 
-    monkeypatch.setattr(pipeline, "rasterize_min", counted)
+    monkeypatch.setattr(pipeline, "rasterize_min_clouds", counted)
     monkeypatch.setattr(pipeline, "_sample_external", sample_counted)
     ext = raster_of(np.zeros((8, 8)), gsd=5.0)
     res = run_pipeline(small_cfg(window_size_m=20.0), [cloud_of(straddle_field())],

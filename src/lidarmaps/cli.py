@@ -8,8 +8,13 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from dataclasses import fields
+
+# lidarmaps calls no BLAS routine, so a command needs no OpenBLAS thread
+# pool; this must run before numpy loads, and a value the user set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .config import (
     OUTPUT_NAMES,

@@ -341,27 +341,24 @@ def rasterize_polygons(
     cx, cy = spec.cell_center(np.arange(spec.height), np.arange(spec.width))
     for idx, rings in enumerate(polygons, start=1):
         rings = [_validate_ring(r, f"polygon {idx - 1}") for r in rings]
-        ys = np.concatenate([r[:, 1] for r in rings])
-        # Only rows whose centre lies in [min y, max y) can cross an edge.
-        r0, r1 = np.searchsorted(cy, (ys.min(), ys.max()))
-        for row in range(r0, r1):
-            yc = cy[row]
-            xs: list[float] = []
-            for ring in rings:
-                y1 = ring[:-1, 1]
-                y2 = ring[1:, 1]
-                crossing = (y1 > yc) != (y2 > yc)
-                if not crossing.any():
-                    continue
-                x1 = ring[:-1, 0][crossing]
-                x2 = ring[1:, 0][crossing]
-                yy1 = y1[crossing]
-                yy2 = y2[crossing]
-                xs.extend(x1 + (yc - yy1) * (x2 - x1) / (yy2 - yy1))
-            # Each crossing pair [a, b) fills the cells whose centre lies in it.
-            ends = np.searchsorted(cx, np.sort(xs))
-            for c0, c1 in zip(ends[0::2], ends[1::2]):
-                labels[row, c0:c1] = idx
+        x1, y1 = np.concatenate([r[:-1] for r in rings]).T
+        x2, y2 = np.concatenate([r[1:] for r in rings]).T
+        if np.isnan(y1).any():
+            continue  # its y range [nan, nan) holds no row centre
+        # An edge crosses the rows whose centre yc has (y1 > yc) != (y2 > yc),
+        # that is min(y1, y2) <= yc < max(y1, y2); one entry per crossing.
+        lo = np.searchsorted(cy, np.minimum(y1, y2))
+        n = np.searchsorted(cy, np.maximum(y1, y2)) - lo
+        edge = np.repeat(np.arange(len(n)), n)
+        rows = np.arange(len(edge)) + np.repeat(lo - (np.cumsum(n) - n), n)
+        yc = cy[rows]
+        xs = x1[edge] + (yc - y1[edge]) * (x2[edge] - x1[edge]) / (y2[edge] - y1[edge])
+        # A row's crossings, sorted by x, pair up; each pair [a, b) fills
+        # the cells whose centre lies in it.
+        order = np.lexsort((xs, rows))
+        rows, ends = rows[order].tolist(), np.searchsorted(cx, xs[order]).tolist()
+        for row, c0, c1 in zip(rows[0::2], ends[0::2], ends[1::2]):
+            labels[row, c0:c1] = idx
     return Raster(spec, labels)
 
 

@@ -19,10 +19,10 @@ extraction once per ExtractParams, one for `map` and one per value for
 
 from __future__ import annotations
 
+import concurrent.futures
 import logging
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
@@ -249,8 +249,9 @@ def _run_windows(
     empty = 0
     # Each worker is sent only its window's padded box of the grids;
     # a pool for one window would only pickle the whole grid to one worker.
+    # The pool's modules load only here, on the path that starts one.
     workers = min(workers, len(windows))
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    with concurrent.futures.ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         for window, prod in zip(windows, (pool.map if pool else map)(run_window, cuts, windows)):
             if prod is None:
                 empty += 1

@@ -102,7 +102,7 @@ def extract_objects(breaklines: Raster) -> Raster:
     is_ground = np.zeros(count + 1, bool)
     is_ground[sizes.argmax()] = True
     for edge in (lab[0, :], lab[-1, :], lab[:, 0], lab[:, -1]):
-        is_ground[np.unique(edge[edge > 0])] = True
+        is_ground[edge[edge > 0]] = True
     ground = is_ground[lab]
     object_regions = ~br & ~ground
     near_object = _kernels.morph_square(object_regions, 1, np.logical_or)

@@ -393,15 +393,40 @@ def test_oracle_polygons():
             ring = np.column_stack([xs, ys])
             return np.vstack([ring, ring[:1]])
 
+        def half_cells(n: int, cells: int) -> np.ndarray:
+            """n distinct sorted multiples of gsd / 2: cell edges and centres."""
+            return np.sort(rng.choice(2 * cells + 1, n, replace=False)) * gsd / 2
+
+        def l_shape() -> np.ndarray:
+            # Horizontal edges, often on a cell-centre row.
+            (x0, xm, x1), (y0, ym, y1) = half_cells(3, w), half_cells(3, h)
+            return np.array([[x0, y0], [x1, y0], [x1, ym], [xm, ym], [xm, y1], [x0, y1], [x0, y0]])
+
+        def diamond() -> np.ndarray:
+            # Every vertex lies exactly on a cell-centre row.
+            r, c = int(rng.integers(0, h)), int(rng.integers(0, w))
+            a, b = gsd * rng.integers(1, 4, 2)
+            x, y = (c + 0.5) * gsd, (r + 0.5) * gsd
+            return np.array([[x - a, y], [x, y - b], [x + a, y], [x, y + b], [x - a, y]])
+
         rings = [star(1.0)]
         if rng.random() < 0.3:
             rings.append(star(0.35))  # hole ring punches out by even-odd
-        labels = rasterize_polygons([rings], spec)
-        want = np.zeros((h, w), bool)
-        for r in range(h):
-            for c in range(w):
-                want[r, c] = point_in_rings((c + 0.5) * gsd, (r + 0.5) * gsd, rings)
-        np.testing.assert_array_equal(labels.values > 0, want)
+        polygons = [rings]
+        if rng.random() < 0.5:
+            polygons.append([l_shape()])
+        if rng.random() < 0.5:
+            polygons.append([diamond()])
+        order = rng.permutation(len(polygons))
+        polygons = [polygons[i] for i in order]  # overlaps: the later polygon wins
+        labels = rasterize_polygons(polygons, spec)
+        want = np.zeros((h, w), np.int32)
+        for idx, poly in enumerate(polygons, start=1):
+            for r in range(h):
+                for c in range(w):
+                    if point_in_rings((c + 0.5) * gsd, (r + 0.5) * gsd, poly):
+                        want[r, c] = idx
+        np.testing.assert_array_equal(labels.values, want)
     record_suite("rasterize_polygons", t0)
 
 

@@ -3,7 +3,11 @@ subcommands run end to end through main()."""
 
 import contextlib
 import json
+import os
 import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -416,3 +420,75 @@ def test_sweep_rejects_bad_values(tmp_path, capsys):
     )
     assert rc == 1
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# start-up: each command loads only what it runs
+# ---------------------------------------------------------------------------
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+POOL_AND_MA = ("numpy.ma", "concurrent.futures.process", "multiprocessing")
+
+# Runs the CLI in a fresh interpreter, then reports on the last stdout line
+# the modules it loaded, the OpenBLAS setting it saw and its thread count.
+PROBE = """
+import json, os, sys
+from lidarmaps.cli import main
+rc = main(sys.argv[1:])
+tasks = "/proc/self/task"
+print(json.dumps({
+    "rc": rc,
+    "loaded": sorted(m for m in %r if m in sys.modules),
+    "openblas": os.environ.get("OPENBLAS_NUM_THREADS"),
+    "threads": len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
+}))
+""" % (POOL_AND_MA,)
+
+
+def run_fresh(code: str, *args: str, **env: str) -> str:
+    """stdout of `python -c code args` with no OPENBLAS_NUM_THREADS inherited."""
+    child = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    child["PYTHONPATH"] = SRC
+    child.update(env)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], env=child, capture_output=True, text=True, check=True
+    )
+    return proc.stdout
+
+
+def run_cli_fresh(*argv: str, **env: str) -> dict:
+    return json.loads(run_fresh(PROBE, *argv, **env).splitlines()[-1])
+
+
+def test_import_loads_no_numpy():
+    code = "import sys, lidarmaps; print('numpy' in sys.modules, 'lidarmaps.grid' in sys.modules)"
+    assert run_fresh(code) == "False False\n"
+
+
+def test_one_worker_commands_load_no_pool_and_no_numpy_ma(tmp_path):
+    scene, truth = sweep_inputs(tmp_path)
+    flags = ["--gsd", "1", "--k2", "3", "--k3", "3", "--overlap", "16"]
+    run = str(tmp_path / "run")
+    commands = {
+        "map": ["map", scene, "--out", run, *flags],
+        "eval": ["eval", "--pred", str(Path(run) / "map2d.asc"), "--truth", truth,
+                 "--out", str(tmp_path / "eval")],
+        "sweep": ["sweep", scene, "--param", "k1", "--values", "3,5", "--truth", truth,
+                  "--out", str(tmp_path / "sweep"), *flags],
+    }
+    for name, argv in commands.items():
+        seen = run_cli_fresh(*argv)
+        assert seen["rc"] == 0, name
+        assert seen["loaded"] == [], name
+
+
+def test_cli_caps_openblas_threads_unless_set():
+    seen = run_cli_fresh("--help")
+    assert seen["rc"] == 0
+    assert seen["openblas"] == "1"
+    # The cap is in place before numpy loads: OpenBLAS starts no thread.
+    assert seen["threads"] in (None, 1)
+    assert run_cli_fresh("--help", OPENBLAS_NUM_THREADS="2")["openblas"] == "2"
+    # Importing the library sets nothing.
+    code = "import os, lidarmaps.pipeline; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    assert run_fresh(code) == "None\n"

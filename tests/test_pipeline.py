@@ -224,7 +224,7 @@ def test_parallel_workers_match_serial(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a one-window run started a process pool")
 
-    monkeypatch.setattr("lidarmaps.pipeline.ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     one = run_pipeline(small_cfg(), [cloud], workers=1)
     assert one.windows == 1
     one_parallel = run_pipeline(small_cfg(), [cloud], workers=2)

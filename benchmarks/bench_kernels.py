@@ -32,6 +32,12 @@ cells of any --size up to 1414, so it falls back to a binary search per
 cell: the writer's worst case.  The grid reader is timed on the lattice and the all-distinct grid,
 written once beforehand: it parses the body with one np.fromstring, so
 its cost follows the cells and the characters, not the distinct values.
+The whole map chain is timed once as well: run_pipeline on a --size
+metre square at 1 m cells in 2x2 windows with the default 100 m overlap,
+all seven grids, nothing written.  Its scene has about 1.5 returns per
+cell on a gentle slope with flat-roofed blocks; the windows run one at a
+time, so its traced peak is the global grids, the mosaics and one
+window's chain.
 Correctness is not checked here; the test suite compares every kernel
 with a brute-force oracle and the writer with a per-cell format.
 
@@ -50,9 +56,11 @@ import numpy as np
 
 from lidarmaps import _kernels as kernels
 from lidarmaps import grid
+from lidarmaps.config import PipelineConfig
 from lidarmaps.formats import read_ascii_grid, write_ascii_grid
 from lidarmaps.grid import GridSpec, Raster
-from lidarmaps.ingest import read_xyz_text
+from lidarmaps.ingest import PointCloud, read_xyz_text
+from lidarmaps.pipeline import run_pipeline
 
 
 def _best_of(fn, args: tuple, repeats: int) -> float:
@@ -122,7 +130,24 @@ def _cases(size: int, n_points: int, rng: np.random.Generator, out_dir: str) -> 
     xyz_path = os.path.join(out_dir, "points.xyz")
     np.savetxt(xyz_path, xyz_points, fmt="%.3f")
 
+    n_scene = int(1.5 * h * w)
+    sx, sy = rng.uniform(0.0, w, n_scene), rng.uniform(0.0, h, n_scene)
+    sz = 0.01 * sx + 0.005 * sy
+    for x0, y0, bw, bh, bz in zip(
+        rng.uniform(0, w, 40), rng.uniform(0, h, 40),
+        rng.uniform(10, 40, 40), rng.uniform(10, 40, 40), rng.uniform(4, 15, 40),
+    ):
+        sz[(sx >= x0) & (sx < x0 + bw) & (sy >= y0) & (sy < y0 + bh)] += bz
+    scene = PointCloud(np.column_stack([sx, sy, sz]), (sx.min(), sy.min(), sx.max(), sy.max()))
+    scene_cfg = PipelineConfig(gsd=1.0, window_size_m=w / 2)
+
     return [
+        (
+            "run_pipeline",
+            f"{w}x{h}, 2x2 windows, 7 grids",
+            run_pipeline,
+            (scene_cfg, [scene]),
+        ),
         (
             "rasterize_min",
             f"{n_points / 1e6:.1f}M pts -> {w}x{h}",

@@ -75,7 +75,7 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", metavar="DIR", required=True, help="output directory")
     p.add_argument("--dtm-file", metavar="PATH", help="external terrain grid (.asc)")
-    p.add_argument("--workers", type=int, default=1, help="parallel window workers")
+    p.add_argument("--workers", type=int, default=1, help="no effect; windows run one at a time")
     p.add_argument(
         "--format", choices=("auto", "las", "xyz"), default="auto",
         help="input point format (default: by extension)",

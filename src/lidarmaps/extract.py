@@ -24,6 +24,7 @@ from .grid import (
     _check_kernel,
     _check_positive,
     _check_shape_name,
+    _is_number,
     connected_components,
     dilate,
     opening,
@@ -58,10 +59,10 @@ class ExtractParams:
             _check_kernel(getattr(self, k), k)
         _check_positive(self.ht, "ht")
         _check_count(self.rt, "rt")
-        if not (isinstance(self.dt, numbers.Real) and 0.0 <= self.dt <= 1.0):
+        if not (_is_number(self.dt) and 0.0 <= self.dt <= 1.0):
             raise ConfigError(f"dt must lie in [0, 1], got {self.dt!r}")
         _check_shape_name(self.kernel_shape)
-        if self.median_roof != 0:
+        if not (_is_number(self.median_roof, numbers.Integral) and self.median_roof == 0):
             _check_kernel(self.median_roof, "median_roof")
         if self.map3d_source not in ("ndhm", "dsm"):
             raise ConfigError(f"map3d_source must be ndhm or dsm, got {self.map3d_source!r}")

@@ -124,9 +124,13 @@ def require_same_spec(a: Raster, b: Raster, what: str = "rasters") -> None:
         raise SpecMismatch(f"{what} are on different grids: {a.spec} vs {b.spec}")
 
 
+def _is_number(v, kind=numbers.Real) -> bool:
+    return isinstance(v, kind) and not isinstance(v, bool)  # True is an int
+
+
 def _check_kernel(k: int, name: str = "kernel size") -> int:
     """Validate an odd window size; `name` opens the BadKernel message."""
-    if not isinstance(k, (int, np.integer)) or k < 1 or k % 2 == 0:
+    if not _is_number(k, numbers.Integral) or k < 1 or k % 2 == 0:
         raise BadKernel(f"{name} must be a positive odd integer, got {k!r}")
     return int(k)
 
@@ -139,20 +143,20 @@ def _check_shape_name(shape: str) -> str:
 
 def _check_finite(v, name: str) -> None:
     """Validate a finite real number."""
-    if not (isinstance(v, numbers.Real) and np.isfinite(v)):
+    if not (_is_number(v) and np.isfinite(v)):
         raise ConfigError(f"{name} must be a finite number, got {v!r}")
 
 
 def _check_positive(v, name: str, or_zero: bool = False) -> None:
     """Validate a finite number above zero, or at zero with `or_zero`."""
-    if not (isinstance(v, numbers.Real) and (0 <= v if or_zero else 0 < v) and v < np.inf):
+    if not (_is_number(v) and (0 <= v if or_zero else 0 < v) and v < np.inf):
         sign = "non-negative" if or_zero else "positive"
         raise ConfigError(f"{name} must be finite and {sign}, got {v!r}")
 
 
 def _check_count(v, name: str) -> None:
     """Validate an integer of at least one."""
-    if not isinstance(v, (int, np.integer)) or v < 1:
+    if not _is_number(v, numbers.Integral) or v < 1:
         raise ConfigError(f"{name} must be a positive integer, got {v!r}")
 
 

@@ -4,10 +4,10 @@ stage chain, mosaicking, and the eval and sweep drivers.
 Every input cloud is gridded in place, block by block, into one global
 min-z grid and one global count grid, and an external terrain grid is
 sampled once onto the same grid; each window cuts its padded box from
-those grids and never sees a point.  Windows are processed independently
-(optionally in parallel) and only each window's core region is written
-back.  The mosaic differs from a one-window run (the default
-window_size_m gives one to any extent under 1000 m on a side): every
+those grids and never sees a point.  Windows run one at a time in this
+process, and only each window's core is copied into the mosaic.  The
+mosaic differs from a one-window run (the default window_size_m gives
+one to any extent under 1000 m on a side): every
 stage with a non-local rule (the occupancy rate p, the ground regions,
 the nearest fills, the per-component statistics) sees only the window's
 padded box.
@@ -19,13 +19,10 @@ extraction once per ExtractParams, one for `map` and one per value for
 
 from __future__ import annotations
 
-import concurrent.futures
 import logging
 import math
 import os
-from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -233,38 +230,34 @@ def _run_windows(
     ext = None if external_dtm is None else _sample_external(external_dtm, spec)
     point_count, dropped = sum(len(c) for c in clouds), sum(c.dropped_nonfinite for c in clouds)
     del clouds, external_dtm
-    # Serial windows get views into overlapping boxes of these grids;
-    # read-only, so no stage can change a neighbouring window's input.
+    # Windows get views into overlapping boxes of these grids; read-only,
+    # so no stage can change a neighbouring window's input.
     for grid in (dsm_raw, counts, ext):
         if grid is not None:
             grid.values.flags.writeable = False
 
-    # Each mosaic grid is allocated when the first window result for it
-    # arrives.  A window whose core is the whole grid hands its grids over
-    # as the products; a read-only one is a cut of a global grid (the
-    # external terrain) and is copied, so every product is writeable.
+    # A window's grids (`cores` and the loop's views) are freed before the
+    # next window starts.  A whole-grid window hands its grids over as the
+    # products, copying a read-only cut so that every product is writeable.
     mosaics: list[dict[str, np.ndarray]] = [{} for _ in params]
-    run_window = partial(_window_products, cfg=cfg, params=params, names=names)
-    cuts = (_cut_window(dsm_raw, counts, ext, w.padded) for w in windows)
     empty = 0
-    # Each worker is sent only its window's padded box of the grids;
-    # a pool for one window would only pickle the whole grid to one worker.
-    # The pool's modules load only here, on the path that starts one.
-    workers = min(workers, len(windows))
-    with concurrent.futures.ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        for window, prod in zip(windows, (pool.map if pool else map)(run_window, cuts, windows)):
-            if prod is None:
-                empty += 1
-                continue
-            c0, r0, w, h = window.core
-            for mosaic, window_cores in zip(mosaics, prod):
-                for name, values in window_cores.items():
-                    if window.core == whole:
-                        mosaic[name] = values if values.flags.writeable else values.copy()
-                        continue
-                    if name not in mosaic:
-                        mosaic[name] = np.full(spec.shape, _NODATA[name])
-                    mosaic[name][r0:r0 + h, c0:c0 + w] = values
+    for window in windows:
+        cores = _window_products(
+            _cut_window(dsm_raw, counts, ext, window.padded), window, cfg, params, names
+        )
+        if cores is None:
+            empty += 1
+            continue
+        c0, r0, w, h = window.core
+        for mosaic, window_cores in zip(mosaics, cores):
+            for name, values in window_cores.items():
+                if window.core == whole:
+                    mosaic[name] = values if values.flags.writeable else values.copy()
+                    continue
+                if name not in mosaic:
+                    mosaic[name] = np.full(spec.shape, _NODATA[name])
+                mosaic[name][r0:r0 + h, c0:c0 + w] = values
+        del cores, window_cores, values
 
     result = PipelineResult(
         spec=spec,
@@ -290,6 +283,7 @@ def run_pipeline(
     `inputs` mixes file paths and in-memory clouds.  With out_dir set, the
     configured outputs plus the canonical config and a run summary are
     written there; files are byte-identical across repeat runs.
+    `workers` must be an integer >= 1 and has no effect.
     """
     result, (products,) = _run_windows(
         cfg, [cfg.extract_params()], OUTPUT_NAMES, inputs, workers, external_dtm, input_format

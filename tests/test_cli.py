@@ -469,17 +469,25 @@ def test_one_worker_commands_load_no_pool_and_no_numpy_ma(tmp_path):
     scene, truth = sweep_inputs(tmp_path)
     flags = ["--gsd", "1", "--k2", "3", "--k3", "3", "--overlap", "16"]
     run = str(tmp_path / "run")
+    # Four 20 m windows on two workers start no pool either: windows run
+    # one at a time in the command's own process.
+    windowed = [*flags, "--window-size", "20", "--workers", "2"]
     commands = {
         "map": ["map", scene, "--out", run, *flags],
         "eval": ["eval", "--pred", str(Path(run) / "map2d.asc"), "--truth", truth,
                  "--out", str(tmp_path / "eval")],
         "sweep": ["sweep", scene, "--param", "k1", "--values", "3,5", "--truth", truth,
                   "--out", str(tmp_path / "sweep"), *flags],
+        "windowed map": ["map", scene, "--out", str(tmp_path / "tiled"), *windowed],
+        "windowed sweep": ["sweep", scene, "--param", "k1", "--values", "3,5",
+                           "--truth", truth, "--out", str(tmp_path / "tiled_sweep"),
+                           *windowed],
     }
     for name, argv in commands.items():
         seen = run_cli_fresh(*argv)
         assert seen["rc"] == 0, name
         assert seen["loaded"] == [], name
+    assert "\nwindows=4\n" in (tmp_path / "tiled" / "summary.txt").read_text()
 
 
 def test_cli_caps_openblas_threads_unless_set():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -151,6 +152,24 @@ def test_parse_rejects_unknown_and_malformed():
 def test_parse_validates_result():
     with pytest.raises(ConfigError):
         parse_config("k1=6\n")
+
+
+NUMERIC_KEYS = [f.name for f in fields(PipelineConfig) if type(f.default) in (int, float)]
+
+
+@pytest.mark.parametrize(
+    "key, bad",
+    [(key, True) for key in NUMERIC_KEYS]
+    + [("median_roof", False), ("median_roof", 0.0), ("water_buffer", False)],
+)
+def test_bools_rejected(key, bad):
+    # True is an int to isinstance; a setting that took it would be written
+    # to config.txt as `key=True` (and median_roof=0.0 as `0.0`), which
+    # parse_config cannot read back.
+    with pytest.raises(ConfigError, match=f"^{key} "):
+        PipelineConfig(**{key: bad})
+    with pytest.raises(ConfigError):
+        parse_config(f"{key}={bad}\n")
 
 
 def test_serialize_parse_round_trip():

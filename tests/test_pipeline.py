@@ -4,6 +4,7 @@ the eval driver, and parameter sweeps."""
 import json
 import logging
 import os
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -215,20 +216,47 @@ def test_mosaic_matches_single_window():
 
 
 def test_parallel_workers_match_serial(monkeypatch):
-    cloud = cloud_of(straddle_field())
-    serial = run_pipeline(small_cfg(window_size_m=20.0), [cloud], workers=1)
-    parallel = run_pipeline(small_cfg(window_size_m=20.0), [cloud], workers=2)
-    assert_products_equal(serial.products, parallel.products)
-
-    # One window runs in-process whatever `workers` asks for: no pool.
+    # `workers` is validated but starts no pool: two workers run the same
+    # windows in this process and give the grids of one.
     def no_pool(*args, **kwargs):
-        raise AssertionError("a one-window run started a process pool")
+        raise AssertionError("a run started a process pool")
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
-    one = run_pipeline(small_cfg(), [cloud], workers=1)
-    assert one.windows == 1
-    one_parallel = run_pipeline(small_cfg(), [cloud], workers=2)
-    assert_products_equal(one.products, one_parallel.products)
+    cloud = cloud_of(straddle_field())
+    for cfg, windows in ((small_cfg(window_size_m=20.0), 4), (small_cfg(), 1)):
+        serial = run_pipeline(cfg, [cloud], workers=1)
+        parallel = run_pipeline(cfg, [cloud], workers=2)
+        assert serial.windows == parallel.windows == windows
+        assert_products_equal(serial.products, parallel.products)
+
+
+def test_windows_hold_one_window_of_grids_at_a_time(tmp_path, monkeypatch):
+    # Each grid a window returns is a core view on one of that window's
+    # padded grids; every one of them is freed before the next window starts.
+    real = pipeline._window_products
+    refs = []
+
+    def tracked(*args, **kwargs):
+        alive = [r for r in refs if r() is not None]
+        assert not alive, f"{len(alive)} grids of an earlier window are alive"
+        cores = real(*args, **kwargs)
+        refs.extend(weakref.ref(v.base) for c in cores or () for v in c.values())
+        return cores
+
+    monkeypatch.setattr(pipeline, "_window_products", tracked)
+    cloud = cloud_of(straddle_field())
+    cfg = small_cfg(window_size_m=20.0)
+    assert run_pipeline(cfg, [cloud]).windows == 4
+    assert len(refs) == 4 * len(OUTPUT_NAMES)
+    # The mosaics hold copies, so the last window's grids are freed too.
+    assert all(r() is None for r in refs)
+    truth = tmp_path / "truth.geojson"
+    truth.write_text(json.dumps({"type": "Polygon", "coordinates": [
+        [[2, 2], [6, 2], [6, 6], [2, 6], [2, 2]]
+    ]}))
+    refs.clear()
+    run_sweep(cfg, "k3", [1, 3, 5], [cloud], str(truth), workers=2)
+    assert len(refs) == 4 * 3 and all(r() is None for r in refs)
 
 
 def test_empty_window_core_stays_nodata(caplog):
@@ -277,7 +305,7 @@ def test_empty_inputs_rejected():
         run_pipeline(small_cfg(), [])
 
 
-@pytest.mark.parametrize("workers", [0, -3, 1.5, "2"])
+@pytest.mark.parametrize("workers", [0, -3, 1.5, "2", True])
 def test_workers_must_be_positive_integer(tmp_path, workers):
     cloud = cloud_of(np.zeros((12, 12)))
     with pytest.raises(ConfigError, match="^workers must be a positive integer"):

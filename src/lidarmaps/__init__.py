@@ -15,7 +15,10 @@ __version__ = "0.1.0"
 
 #: Each public name's home module.
 _EXPORTS = {
-    "config": ("OUTPUT_NAMES", "PipelineConfig", "load_config", "parse_config", "serialize_config"),
+    "config": (
+        "ExtractParams", "OUTPUT_NAMES", "PipelineConfig", "WaterParams", "load_config",
+        "parse_config", "serialize_config",
+    ),
     "errors": (
         "BadKernel", "BadSignature", "ConfigError", "DegenerateOccupancy", "DegenerateScene",
         "EmptyCloud", "EmptyTruth", "GridTooLarge", "IoFailure", "LidarMapsError",
@@ -24,21 +27,19 @@ _EXPORTS = {
         "UnsupportedPointFormat", "UnsupportedVersion",
     ),
     "evaluate": (
-        "AREA_BANDS", "ConfusionMetrics", "InstanceReport", "TileReport", "confusion",
-        "load_geojson_polygons", "match_instances", "rasterize_polygons", "tiling_comparison",
+        "AREA_BANDS", "ConfusionMetrics", "EvalResult", "InstanceReport", "TileReport",
+        "confusion", "load_geojson_polygons", "match_instances", "rasterize_polygons", "run_eval",
+        "tiling_comparison",
     ),
-    "extract": ("ExtractParams", "ExtractResult", "extract_buildings"),
+    "extract": ("ExtractResult", "extract_buildings"),
     "formats": ("read_ascii_grid", "write_ascii_grid"),
     "grid": (
         "GridSpec", "Raster", "connected_components", "dilate", "erode", "grid_from_bounds",
         "interpolate_nearest", "opening", "rasterize_min", "rasterize_min_window",
     ),
-    "hydro": ("WaterMask", "WaterParams", "detect_water"),
+    "hydro": ("WaterMask", "detect_water"),
     "ingest": ("PointCloud", "load_points", "read_las", "read_xyz_text"),
-    "pipeline": (
-        "EvalResult", "PipelineResult", "Window", "plan_windows", "run_eval", "run_pipeline",
-        "run_sweep",
-    ),
+    "pipeline": ("PipelineResult", "Window", "plan_windows", "run_pipeline", "run_sweep"),
     "terrain": ("TerrainSet", "derive_terrain"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -2,6 +2,10 @@
 
 Exit codes: 0 on success, 1 for usage or configuration problems, 2 for
 data problems (unreadable or malformed inputs, degenerate scenes).
+
+Parsing the flags and validating the settings load no numpy; each
+command imports the driver it runs, so `--help`, a usage error or a bad
+setting exits before numpy loads, and `eval` loads no map stage.
 """
 
 from __future__ import annotations
@@ -17,22 +21,15 @@ from dataclasses import fields
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .config import (
+    DEFAULT_TILE_SIZE,
     OUTPUT_NAMES,
+    SWEEPABLE,
     PipelineConfig,
     _coerce,
     apply_overrides,
     load_config,
 )
 from .errors import ConfigError, LidarMapsError
-from .evaluate import DEFAULT_TILE_SIZE
-from .pipeline import (
-    SWEEPABLE,
-    load_pred_mask,
-    load_truth_labels,
-    run_eval,
-    run_pipeline,
-    run_sweep,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -112,6 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_map(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
+    from .pipeline import run_pipeline
+
     result = run_pipeline(
         cfg,
         args.inputs,
@@ -134,6 +133,8 @@ def _show(v: float | None) -> str:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from .evaluate import load_pred_mask, load_truth_labels, run_eval
+
     pred = load_pred_mask(args.pred)
     truth = load_truth_labels(args.truth, pred.spec)
     res = run_eval(pred, truth, args.tile_size, args.out)
@@ -148,6 +149,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     values = [_coerce(args.param, s) for s in args.values.split(",") if s.strip()]
+    from .pipeline import run_sweep
+
     rows = run_sweep(
         cfg,
         args.param,

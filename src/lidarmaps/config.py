@@ -1,21 +1,132 @@
-"""Pipeline configuration: defaults, validation, and the flat key=value
-file format used to record experiment settings.
+"""Pipeline configuration: every setting's default and validator, and the
+flat key=value file format used to record experiment settings.
 
 Command-line flags override file values; the serialized form is canonical
-so that serialize -> parse -> serialize is the identity.
+so that serialize -> parse -> serialize is the identity.  This module
+loads no numpy, so the CLI parses and validates a run's settings before
+any stage loads.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
-from .errors import ConfigError
-from .extract import ExtractParams
-from .grid import _check_finite, _check_positive
-from .hydro import WaterParams
+from .errors import BadKernel, ConfigError
 
 #: Raster products the pipeline can emit, in canonical output order.
 OUTPUT_NAMES = ("map2d", "map3d", "dsm", "dtm", "ndhm", "water", "diff")
+
+#: The settings `sweep` can vary; each is an ExtractParams field.
+SWEEPABLE = ("k1", "dt", "k3", "ht")
+
+#: `eval`'s default tile edge in meters.
+DEFAULT_TILE_SIZE = 500.0
+
+
+# ---------------------------------------------------------------------------
+# validators
+# ---------------------------------------------------------------------------
+
+
+def _is_number(v, kind=numbers.Real) -> bool:
+    return isinstance(v, kind) and not isinstance(v, bool)  # True is an int
+
+
+def _is_finite(v) -> bool:
+    """Whether the real `v` has a finite float64 value; an int too large
+    for a float has none."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+def _check_kernel(k: int, name: str = "kernel size") -> int:
+    """Validate an odd window size; `name` opens the BadKernel message."""
+    if not _is_number(k, numbers.Integral) or k < 1 or k % 2 == 0:
+        raise BadKernel(f"{name} must be a positive odd integer, got {k!r}")
+    return int(k)
+
+
+def _check_shape_name(shape: str) -> str:
+    if shape not in ("square", "diamond"):
+        raise BadKernel(f"kernel shape must be 'square' or 'diamond', got {shape!r}")
+    return shape
+
+
+def _check_finite(v, name: str) -> None:
+    """Validate a finite real number."""
+    if not (_is_number(v) and _is_finite(v)):
+        raise ConfigError(f"{name} must be a finite number, got {v!r}")
+
+
+def _check_positive(v, name: str, or_zero: bool = False) -> None:
+    """Validate a finite number above zero, or at zero with `or_zero`."""
+    if not (_is_number(v) and (0 <= v if or_zero else 0 < v) and _is_finite(v)):
+        sign = "non-negative" if or_zero else "positive"
+        raise ConfigError(f"{name} must be finite and {sign}, got {v!r}")
+
+
+def _check_count(v, name: str) -> None:
+    """Validate an integer of at least one."""
+    if not _is_number(v, numbers.Integral) or v < 1:
+        raise ConfigError(f"{name} must be a positive integer, got {v!r}")
+
+
+# ---------------------------------------------------------------------------
+# the stages' settings
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ExtractParams:
+    """Extraction thresholds and kernel sizes (meters for ht, cells for k*)."""
+
+    ht: float = 1.5
+    k1: int = 7
+    k2: int = 5
+    rt: int = 4
+    dt: float = 0.1
+    k3: int = 5
+    kernel_shape: str = "square"
+    median_roof: int = 0  # 0 = off, else odd window size
+    map3d_source: str = "ndhm"
+
+    def __post_init__(self):
+        for k in ("k1", "k2", "k3"):
+            _check_kernel(getattr(self, k), k)
+        _check_positive(self.ht, "ht")
+        _check_count(self.rt, "rt")
+        if not (_is_number(self.dt) and 0.0 <= self.dt <= 1.0):
+            raise ConfigError(f"dt must lie in [0, 1], got {self.dt!r}")
+        _check_shape_name(self.kernel_shape)
+        if not (_is_number(self.median_roof, numbers.Integral) and self.median_roof == 0):
+            _check_kernel(self.median_roof, "median_roof")
+        if self.map3d_source not in ("ndhm", "dsm"):
+            raise ConfigError(f"map3d_source must be ndhm or dsm, got {self.map3d_source!r}")
+
+
+@dataclass(frozen=True)
+class WaterParams:
+    """Water settings, validated under their config keys (water_window, ...)."""
+
+    window: int = 9
+    sigma_k: float = 2.0
+    min_area: float = 1000.0  # m^2
+    buffer: float = 5.0  # m
+
+    def __post_init__(self):
+        _check_kernel(self.window, "water_window")
+        _check_positive(self.sigma_k, "water_sigma_k")
+        _check_positive(self.min_area, "water_min_area")
+        _check_positive(self.buffer, "water_buffer", or_zero=True)
+
+
+# ---------------------------------------------------------------------------
+# the pipeline's settings
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)

@@ -1,28 +1,31 @@
-"""Map comparison: pixel metrics, disagreement tiles, instance matching.
+"""Map comparison: pixel metrics, disagreement tiles, instance matching,
+and the eval driver that loads both maps and writes the reports.
 
 Ratios with an empty denominator are None (reported as nodata downstream),
 never 0: a tile with no building in either map is unknown, not perfect.
+This module and the ones it imports load no map stage, so `eval` runs
+without them.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_TILE_SIZE, _check_positive
 from .errors import EmptyTruth, IoFailure, OpenRing, SelfIntersection, SpecMismatch
+from .formats import read_ascii_grid
 from .grid import (
     GridSpec,
     Raster,
-    _check_positive,
     component_sizes,
     connected_components,
     require_same_spec,
 )
-
-DEFAULT_TILE_SIZE = 500.0
 
 #: Instance area bands in m^2, half-open [lo, hi).
 AREA_BANDS = (
@@ -415,3 +418,140 @@ def load_geojson_polygons(path: str) -> list[list[np.ndarray]]:
         except (KeyError, TypeError, ValueError) as exc:
             raise IoFailure(f"{path}: malformed {geom['type']} coordinates: {exc}") from exc
     return polygons
+
+
+# ---------------------------------------------------------------------------
+# text reports
+# ---------------------------------------------------------------------------
+
+
+def _fmt_ratio(v: float | None) -> str:
+    if v is None or (isinstance(v, float) and math.isnan(v)):
+        return "nan"
+    return f"{v:.6f}"
+
+
+def _write_report(out_dir: str, name: str, lines: list[str]) -> None:
+    """Write a text report into out_dir (created if missing), one "\n"
+    ending per line; any OSError becomes IoFailure."""
+    path = os.path.join(out_dir, name)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(path, "w", encoding="ascii", newline="\n") as f:
+            f.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# evaluation driver
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class EvalResult:
+    cells: ConfusionMetrics
+    tiles: TileReport
+    instances: InstanceReport
+
+
+def load_pred_mask(path: str) -> Raster:
+    r = read_ascii_grid(path)
+    return Raster(r.spec, r.values > 0.5)
+
+
+def load_truth_labels(path: str, spec: GridSpec) -> Raster:
+    """Truth instances from GeoJSON footprints or a mask/label grid.
+
+    GeoJSON is rasterized onto `spec`; a grid file must already be on
+    `spec` and is relabeled by 8-connectivity so both routes yield
+    comparable instance ids.
+    """
+    if path.lower().endswith((".geojson", ".json")):
+        labels = rasterize_polygons(load_geojson_polygons(path), spec)
+    else:
+        labels, _ = connected_components(load_pred_mask(path), 8)
+    if labels.spec != spec:
+        raise SpecMismatch(f"pred and truth are on different grids: {spec} vs {labels.spec}")
+    return labels
+
+
+def run_eval(
+    pred: Raster,
+    truth_labels: Raster,
+    tile_size: float = DEFAULT_TILE_SIZE,
+    out_dir: str | None = None,
+) -> EvalResult:
+    """Cellwise, tiled, and instance-level comparison of pred vs truth."""
+    pred_mask = pred.with_values(pred.values.astype(bool))
+    truth_mask = truth_labels.with_values(truth_labels.values > 0)
+    res = EvalResult(
+        cells=confusion(pred_mask, truth_mask),
+        tiles=tiling_comparison(pred_mask, truth_mask, tile_size),
+        instances=match_instances(pred_mask, truth_labels),
+    )
+    if out_dir is not None:
+        _write_eval_reports(out_dir, res, pred.spec)
+    return res
+
+
+def _write_eval_reports(out_dir: str, res: EvalResult, spec: GridSpec) -> None:
+    c = res.cells
+    t = res.tiles
+    inst = res.instances
+
+    summary = [
+        "== cells ==",
+        f"tp={c.tp} fp={c.fp} fn={c.fn} tn={c.tn}",
+        f"iou={_fmt_ratio(c.iou)}",
+        f"precision={_fmt_ratio(c.precision)}",
+        f"recall={_fmt_ratio(c.recall)}",
+        f"f1={_fmt_ratio(c.f1)}",
+        "",
+        f"== tiles ({t.tile_size:g} m) ==",
+        f"count={t.tile_count} defined={int(np.count_nonzero(~np.isnan(t.iou)))}",
+    ]
+    worst = [tid for tid in t.ranking[:10] if not np.isnan(t.iou[tid])]
+    summary.append(
+        "worst: " + " ".join(f"{tid}:{t.iou[tid]:.4f}" for tid in worst)
+        if worst
+        else "worst: none defined"
+    )
+    summary += [
+        "",
+        "== instances ==",
+        f"truth={inst.n_truth} pred={inst.n_pred}",
+        f"detection_rate={_fmt_ratio(inst.detection_rate)} "
+        f"commission_rate={_fmt_ratio(inst.commission_rate)}",
+    ]
+    for b in inst.bands:
+        summary.append(
+            f"band {band_name(b.lo, b.hi)}: gt={b.gt_count} detected={b.detected} "
+            f"rate={_fmt_ratio(b.detection_rate)} pred={b.pred_count} "
+            f"commissions={b.commission_count} rate={_fmt_ratio(b.commission_rate)}"
+        )
+    _write_report(out_dir, "eval_summary.txt", summary)
+
+    rows = [
+        f"# tile_size={t.tile_size:g} tiles_x={t.tiles_x} tiles_y={t.tiles_y}",
+        "# rank tile_id x0 y0 x1 y1 tp fp fn tn iou",
+    ]
+    for rank, tid in enumerate(t.ranking):
+        x0, y0, x1, y1 = t.tile_bounds(int(tid), spec)
+        iou = t.iou[tid]
+        rows.append(
+            f"{rank} {tid} {x0:.3f} {y0:.3f} {x1:.3f} {y1:.3f} "
+            f"{t.tp[tid]} {t.fp[tid]} {t.fn[tid]} {t.tn[tid]} "
+            f"{'nan' if np.isnan(iou) else f'{iou:.6f}'}"
+        )
+    _write_report(out_dir, "tiles.txt", rows)
+
+    rows = ["# band_lo band_hi gt_count detected_count detection_rate "
+            "pred_count commission_count commission_rate"]
+    for b in inst.bands:
+        hi = "inf" if math.isinf(b.hi) else f"{b.hi:g}"
+        rows.append(
+            f"{b.lo:g} {hi} {b.gt_count} {b.detected} {_fmt_ratio(b.detection_rate)} "
+            f"{b.pred_count} {b.commission_count} {_fmt_ratio(b.commission_rate)}"
+        )
+    _write_report(out_dir, "instances.txt", rows)

@@ -11,25 +11,13 @@ removed or added every cell relative to the raw candidates.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .errors import ConfigError
-from .grid import (
-    Raster,
-    _check_count,
-    _check_kernel,
-    _check_positive,
-    _check_shape_name,
-    _is_number,
-    connected_components,
-    dilate,
-    opening,
-    require_same_spec,
-)
+from .config import ExtractParams, _check_kernel
+from .grid import Raster, connected_components, dilate, opening, require_same_spec
 from .hydro import WaterMask
 from .terrain import TerrainSet
 
@@ -38,34 +26,6 @@ DIFF_WATER = 1
 DIFF_MORPHOLOGY = 2
 DIFF_PLANARITY = 3
 DIFF_DILATION = 4
-
-
-@dataclass(frozen=True)
-class ExtractParams:
-    """Extraction thresholds and kernel sizes (meters for ht, cells for k*)."""
-
-    ht: float = 1.5
-    k1: int = 7
-    k2: int = 5
-    rt: int = 4
-    dt: float = 0.1
-    k3: int = 5
-    kernel_shape: str = "square"
-    median_roof: int = 0  # 0 = off, else odd window size
-    map3d_source: str = "ndhm"
-
-    def __post_init__(self):
-        for k in ("k1", "k2", "k3"):
-            _check_kernel(getattr(self, k), k)
-        _check_positive(self.ht, "ht")
-        _check_count(self.rt, "rt")
-        if not (_is_number(self.dt) and 0.0 <= self.dt <= 1.0):
-            raise ConfigError(f"dt must lie in [0, 1], got {self.dt!r}")
-        _check_shape_name(self.kernel_shape)
-        if not (_is_number(self.median_roof, numbers.Integral) and self.median_roof == 0):
-            _check_kernel(self.median_roof, "median_roof")
-        if self.map3d_source not in ("ndhm", "dsm"):
-            raise ConfigError(f"map3d_source must be ndhm or dsm, got {self.map3d_source!r}")
 
 
 @dataclass

@@ -9,13 +9,13 @@ Arrays are (height, width) with row 0 the southernmost row.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .errors import BadKernel, ConfigError, GridTooLarge, NoPointsInGrid, ShapeMismatch, SpecMismatch
+from .config import _check_count, _check_finite, _check_kernel, _check_positive, _check_shape_name
+from .errors import ConfigError, GridTooLarge, NoPointsInGrid, ShapeMismatch, SpecMismatch
 
 DEFAULT_NODATA = -9999.0
 
@@ -122,42 +122,6 @@ class Raster:
 def require_same_spec(a: Raster, b: Raster, what: str = "rasters") -> None:
     if a.spec != b.spec:
         raise SpecMismatch(f"{what} are on different grids: {a.spec} vs {b.spec}")
-
-
-def _is_number(v, kind=numbers.Real) -> bool:
-    return isinstance(v, kind) and not isinstance(v, bool)  # True is an int
-
-
-def _check_kernel(k: int, name: str = "kernel size") -> int:
-    """Validate an odd window size; `name` opens the BadKernel message."""
-    if not _is_number(k, numbers.Integral) or k < 1 or k % 2 == 0:
-        raise BadKernel(f"{name} must be a positive odd integer, got {k!r}")
-    return int(k)
-
-
-def _check_shape_name(shape: str) -> str:
-    if shape not in ("square", "diamond"):
-        raise BadKernel(f"kernel shape must be 'square' or 'diamond', got {shape!r}")
-    return shape
-
-
-def _check_finite(v, name: str) -> None:
-    """Validate a finite real number."""
-    if not (_is_number(v) and np.isfinite(v)):
-        raise ConfigError(f"{name} must be a finite number, got {v!r}")
-
-
-def _check_positive(v, name: str, or_zero: bool = False) -> None:
-    """Validate a finite number above zero, or at zero with `or_zero`."""
-    if not (_is_number(v) and (0 <= v if or_zero else 0 < v) and v < np.inf):
-        sign = "non-negative" if or_zero else "positive"
-        raise ConfigError(f"{name} must be finite and {sign}, got {v!r}")
-
-
-def _check_count(v, name: str) -> None:
-    """Validate an integer of at least one."""
-    if not _is_number(v, numbers.Integral) or v < 1:
-        raise ConfigError(f"{name} must be a positive integer, got {v!r}")
 
 
 # ---------------------------------------------------------------------------

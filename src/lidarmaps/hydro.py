@@ -17,27 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from .config import WaterParams, _check_kernel
 from .errors import DegenerateOccupancy
-from .grid import Raster, _check_kernel, _check_positive, component_sizes
-from .grid import connected_components, dilate
+from .grid import Raster, component_sizes, connected_components, dilate
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class WaterParams:
-    """Water settings, validated under their config keys (water_window, ...)."""
-
-    window: int = 9
-    sigma_k: float = 2.0
-    min_area: float = 1000.0  # m^2
-    buffer: float = 5.0  # m
-
-    def __post_init__(self):
-        _check_kernel(self.window, "water_window")
-        _check_positive(self.sigma_k, "water_sigma_k")
-        _check_positive(self.min_area, "water_min_area")
-        _check_positive(self.buffer, "water_buffer", or_zero=True)
 
 
 @dataclass

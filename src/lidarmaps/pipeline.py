@@ -1,5 +1,6 @@
 """End-to-end orchestration: overlapped-window planning, the per-window
-stage chain, mosaicking, and the eval and sweep drivers.
+stage chain, mosaicking, and the sweep driver (the eval driver is in
+evaluate.py).
 
 Every input cloud is gridded in place, block by block, into one global
 min-z grid and one global count grid, and an external terrain grid is
@@ -27,38 +28,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .config import OUTPUT_NAMES, PipelineConfig, apply_overrides, serialize_config
-from .errors import ConfigError, GridTooLarge, IoFailure, LidarMapsError, SpecMismatch
-from .evaluate import (
-    DEFAULT_TILE_SIZE,
-    ConfusionMetrics,
-    InstanceReport,
-    TileReport,
-    band_name,
-    confusion,
-    load_geojson_polygons,
-    match_instances,
-    rasterize_polygons,
-    tiling_comparison,
-)
-from .extract import ExtractParams, extract_buildings
-from .formats import read_ascii_grid, write_ascii_grid
-from .grid import (
-    GridSpec,
-    Raster,
+from .config import (
+    OUTPUT_NAMES,
+    SWEEPABLE,
+    ExtractParams,
+    PipelineConfig,
     _check_count,
-    connected_components,
-    grid_from_bounds,
-    interpolate_nearest,
-    rasterize_min_clouds,
+    apply_overrides,
+    serialize_config,
 )
+from .errors import ConfigError, GridTooLarge, LidarMapsError
+from .evaluate import (
+    ConfusionMetrics,
+    _fmt_ratio,
+    _write_report,
+    confusion,
+    load_truth_labels,
+)
+from .extract import extract_buildings
+from .formats import read_ascii_grid, write_ascii_grid
+from .grid import GridSpec, Raster, grid_from_bounds, interpolate_nearest, rasterize_min_clouds
 from .hydro import detect_water
 from .ingest import PointCloud, load_points
 from .terrain import derive_terrain
 
 log = logging.getLogger(__name__)
-
-SWEEPABLE = ("k1", "dt", "k3", "ht")
 
 
 # ---------------------------------------------------------------------------
@@ -294,18 +288,6 @@ def run_pipeline(
     return result
 
 
-def _write_report(out_dir: str, name: str, lines: list[str]) -> None:
-    """Write a text report into out_dir (created if missing), one "\n"
-    ending per line; any OSError becomes IoFailure."""
-    path = os.path.join(out_dir, name)
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(path, "w", encoding="ascii", newline="\n") as f:
-            f.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
-
-
 def _write_products(out_dir: str, cfg: PipelineConfig, result: PipelineResult) -> None:
     # config.txt first: writing it creates out_dir for the grids.
     _write_report(out_dir, "config.txt", serialize_config(cfg).splitlines())
@@ -322,126 +304,6 @@ def _write_products(out_dir: str, cfg: PipelineConfig, result: PipelineResult) -
         f"water_cells={int(np.count_nonzero(result.products['water'].values))}",
     ]
     _write_report(out_dir, "summary.txt", lines)
-
-
-# ---------------------------------------------------------------------------
-# evaluation driver
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class EvalResult:
-    cells: ConfusionMetrics
-    tiles: TileReport
-    instances: InstanceReport
-
-
-def load_pred_mask(path: str) -> Raster:
-    r = read_ascii_grid(path)
-    return Raster(r.spec, r.values > 0.5)
-
-
-def load_truth_labels(path: str, spec: GridSpec) -> Raster:
-    """Truth instances from GeoJSON footprints or a mask/label grid.
-
-    GeoJSON is rasterized onto `spec`; a grid file must already be on
-    `spec` and is relabeled by 8-connectivity so both routes yield
-    comparable instance ids.
-    """
-    if path.lower().endswith((".geojson", ".json")):
-        labels = rasterize_polygons(load_geojson_polygons(path), spec)
-    else:
-        labels, _ = connected_components(load_pred_mask(path), 8)
-    if labels.spec != spec:
-        raise SpecMismatch(f"pred and truth are on different grids: {spec} vs {labels.spec}")
-    return labels
-
-
-def run_eval(
-    pred: Raster,
-    truth_labels: Raster,
-    tile_size: float = DEFAULT_TILE_SIZE,
-    out_dir: str | None = None,
-) -> EvalResult:
-    """Cellwise, tiled, and instance-level comparison of pred vs truth."""
-    pred_mask = pred.with_values(pred.values.astype(bool))
-    truth_mask = truth_labels.with_values(truth_labels.values > 0)
-    res = EvalResult(
-        cells=confusion(pred_mask, truth_mask),
-        tiles=tiling_comparison(pred_mask, truth_mask, tile_size),
-        instances=match_instances(pred_mask, truth_labels),
-    )
-    if out_dir is not None:
-        _write_eval_reports(out_dir, res, pred.spec)
-    return res
-
-
-def _fmt_ratio(v: float | None) -> str:
-    if v is None or (isinstance(v, float) and math.isnan(v)):
-        return "nan"
-    return f"{v:.6f}"
-
-
-def _write_eval_reports(out_dir: str, res: EvalResult, spec: GridSpec) -> None:
-    c = res.cells
-    t = res.tiles
-    inst = res.instances
-
-    summary = [
-        "== cells ==",
-        f"tp={c.tp} fp={c.fp} fn={c.fn} tn={c.tn}",
-        f"iou={_fmt_ratio(c.iou)}",
-        f"precision={_fmt_ratio(c.precision)}",
-        f"recall={_fmt_ratio(c.recall)}",
-        f"f1={_fmt_ratio(c.f1)}",
-        "",
-        f"== tiles ({t.tile_size:g} m) ==",
-        f"count={t.tile_count} defined={int(np.count_nonzero(~np.isnan(t.iou)))}",
-    ]
-    worst = [tid for tid in t.ranking[:10] if not np.isnan(t.iou[tid])]
-    summary.append(
-        "worst: " + " ".join(f"{tid}:{t.iou[tid]:.4f}" for tid in worst)
-        if worst
-        else "worst: none defined"
-    )
-    summary += [
-        "",
-        "== instances ==",
-        f"truth={inst.n_truth} pred={inst.n_pred}",
-        f"detection_rate={_fmt_ratio(inst.detection_rate)} "
-        f"commission_rate={_fmt_ratio(inst.commission_rate)}",
-    ]
-    for b in inst.bands:
-        summary.append(
-            f"band {band_name(b.lo, b.hi)}: gt={b.gt_count} detected={b.detected} "
-            f"rate={_fmt_ratio(b.detection_rate)} pred={b.pred_count} "
-            f"commissions={b.commission_count} rate={_fmt_ratio(b.commission_rate)}"
-        )
-    _write_report(out_dir, "eval_summary.txt", summary)
-
-    rows = [
-        f"# tile_size={t.tile_size:g} tiles_x={t.tiles_x} tiles_y={t.tiles_y}",
-        "# rank tile_id x0 y0 x1 y1 tp fp fn tn iou",
-    ]
-    for rank, tid in enumerate(t.ranking):
-        x0, y0, x1, y1 = t.tile_bounds(int(tid), spec)
-        iou = t.iou[tid]
-        rows.append(
-            f"{rank} {tid} {x0:.3f} {y0:.3f} {x1:.3f} {y1:.3f} "
-            f"{t.tp[tid]} {t.fp[tid]} {t.fn[tid]} {t.tn[tid]} "
-            f"{'nan' if np.isnan(iou) else f'{iou:.6f}'}"
-        )
-    _write_report(out_dir, "tiles.txt", rows)
-
-    rows = ["# band_lo band_hi gt_count detected_count detection_rate "
-            "pred_count commission_count commission_rate"]
-    for b in inst.bands:
-        hi = "inf" if math.isinf(b.hi) else f"{b.hi:g}"
-        rows.append(
-            f"{b.lo:g} {hi} {b.gt_count} {b.detected} {_fmt_ratio(b.detection_rate)} "
-            f"{b.pred_count} {b.commission_count} {_fmt_ratio(b.commission_rate)}"
-        )
-    _write_report(out_dir, "instances.txt", rows)
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from .config import _check_positive
 from .errors import ConfigError, DegenerateScene, NoGround
-from .grid import (
-    Raster,
-    _check_positive,
-    component_sizes,
-    connected_components,
-    require_same_spec,
-)
+from .grid import Raster, component_sizes, connected_components, require_same_spec
 
 DEGENERATE_BREAKLINE_FRACTION = 0.95
 

@@ -428,9 +428,12 @@ def test_sweep_rejects_bad_values(tmp_path, capsys):
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 POOL_AND_MA = ("numpy.ma", "concurrent.futures.process", "multiprocessing")
+MAP_STAGES = tuple(f"lidarmaps.{m}" for m in ("ingest", "hydro", "terrain", "extract", "pipeline"))
+WATCHED = ("numpy", *POOL_AND_MA, *MAP_STAGES)
 
 # Runs the CLI in a fresh interpreter, then reports on the last stdout line
-# the modules it loaded, the OpenBLAS setting it saw and its thread count.
+# which WATCHED modules it loaded, the OpenBLAS setting it saw and its
+# thread count.
 PROBE = """
 import json, os, sys
 from lidarmaps.cli import main
@@ -442,7 +445,7 @@ print(json.dumps({
     "openblas": os.environ.get("OPENBLAS_NUM_THREADS"),
     "threads": len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
 }))
-""" % (POOL_AND_MA,)
+""" % (WATCHED,)
 
 
 def run_fresh(code: str, *args: str, **env: str) -> str:
@@ -463,6 +466,25 @@ def run_cli_fresh(*argv: str, **env: str) -> dict:
 def test_import_loads_no_numpy():
     code = "import sys, lidarmaps; print('numpy' in sys.modules, 'lidarmaps.grid' in sys.modules)"
     assert run_fresh(code) == "False False\n"
+
+
+def test_parsing_and_setting_errors_load_no_numpy(tmp_path):
+    """Usage text, usage errors and bad settings exit before numpy loads."""
+    scene, truth = sweep_inputs(tmp_path)
+    out = str(tmp_path / "out")
+    commands = {
+        "--help": (["--help"], 0),
+        "map --help": (["map", "--help"], 0),
+        "map, no input": (["map"], 1),
+        "map --k1 4": (["map", scene, "--out", out, "--k1", "4"], 1),
+        "sweep --k1 4": (["sweep", scene, "--param", "k3", "--values", "3", "--truth", truth,
+                          "--out", out, "--k1", "4"], 1),
+    }
+    for name, (argv, rc) in commands.items():
+        seen = run_cli_fresh(*argv)
+        assert seen["rc"] == rc, name
+        assert seen["loaded"] == [], name
+    assert not os.path.exists(out)
 
 
 def test_one_worker_commands_load_no_pool_and_no_numpy_ma(tmp_path):
@@ -486,17 +508,26 @@ def test_one_worker_commands_load_no_pool_and_no_numpy_ma(tmp_path):
     for name, argv in commands.items():
         seen = run_cli_fresh(*argv)
         assert seen["rc"] == 0, name
-        assert seen["loaded"] == [], name
+        assert "numpy" in seen["loaded"], name
+        assert set(POOL_AND_MA).isdisjoint(seen["loaded"]), name
+        # eval runs the evaluation modules alone: no map stage loads.
+        if name == "eval":
+            assert set(MAP_STAGES).isdisjoint(seen["loaded"]), name
     assert "\nwindows=4\n" in (tmp_path / "tiled" / "summary.txt").read_text()
 
 
-def test_cli_caps_openblas_threads_unless_set():
-    seen = run_cli_fresh("--help")
+def test_cli_caps_openblas_threads_unless_set(tmp_path):
+    # eval loads numpy, so the cap must be in place before numpy loads.
+    grid = str(tmp_path / "mask.asc")
+    write_ascii_grid(grid, raster_of(np.eye(4, dtype=bool), gsd=1.0))
+    argv = ["eval", "--pred", grid, "--truth", grid, "--out", str(tmp_path / "eval")]
+    seen = run_cli_fresh(*argv)
     assert seen["rc"] == 0
+    assert "numpy" in seen["loaded"]
     assert seen["openblas"] == "1"
     # The cap is in place before numpy loads: OpenBLAS starts no thread.
     assert seen["threads"] in (None, 1)
-    assert run_cli_fresh("--help", OPENBLAS_NUM_THREADS="2")["openblas"] == "2"
+    assert run_cli_fresh(*argv, OPENBLAS_NUM_THREADS="2")["openblas"] == "2"
     # Importing the library sets nothing.
     code = "import os, lidarmaps.pipeline; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
     assert run_fresh(code) == "None\n"

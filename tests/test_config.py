@@ -5,11 +5,14 @@ from __future__ import annotations
 import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from lidarmaps.config import (
     OUTPUT_NAMES,
     PipelineConfig,
+    _check_finite,
+    _check_positive,
     apply_overrides,
     load_config,
     parse_config,
@@ -17,6 +20,7 @@ from lidarmaps.config import (
 )
 from lidarmaps.errors import ConfigError
 from lidarmaps.extract import ExtractParams
+from lidarmaps.grid import GridSpec
 from lidarmaps.hydro import WaterParams
 
 
@@ -170,6 +174,44 @@ def test_bools_rejected(key, bad):
         PipelineConfig(**{key: bad})
     with pytest.raises(ConfigError):
         parse_config(f"{key}={bad}\n")
+
+
+@pytest.mark.parametrize(
+    "value, valid",
+    [
+        # An int too large for a float64 has no finite float64 value.
+        (10**400, False),
+        (-(10**400), False),
+        (np.float32("nan"), False),
+        (np.float64("inf"), False),
+        (True, False),
+        (np.int64(5), True),
+        (5, True),
+        (1.5, True),
+    ],
+    ids=["huge_int", "huge_negative_int", "float32_nan", "float64_inf", "bool", "int64", "int",
+         "float"],
+)
+def test_finite_and_positive_validators(value, valid):
+    """The two real-number validators accept a value iff it is a non-bool
+    real with a finite float64 value (and above zero, for positive); every
+    other value raises ConfigError, never another error."""
+    checks = [
+        lambda: _check_finite(value, "x"),
+        lambda: _check_positive(value, "x"),
+        lambda: GridSpec(value, 0.0, 1.0, 2, 2),
+        lambda: GridSpec(0.0, 0.0, value, 2, 2),
+    ]
+    for check in checks:
+        if valid:
+            check()
+        else:
+            with pytest.raises(ConfigError):
+                check()
+    # overlap_m is checked for finiteness before the stage support.
+    if not valid:
+        with pytest.raises(ConfigError, match="^overlap_m must be a finite number"):
+            PipelineConfig(overlap_m=value)
 
 
 def test_serialize_parse_round_trip():

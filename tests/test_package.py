@@ -14,7 +14,11 @@ def test_every_public_name_is_its_home_modules_object():
         if name == "using_numba":
             continue
         home = importlib.import_module(f"lidarmaps.{lidarmaps._HOME[name]}")
-        assert getattr(lidarmaps, name) is getattr(home, name), name
+        value = getattr(lidarmaps, name)
+        assert value is getattr(home, name), name
+        # The home is where a class or function is defined, not a module
+        # that imports it.
+        assert getattr(value, "__module__", home.__name__) == home.__name__, name
 
 
 def test_star_import_binds_every_public_name():

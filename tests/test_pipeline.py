@@ -13,7 +13,13 @@ import pytest
 from lidarmaps import pipeline
 from lidarmaps.config import OUTPUT_NAMES, PipelineConfig, serialize_config
 from lidarmaps.errors import ConfigError, DegenerateScene, SpecMismatch
-from lidarmaps.evaluate import ConfusionMetrics, confusion
+from lidarmaps.evaluate import (
+    ConfusionMetrics,
+    confusion,
+    load_pred_mask,
+    load_truth_labels,
+    run_eval,
+)
 from lidarmaps.extract import ExtractParams
 from lidarmaps.formats import read_ascii_grid, write_ascii_grid
 from lidarmaps.grid import GridSpec, Raster
@@ -22,10 +28,7 @@ from lidarmaps.pipeline import (
     SWEEPABLE,
     Window,
     _sample_external,
-    load_pred_mask,
-    load_truth_labels,
     plan_windows,
-    run_eval,
     run_pipeline,
     run_sweep,
 )

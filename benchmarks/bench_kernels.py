@@ -10,6 +10,12 @@ grid.rasterize_min, so the point-to-cell floor is inside the timed call,
 and again as the same points split into four inputs, gridded together
 by grid.rasterize_min_clouds as a map of four tile files is; both grid
 one block of points at a time, so neither peak grows with the points.
+The same points, written once to a LAS file at 1 mm steps, are read and
+gridded two ways: read_las, which holds every point, then
+rasterize_min_clouds; and as a map grids a LAS file, scan_las for the
+bounds, then rasterize_min_clouds over the chunks as they are read
+again, so only the grids and one chunk are held.  The scan alone is
+timed too; the streamed read costs one more pass over the records.
 The XYZ text reader is timed on a file of the first 200,000 points (or
 all of them, if fewer), written once beforehand.
 The roughness count runs over every cell and at a random 9% of the cells,
@@ -48,6 +54,7 @@ Usage:
 import argparse
 import math
 import os
+import struct
 import tempfile
 import time
 import tracemalloc
@@ -59,7 +66,7 @@ from lidarmaps import grid
 from lidarmaps.config import PipelineConfig
 from lidarmaps.formats import read_ascii_grid, write_ascii_grid
 from lidarmaps.grid import GridSpec, Raster
-from lidarmaps.ingest import PointCloud, read_xyz_text
+from lidarmaps.ingest import PointCloud, read_las, read_xyz_text, scan_las
 from lidarmaps.pipeline import run_pipeline
 
 
@@ -79,6 +86,34 @@ def _traced_peak_mb(fn, args: tuple) -> float:
         return tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
+
+
+def _write_las(path: str, points: np.ndarray) -> None:
+    """A LAS 1.2 file of point format 0 at 1 mm steps, offset 0."""
+    rec = np.zeros(len(points), [("xyz", "<i4", 3), ("rest", "V8")])
+    rec["xyz"] = np.round(points / 0.001)
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    head = struct.pack(
+        "<4sHH16sBB32s32sHHHIIBHI5I12d",
+        b"LASF", 0, 0, bytes(16), 1, 2, bytes(32), bytes(32), 1, 2024,
+        227, 227, 0, 0, 20, len(points), len(points), 0, 0, 0, 0,
+        0.001, 0.001, 0.001, 0.0, 0.0, 0.0, hi[0], lo[0], hi[1], lo[1], hi[2], lo[2],
+    )
+    with open(path, "wb") as f:
+        f.write(head)
+        f.write(rec.tobytes())
+
+
+def _las_read_then_grid(path: str, gsd: float):
+    cloud = read_las(path)
+    spec = grid.grid_from_bounds(*cloud.bounds, gsd)
+    return grid.rasterize_min_clouds([cloud.points], spec, 0, 0, spec.width, spec.height)
+
+
+def _las_streamed(path: str, gsd: float):
+    scan = scan_las(path)
+    spec = grid.grid_from_bounds(*scan.bounds, gsd)
+    return grid.rasterize_min_clouds(scan.chunks(), spec, 0, 0, spec.width, spec.height)
 
 
 def _cases(size: int, n_points: int, rng: np.random.Generator, out_dir: str) -> list:
@@ -126,6 +161,8 @@ def _cases(size: int, n_points: int, rng: np.random.Generator, out_dir: str) -> 
     distinct_path = os.path.join(out_dir, "distinct.asc")
     write_ascii_grid(lattice_path, Raster(spec, lattice))
     write_ascii_grid(distinct_path, Raster(spec, distinct))
+    las_path = os.path.join(out_dir, "points.las")
+    _write_las(las_path, points)
     xyz_points = points[:200_000]
     xyz_path = os.path.join(out_dir, "points.xyz")
     np.savetxt(xyz_path, xyz_points, fmt="%.3f")
@@ -159,6 +196,24 @@ def _cases(size: int, n_points: int, rng: np.random.Generator, out_dir: str) -> 
             f"{n_points / 1e6:.1f}M pts in 4 inputs",
             grid.rasterize_min_clouds,
             (np.array_split(points, 4), spec, 0, 0, w, h),
+        ),
+        (
+            "las read+grid",
+            f"{n_points / 1e6:.1f}M pts, read_las",
+            _las_read_then_grid,
+            (las_path, 1.0),
+        ),
+        (
+            "las read+grid",
+            f"{n_points / 1e6:.1f}M pts, streamed",
+            _las_streamed,
+            (las_path, 1.0),
+        ),
+        (
+            "las read+grid",
+            f"{n_points / 1e6:.1f}M pts, scan only",
+            scan_las,
+            (las_path,),
         ),
         (
             "read_xyz_text",

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULT_TILE_SIZE, _check_positive
 from .errors import EmptyTruth, IoFailure, OpenRing, SelfIntersection, SpecMismatch
-from .formats import read_ascii_grid
+from .formats import _write_report, read_ascii_grid
 from .grid import (
     GridSpec,
     Raster,
@@ -429,18 +428,6 @@ def _fmt_ratio(v: float | None) -> str:
     if v is None or (isinstance(v, float) and math.isnan(v)):
         return "nan"
     return f"{v:.6f}"
-
-
-def _write_report(out_dir: str, name: str, lines: list[str]) -> None:
-    """Write a text report into out_dir (created if missing), one "\n"
-    ending per line; any OSError becomes IoFailure."""
-    path = os.path.join(out_dir, name)
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(path, "w", encoding="ascii", newline="\n") as f:
-            f.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ same bytes, so outputs can be diffed across runs and platforms.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from typing import Callable, Iterable, Iterator
 
@@ -20,6 +21,8 @@ _BLOCK_CELLS = 1 << 14
 # A millimetre key table may have an entry per cell of the grid, and at
 # least this many, so that small grids take the key path too.
 _KEY_TABLE_MIN = 1 << 16
+# _sorted_distinct sorts a grid in this many blocks of rows.
+_DISTINCT_BLOCKS = 8
 
 
 def _fmt_num(v: float) -> str:
@@ -29,13 +32,32 @@ def _fmt_num(v: float) -> str:
     return repr(float(v))
 
 
-def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
-    """The distinct values of `keys`, ascending, from one np.sort."""
-    ordered = np.sort(keys, axis=None)
+def _distinct(ordered: np.ndarray) -> np.ndarray:
+    """The distinct values of an ascending 1-D array."""
     first = np.empty(ordered.size, bool)
     first[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
     return ordered[first]
+
+
+def _sorted_distinct(grid: np.ndarray, key: Callable = np.asarray) -> np.ndarray:
+    """The distinct values of key(grid), ascending, with no copy of the
+    whole grid: each of _DISTINCT_BLOCKS blocks of rows is sorted and
+    reduced to its distinct values, and these are merged by one more
+    sort.  The merge holds each value once per block it appears in, so
+    it is small unless most cells are distinct."""
+    rows = -(-grid.shape[0] // _DISTINCT_BLOCKS)
+    runs = [
+        _distinct(np.sort(key(grid[r0:r0 + rows]), axis=None))
+        for r0 in range(0, grid.shape[0], rows)
+    ]
+    if len(runs) == 1:
+        return runs[0]
+    joined = np.concatenate(runs)
+    # The runs go before the sort: at most two copies of them are held.
+    del runs
+    joined.sort()
+    return _distinct(joined)
 
 
 def _joined(values, fmt: str) -> Iterator[str]:
@@ -152,7 +174,7 @@ def _cell_words(vals: np.ndarray, sentinel: str) -> tuple[np.ndarray, Callable]:
     def bits(block):
         return np.asarray(block, np.float64).view(np.int64)
 
-    distinct = _sorted_distinct(bits(vals))
+    distinct = _sorted_distinct(vals, bits)
     floats = distinct.view(np.float64)
     # %.3f prints every NaN, signed or not, as "nan" and no other value
     # contains it, so one replace writes the sentinel; neither a value nor
@@ -199,6 +221,18 @@ def write_ascii_grid(path: str, raster: Raster) -> None:
                 last = text[:, -1]
                 last[last == ord(" ")] = ord("\n")
                 f.write(text.tobytes().translate(None, b"\0") if padded else text)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
+def _write_report(out_dir: str, name: str, lines: list[str]) -> None:
+    """Write a text report into out_dir (created if missing), one "\n"
+    ending per line; any OSError becomes IoFailure."""
+    path = os.path.join(out_dir, name)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(path, "w", encoding="ascii", newline="\n") as f:
+            f.write("\n".join(lines) + "\n")
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 

@@ -10,6 +10,7 @@ Arrays are (height, width) with row 0 the southernmost row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -153,12 +154,13 @@ def rasterize_min_window(
 
 
 def rasterize_min_clouds(
-    clouds: list[np.ndarray], spec: GridSpec, col0: int, row0: int, width: int, height: int
+    clouds: Iterable[np.ndarray], spec: GridSpec, col0: int, row0: int, width: int, height: int
 ) -> tuple[Raster, Raster]:
     """rasterize_min_window of several (n, 3) point arrays as one cloud,
     without joining them: each is gridded _kernels._BLOCK points at a time
     straight into the window's grids, in input order, so the grids are
-    those of one array of all the points, to the bit."""
+    those of one array of all the points, to the bit.  The arrays may
+    come one at a time, as chunks of a file being read."""
     dsm = np.full((height, width), np.inf)
     counts = np.zeros((height, width), np.int32)
     for points in clouds:

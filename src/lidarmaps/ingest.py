@@ -13,6 +13,7 @@ import os
 import struct
 from array import array
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -139,41 +140,112 @@ def _as_cloud(pts: np.ndarray, source: str) -> PointCloud:
     return PointCloud(pts, bounds, dropped)
 
 
+def _las_header(path: str) -> LasHeaderInfo:
+    """The header of a LAS file that declares points and holds all of
+    their records."""
+    try:
+        size = os.path.getsize(path)
+        with open(path, "rb") as f:
+            info = parse_las_header(f.read(max(_HEADER_MIN, _EXT_COUNT_OFFSET + 8)))
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    if info.point_count == 0:
+        raise EmptyCloud(f"{path} declares zero points")
+    end = info.data_offset + info.point_count * info.record_length
+    if size < end:
+        raise Truncated(
+            f"{path}: need {end} bytes for {info.point_count} records, "
+            f"file has {size}"
+        )
+    return info
+
+
+def _las_chunks(
+    path: str, info: LasHeaderInfo, out: np.ndarray | None = None
+) -> Iterator[np.ndarray]:
+    """The records of `path`, _CHUNK_RECORDS at a time in file order,
+    dequantized as (n, 3) float64 chunks: into the next rows of `out`
+    when it is given, else into one buffer that every chunk reuses, so
+    each chunk must be used before the next is read."""
+    rec = [("x", "<i4"), ("y", "<i4"), ("z", "<i4")]
+    if info.record_length > 12:
+        rec.append(("skip", f"V{info.record_length - 12}"))
+    rec = np.dtype(rec)
+    reuse = out is None
+    if reuse:
+        out = np.empty((min(_CHUNK_RECORDS, info.point_count), 3), np.float64)
+    try:
+        with open(path, "rb") as f:
+            f.seek(info.data_offset)
+            for s in range(0, info.point_count, _CHUNK_RECORDS):
+                raw = np.fromfile(f, dtype=rec, count=min(_CHUNK_RECORDS, info.point_count - s))
+                chunk = out[:raw.size] if reuse else out[s:s + raw.size]
+                for axis, name in enumerate("xyz"):
+                    np.multiply(raw[name], info.scale[axis], out=chunk[:, axis])
+                    chunk[:, axis] += info.offset[axis]
+                yield chunk
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+
+
 def read_las(path: str) -> PointCloud:
     """Read an uncompressed LAS file (versions 1.1-1.4, formats 0-10).
 
     Horizontal bounds come from the points themselves, not from the header,
     so a stale header cannot skew the grid.
     """
-    try:
-        size = os.path.getsize(path)
-        with open(path, "rb") as f:
-            head = f.read(max(_HEADER_MIN, _EXT_COUNT_OFFSET + 8))
-            info = parse_las_header(head)
-            if info.point_count == 0:
-                raise EmptyCloud(f"{path} declares zero points")
-            end = info.data_offset + info.point_count * info.record_length
-            if size < end:
-                raise Truncated(
-                    f"{path}: need {end} bytes for {info.point_count} records, "
-                    f"file has {size}"
-                )
-            rec = [("x", "<i4"), ("y", "<i4"), ("z", "<i4")]
-            if info.record_length > 12:
-                rec.append(("skip", f"V{info.record_length - 12}"))
-            rec = np.dtype(rec)
-            f.seek(info.data_offset)
-            pts = np.empty((info.point_count, 3), np.float64)
-            # Fixed chunks of records, dequantized straight into pts.
-            for s in range(0, info.point_count, _CHUNK_RECORDS):
-                raw = np.fromfile(f, dtype=rec, count=min(_CHUNK_RECORDS, info.point_count - s))
-                for axis, name in enumerate("xyz"):
-                    out = pts[s:s + raw.size, axis]
-                    np.multiply(raw[name], info.scale[axis], out=out)
-                    out += info.offset[axis]
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    info = _las_header(path)
+    pts = np.empty((info.point_count, 3), np.float64)
+    # Each chunk is dequantized straight into its rows of pts.
+    for _ in _las_chunks(path, info, out=pts):
+        pass
     return _as_cloud(pts, path)
+
+
+@dataclass
+class LasScan:
+    """A LAS file's bounds and point counts, found by one pass over its
+    records without holding them; chunks() reads the points again.
+
+    bounds, len() and dropped_nonfinite are those of read_las's
+    PointCloud of the same file.
+    """
+
+    path: str
+    info: LasHeaderInfo
+    bounds: tuple[float, float, float, float]  # min_x, min_y, max_x, max_y
+    count: int
+    dropped_nonfinite: int
+
+    def __len__(self) -> int:
+        return self.count
+
+    def chunks(self) -> Iterator[np.ndarray]:
+        """The finite points in file order, one reused chunk at a time."""
+        for chunk in _las_chunks(self.path, self.info):
+            yield chunk[np.isfinite(chunk).all(axis=1)] if self.dropped_nonfinite else chunk
+
+
+def scan_las(path: str) -> LasScan:
+    """read_las's bounds, point count and drop warning for `path`, with
+    the same errors, from one pass over its records."""
+    info = _las_header(path)
+    lo, hi, count = [np.inf, np.inf], [-np.inf, -np.inf], 0
+    for chunk in _las_chunks(path, info):
+        if not np.isfinite(chunk).all():
+            chunk = chunk[np.isfinite(chunk).all(axis=1)]
+        if len(chunk):
+            for axis in (0, 1):
+                lo[axis] = min(lo[axis], chunk[:, axis].min())
+                hi[axis] = max(hi[axis], chunk[:, axis].max())
+        count += len(chunk)
+    dropped = info.point_count - count
+    if dropped:
+        log.warning("dropped %d non-finite points from %s", dropped, path)
+    if count == 0:
+        raise EmptyCloud(f"no usable points in {path}")
+    bounds = (float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
+    return LasScan(path, info, bounds, count, dropped)
 
 
 def read_xyz_text(path: str) -> PointCloud:
@@ -206,16 +278,28 @@ def read_xyz_text(path: str) -> PointCloud:
     return _as_cloud(np.frombuffer(values, np.float64).reshape(-1, 3), path)
 
 
+def _point_format(path: str, fmt: str) -> str:
+    if fmt == "auto":
+        return "las" if path.lower().endswith((".las", ".laz")) else "xyz"
+    if fmt not in ("las", "xyz"):
+        raise ConfigError(f"unknown point format {fmt!r}")
+    return fmt
+
+
 def load_points(path: str, fmt: str = "auto") -> PointCloud:
     """Read one point file, picking the reader from the extension.
 
     `fmt` forces 'las' or 'xyz' regardless of how the file is named.
     """
-    if fmt == "auto":
-        fmt = "las" if path.lower().endswith((".las", ".laz")) else "xyz"
-    if fmt == "las":
+    if _point_format(path, fmt) == "las":
         return read_las(path)
-    if fmt == "xyz":
-        return read_xyz_text(path)
-    raise ConfigError(f"unknown point format {fmt!r}")
+    return read_xyz_text(path)
 
+
+def scan_points(path: str, fmt: str = "auto") -> PointCloud | LasScan:
+    """load_points for gridding: a LAS file is scanned (scan_las), so its
+    points are read again chunk by chunk as they are gridded, and never
+    held whole; an XYZ file is read whole."""
+    if _point_format(path, fmt) == "las":
+        return scan_las(path)
+    return read_xyz_text(path)

@@ -3,15 +3,17 @@ stage chain, mosaicking, and the sweep driver (the eval driver is in
 evaluate.py).
 
 Every input cloud is gridded in place, block by block, into one global
-min-z grid and one global count grid, and an external terrain grid is
-sampled once onto the same grid; each window cuts its padded box from
-those grids and never sees a point.  Windows run one at a time in this
-process, and only each window's core is copied into the mosaic.  The
-mosaic differs from a one-window run (the default window_size_m gives
-one to any extent under 1000 m on a side): every
-stage with a non-local rule (the occupancy rate p, the ground regions,
-the nearest fills, the per-component statistics) sees only the window's
-padded box.
+min-z grid and one global count grid (a LAS file as it is read, after a
+first pass for its bounds, so its points are never held whole), and an
+external terrain grid is sampled once onto the same grid; each window
+cuts its padded box from those grids and never sees a point.  Windows
+run one at a time in this process, and only each window's core is
+copied into the mosaic; the last window's chain frees each global grid
+after its last reader.  The mosaic differs from a one-window run (the
+default window_size_m gives one to any extent under 1000 m on a side):
+every stage with a non-local rule (the occupancy rate p, the ground
+regions, the nearest fills, the per-component statistics) sees only the
+window's padded box.
 
 The chain splits at terrain: the surface stages run once per window, then
 extraction once per ExtractParams, one for `map` and one per value for
@@ -24,6 +26,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -38,19 +41,15 @@ from .config import (
     serialize_config,
 )
 from .errors import ConfigError, GridTooLarge, LidarMapsError
-from .evaluate import (
-    ConfusionMetrics,
-    _fmt_ratio,
-    _write_report,
-    confusion,
-    load_truth_labels,
-)
 from .extract import extract_buildings
-from .formats import read_ascii_grid, write_ascii_grid
+from .formats import _write_report, read_ascii_grid, write_ascii_grid
 from .grid import GridSpec, Raster, grid_from_bounds, interpolate_nearest, rasterize_min_clouds
 from .hydro import detect_water
-from .ingest import PointCloud, load_points
+from .ingest import LasScan, PointCloud, scan_points
 from .terrain import derive_terrain
+
+if TYPE_CHECKING:
+    from .evaluate import ConfusionMetrics
 
 log = logging.getLogger(__name__)
 
@@ -102,17 +101,17 @@ def plan_windows(spec: GridSpec, window_size_m: float, overlap_m: float) -> list
 
 def _cut_window(
     dsm: Raster, counts: Raster, ext: Raster | None, box: tuple[int, int, int, int]
-) -> tuple[Raster, Raster, Raster | None]:
+) -> list[Raster | None]:
     """The box of the global min-z, count and external-terrain grids as
     views on its own sub-grid."""
     c0, r0, w, h = box
     sub = dsm.spec.subgrid(c0, r0, w, h)
     sl = (slice(r0, r0 + h), slice(c0, c0 + w))
-    return (
+    return [
         Raster(sub, dsm.values[sl]),
         Raster(sub, counts.values[sl]),
         None if ext is None else Raster(sub, ext.values[sl]),
-    )
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +135,7 @@ def _sample_external(ext: Raster, spec: GridSpec) -> Raster:
 
 
 def _window_products(
-    gridded: tuple[Raster, Raster, Raster | None],
+    gridded: list[Raster | None],
     window: Window,
     cfg: PipelineConfig,
     params: list[ExtractParams],
@@ -144,20 +143,30 @@ def _window_products(
 ) -> list[dict[str, np.ndarray]] | None:
     """Surface stages once, then extraction once per entry of `params`, on
     the min-z, count and external-terrain (or None) grids of the window's
-    padded box.  Returns, per entry of `params`, the core slices of the
-    grids in `names`; None for an empty window.
+    padded box, given in that order in `gridded`.  Returns, per entry of
+    `params`, the core slices of the grids in `names`; None for an empty
+    window.
+
+    Each grid is let go after its last reader: the chain takes the three
+    out of `gridded` at the fill, water and terrain, and keeps dsm and dtm
+    past ndhm only for an output in `names` or a map3d made from dsm.  A
+    grid that no caller holds elsewhere is freed there.
     """
-    dsm_raw, counts, ext = gridded
-    if not counts.values.any():
+    if not gridded[1].values.any():
         log.warning("window %d is empty; its core stays nodata", window.index)
         return None
     pc0, pr0 = window.padded[:2]
     c0, r0, w, h = window.core
     sl = (slice(r0 - pr0, r0 - pr0 + h), slice(c0 - pc0, c0 - pc0 + w))
     try:
-        dsm = interpolate_nearest(dsm_raw)
-        water = detect_water(counts, cfg.water_params())
-        terrain = derive_terrain(dsm, cfg.slope_threshold, ext)
+        dsm = interpolate_nearest(gridded.pop(0))
+        water = detect_water(gridded.pop(0), cfg.water_params())
+        terrain = derive_terrain(dsm, cfg.slope_threshold, gridded.pop(0))
+        del dsm
+        if "dtm" not in names:
+            terrain.dtm = None
+        if "dsm" not in names and all(p.map3d_source != "dsm" for p in params):
+            terrain.dsm = None
         surface = {"dsm": terrain.dsm, "dtm": terrain.dtm, "ndhm": terrain.ndhm, "water": water.mask}
         out = []
         for p in params:
@@ -202,7 +211,7 @@ def _run_windows(
     if not inputs:
         raise ConfigError("at least one input cloud is required")
     clouds = [
-        c if isinstance(c, PointCloud) else load_points(c, input_format) for c in inputs
+        c if isinstance(c, PointCloud) else scan_points(c, input_format) for c in inputs
     ]
     if isinstance(external_dtm, str):
         external_dtm = read_ascii_grid(external_dtm)
@@ -218,15 +227,15 @@ def _run_windows(
 
     whole = (0, 0, spec.width, spec.height)
     try:
-        dsm_raw, counts = rasterize_min_clouds([c.points for c in clouds], spec, *whole)
+        grids = list(rasterize_min_clouds(_point_arrays(clouds), spec, *whole))
     except MemoryError as exc:
         raise GridTooLarge(f"a {spec.width} x {spec.height} grid does not fit in memory") from exc
-    ext = None if external_dtm is None else _sample_external(external_dtm, spec)
+    grids.append(None if external_dtm is None else _sample_external(external_dtm, spec))
     point_count, dropped = sum(len(c) for c in clouds), sum(c.dropped_nonfinite for c in clouds)
     del clouds, external_dtm
     # Windows get views into overlapping boxes of these grids; read-only,
     # so no stage can change a neighbouring window's input.
-    for grid in (dsm_raw, counts, ext):
+    for grid in grids:
         if grid is not None:
             grid.values.flags.writeable = False
 
@@ -236,9 +245,12 @@ def _run_windows(
     mosaics: list[dict[str, np.ndarray]] = [{} for _ in params]
     empty = 0
     for window in windows:
-        cores = _window_products(
-            _cut_window(dsm_raw, counts, ext, window.padded), window, cfg, params, names
-        )
+        cut = _cut_window(*grids, window.padded)
+        if window is windows[-1]:
+            # No later window reads the global grids, so the last one's
+            # chain frees each of them after its last reader.
+            grids.clear()
+        cores = _window_products(cut, window, cfg, params, names)
         if cores is None:
             empty += 1
             continue
@@ -262,6 +274,13 @@ def _run_windows(
         empty_windows=empty,
     )
     return result, [{n: Raster(spec, v) for n, v in m.items()} for m in mosaics]
+
+
+def _point_arrays(clouds: list[PointCloud | LasScan]) -> Iterator[np.ndarray]:
+    """The points of every cloud in input order: a PointCloud's array, or
+    a scanned LAS file's chunks as they are read."""
+    for c in clouds:
+        yield from c.chunks() if isinstance(c, LasScan) else (c.points,)
 
 
 def run_pipeline(
@@ -335,6 +354,11 @@ def run_sweep(
         raise ConfigError("sweep needs at least one value")
     values = sorted(values)
     params = [apply_overrides(cfg, {param: v}).extract_params() for v in values]
+    for a, b in zip(values, values[1:]):
+        if a == b:
+            raise ConfigError(f"sweep value {param}={b} is given more than once")
+    from .evaluate import _fmt_ratio, confusion, load_truth_labels
+
     result, extracted = _run_windows(
         cfg, params, ("map2d",), inputs, workers, external_dtm, input_format
     )

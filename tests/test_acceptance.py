@@ -19,6 +19,7 @@ from lidarmaps.config import PipelineConfig
 from lidarmaps.errors import NoPointsInGrid
 from lidarmaps.evaluate import (
     confusion,
+    load_truth_labels,
     match_instances,
     rasterize_polygons,
     tiling_comparison,
@@ -35,7 +36,7 @@ from lidarmaps.grid import (
 )
 from lidarmaps.hydro import classify_water
 from lidarmaps.ingest import PointCloud
-from lidarmaps.pipeline import load_truth_labels, run_pipeline, run_sweep
+from lidarmaps.pipeline import run_pipeline, run_sweep
 from lidarmaps.terrain import breakline_map, extract_objects
 
 from conftest import (

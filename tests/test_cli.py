@@ -422,6 +422,22 @@ def test_sweep_rejects_bad_values(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "param, values, shown",
+    [("k1", "7,3,07", "k1=7"), ("dt", "0.1,0.5,0.10", "dt=0.1"), ("ht", "2,2.0", "ht=2.0")],
+)
+def test_sweep_rejects_repeated_values(tmp_path, capsys, param, values, shown):
+    # A value given twice, once coerced, would run twice and print two
+    # identical rows.
+    scene, truth = sweep_inputs(tmp_path)
+    out = tmp_path / "s"
+    rc = main(["sweep", scene, "--param", param, "--values", values, "--truth", truth,
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: sweep value {shown} is given more than once\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # start-up: each command loads only what it runs
 # ---------------------------------------------------------------------------
@@ -429,7 +445,7 @@ def test_sweep_rejects_bad_values(tmp_path, capsys):
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 POOL_AND_MA = ("numpy.ma", "concurrent.futures.process", "multiprocessing")
 MAP_STAGES = tuple(f"lidarmaps.{m}" for m in ("ingest", "hydro", "terrain", "extract", "pipeline"))
-WATCHED = ("numpy", *POOL_AND_MA, *MAP_STAGES)
+WATCHED = ("numpy", *POOL_AND_MA, *MAP_STAGES, "lidarmaps.evaluate")
 
 # Runs the CLI in a fresh interpreter, then reports on the last stdout line
 # which WATCHED modules it loaded, the OpenBLAS setting it saw and its
@@ -513,6 +529,9 @@ def test_one_worker_commands_load_no_pool_and_no_numpy_ma(tmp_path):
         # eval runs the evaluation modules alone: no map stage loads.
         if name == "eval":
             assert set(MAP_STAGES).isdisjoint(seen["loaded"]), name
+        # map scores nothing, so it loads no evaluation module.
+        if name.endswith("map"):
+            assert "lidarmaps.evaluate" not in seen["loaded"], name
     assert "\nwindows=4\n" in (tmp_path / "tiled" / "summary.txt").read_text()
 
 

@@ -135,8 +135,11 @@ def test_nan_written_as_sentinel(tmp_path):
 
 @pytest.mark.parametrize("block", [1, 5, 64])
 def test_row_blocks_write_the_cell_formula(tmp_path, monkeypatch, block):
-    # Blocks of one row or less, of a few rows, and of the whole grid.
+    # Blocks of one row or less, of a few rows, and of the whole grid, for
+    # the cells written; the distinct values are found in one block, in a
+    # few, and in one row at a time.
     monkeypatch.setattr(formats, "_BLOCK_CELLS", block)
+    monkeypatch.setattr(formats, "_DISTINCT_BLOCKS", block)
     rng = np.random.default_rng(block)
     floats = np.round(rng.uniform(-5.0, 5.0, (9, 7)), 1)
     floats[rng.random(floats.shape) < 0.2] = np.nan
@@ -156,6 +159,32 @@ def test_row_blocks_write_the_cell_formula(tmp_path, monkeypatch, block):
         write_ascii_grid(str(path), raster_of(vals))
         expected = [" ".join(text(v) for v in row) for row in vals[::-1].tolist()]
         assert path.read_text().splitlines()[6:] == expected, vals.dtype
+
+
+@pytest.mark.parametrize("blocks", [1, 7, 1000])
+def test_sorted_distinct_matches_unique(monkeypatch, blocks):
+    # The whole grid, a few blocks of rows, and one row at a time; grids
+    # whose blocks share most of their values, a few, or none.
+    monkeypatch.setattr(formats, "_DISTINCT_BLOCKS", blocks)
+    rng = np.random.default_rng(blocks)
+    lattice = _lattice()
+    lattice[rng.random(lattice.shape) < 0.05] = -0.0
+    grids = [
+        rng.uniform(-1e3, 1e3, (40, 30)),
+        lattice,
+        np.arange(1200.0).reshape(40, 30) ** 2,
+        np.tile([[0.5, -0.0, 0.0, nan, -nan, inf]], (50, 4)),
+        rng.integers(-2**40, 2**40, (40, 30)),
+        rng.integers(0, 3, (60, 17)).astype(np.uint8),
+    ]
+    for grid in grids:
+        if grid.dtype.kind == "f":
+            got = formats._sorted_distinct(grid[::-1], lambda b: b.view(np.int64))
+            want = np.unique(grid.view(np.int64))
+        else:
+            got, want = formats._sorted_distinct(grid[::-1]), np.unique(grid)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("values,key_path", [c[1:] for c in KEY_PATH_CASES],

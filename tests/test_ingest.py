@@ -18,12 +18,18 @@ from lidarmaps.errors import (
     UnsupportedPointFormat,
     UnsupportedVersion,
 )
+from lidarmaps import ingest
 from lidarmaps.cli import main
+from lidarmaps.errors import ConfigError, IoFailure
 from lidarmaps.ingest import (
+    LasScan,
+    PointCloud,
     load_points,
     parse_las_header,
     read_las,
     read_xyz_text,
+    scan_las,
+    scan_points,
 )
 
 PTS = np.array([[1.25, 2.5, 50.0], [10.0, 10.0, 2.0], [0.0, 0.0, 1.0]])
@@ -216,6 +222,84 @@ def test_bounds_are_tight(tmp_path):
     assert ((y >= cloud.bounds[1]) & (y <= cloud.bounds[3])).all()
     assert (x < cloud.bounds[0] + eps).any() and (x > cloud.bounds[2] - eps).any()
     assert (y < cloud.bounds[1] + eps).any() and (y > cloud.bounds[3] - eps).any()
+
+
+def _with_scale(buf: bytes, axis: int, scale: float) -> bytes:
+    """LAS bytes with one axis's scale factor replaced; the three scale
+    doubles start at byte 131 of the public header."""
+    at = 131 + 8 * axis
+    return buf[:at] + struct.pack("<d", scale) + buf[at + 8:]
+
+
+def _outcome(fn, path, caplog):
+    """(points or error, warnings) of one reader call."""
+    caplog.clear()
+    # Both readers dequantize in numpy, which warns when a scale overflows.
+    with caplog.at_level(logging.WARNING, logger="lidarmaps.ingest"), np.errstate(over="ignore"):
+        try:
+            got = fn(path)
+        except LidarMapsError as exc:
+            got = (type(exc), str(exc))
+    return got, [r.getMessage() for r in caplog.records]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
+def test_scan_las_matches_read_las(tmp_path, monkeypatch, caplog, chunk):
+    # scan_las reports read_las's bounds, counts, warning and errors, and
+    # its chunks hold read_las's points to the bit, whatever the chunking.
+    monkeypatch.setattr(ingest, "_CHUNK_RECORDS", chunk)
+    rng = np.random.default_rng(33)
+    pts = rng.uniform(-50.0, 50.0, (100, 3))
+    pts[::9, 2] = 100.0
+    plain = build_las(pts, offset=(0.5, -2.0, 100.0))
+    files = {
+        "plain": plain,
+        "wide_records": build_las(pts, point_format=3, record_length=41),
+        # raw z * 1e308 overflows but where raw z is 0 (z = 100): those
+        # 12 points stay.
+        "non_finite": _with_scale(plain, 2, 1e308),
+        "all_non_finite": _with_scale(build_las(pts + [0.0, 0.0, 60.0]), 2, 1e308),
+        "truncated": plain[:-20],
+        "zero_points": build_las(np.zeros((0, 3))),
+        "bad_signature": b"LASX" + plain[4:],
+    }
+    for name, data in files.items():
+        path = _write(tmp_path, f"{name}.las", data)
+        want, want_log = _outcome(read_las, path, caplog)
+        got, got_log = _outcome(scan_las, path, caplog)
+        assert got_log == want_log, name
+        if isinstance(want, tuple):
+            assert got == want, name
+            continue
+        assert isinstance(got, LasScan)
+        assert (got.bounds, len(got), got.dropped_nonfinite) == (
+            want.bounds, len(want), want.dropped_nonfinite
+        ), name
+        # The chunks share one buffer, so each is copied before the next.
+        with np.errstate(over="ignore"):
+            chunks = [c.copy() for c in got.chunks()]
+        assert max(len(c) for c in chunks) <= chunk
+        joined = np.concatenate(chunks)
+        np.testing.assert_array_equal(joined.view(np.int64), want.points.view(np.int64))
+    assert _outcome(read_las, str(tmp_path / "non_finite.las"), caplog)[1] == [
+        "dropped 88 non-finite points from " + str(tmp_path / "non_finite.las")
+    ]
+
+
+def test_scan_points_dispatch(tmp_path):
+    las = _write(tmp_path, "a.las", build_las(PTS))
+    xyz = tmp_path / "b.txt"
+    write_xyz_text(PTS, str(xyz))
+    assert isinstance(scan_points(las), LasScan)
+    assert isinstance(scan_points(str(xyz)), PointCloud)
+    assert isinstance(scan_points(str(xyz.rename(tmp_path / "c.dat")), fmt="xyz"), PointCloud)
+    misnamed = tmp_path / "points.las.txt"
+    misnamed.write_bytes(build_las(PTS))
+    assert isinstance(scan_points(str(misnamed), fmt="las"), LasScan)
+    with pytest.raises(ConfigError):
+        scan_points(las, fmt="csv")
+    with pytest.raises(IoFailure):
+        scan_points(str(tmp_path / "missing.las"))
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,22 @@ grid, a whole-file text, one Python string per cell read) breaks its
 budget.  The XYZ load stage reads the scene as text and is held to bytes
 per point, so a Python object per point breaks it.  The rasterize stage
 grids 4,096 points at a time, so the scene spans many blocks and a
-temporary the size of the cloud breaks its budget.  The write stage
-writes the scene's dsm and a float grid whose millimetre keys span the
-writer's whole key table, its largest; the write_distinct stage writes a
-float grid whose every cell is a distinct value; the last stage reads
-back the dsm.
+temporary the size of the cloud breaks its budget; so does the load_grid
+stage, which scans the LAS file and grids it as it is read, in chunks of
+2,048 records, as a map of a LAS file does.  The write stage writes the
+scene's dsm and a float grid whose millimetre keys span the writer's
+whole key table, its largest; the write_map3d stage writes the map3d
+grid, NaN but for the few distinct roof heights, so its byte table is
+small and a sort copy of the whole grid breaks its budget; the
+write_distinct stage writes a float grid whose every cell is a distinct
+value.  All three write the cells in blocks of 4,096, a sixteenth of
+the grid (the default, 16,384, is a quarter of it but a 244th of a
+1 km² grid).  The read stage reads back the dsm.
+
+The run stage is a whole one-window run_pipeline of the LAS file, all
+seven grids, nothing written.  Its budget is the value measured plus 3
+bytes per cell, less than the 4 of the count grid, so that a grid kept
+alive past its last reader breaks it.
 
 The second half checks that run_pipeline's products are writeable arrays
 that share no memory with the read-only global grids the windows are cut
@@ -29,13 +40,13 @@ import numpy as np
 import pytest
 
 from conftest import GSD, build_las, raster_of, write_xyz_text
-from lidarmaps import _kernels, formats, pipeline
+from lidarmaps import _kernels, formats, ingest, pipeline
 from lidarmaps.config import PipelineConfig
 from lidarmaps.extract import ExtractParams, extract_buildings
 from lidarmaps.formats import read_ascii_grid, write_ascii_grid
-from lidarmaps.grid import grid_from_bounds, interpolate_nearest, rasterize_min
+from lidarmaps.grid import grid_from_bounds, interpolate_nearest, rasterize_min, rasterize_min_clouds
 from lidarmaps.hydro import WaterParams, detect_water
-from lidarmaps.ingest import PointCloud, read_las, read_xyz_text
+from lidarmaps.ingest import PointCloud, read_las, read_xyz_text, scan_las
 from lidarmaps.pipeline import run_pipeline
 from lidarmaps.terrain import breakline_map, derive_terrain, extract_objects, fill_ground
 
@@ -43,19 +54,22 @@ SIDE = 256  # cells a side at GSD
 
 # Peak bytes per cell (per point for load_xyz) above what was held before
 # the stage: the value measured on this scene when the budget was set,
-# plus 25%.
+# plus 25% (plus 3 bytes per cell for run).
 BUDGETS = {
     "load": 40.3,  # measured 32.2
     "load_xyz": 36.1,  # measured 28.8
+    "load_grid": 18.5,  # measured 14.8
     "rasterize": 18.3,  # measured 14.6
     "fill": 57.5,  # measured 46.0
     "ground_fill": 29.5,  # measured 23.6
     "water": 25.0,  # measured 20.0
     "terrain": 32.2,  # measured 25.7
     "extract": 52.0,  # measured 41.6
-    "write": 25.8,  # measured 20.6
-    "write_distinct": 62.2,  # measured 49.8
+    "write": 9.4,  # measured 7.5
+    "write_map3d": 3.0,  # measured 2.4
+    "write_distinct": 38.3,  # measured 30.6
     "read": 21.0,  # measured 16.8
+    "run": 65.7,  # measured 62.7
 }
 
 
@@ -120,6 +134,18 @@ def stage_peaks(tmp_path_factory):
         assert len(cloud) > 10 * _kernels._BLOCK
         dsm_raw, occ = run("rasterize", lambda: rasterize_min(cloud.points, spec))
     del cloud
+
+    def load_grid():
+        scan = scan_las(str(las))
+        return rasterize_min_clouds(scan.chunks(), spec, 0, 0, SIDE, SIDE)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "_CHUNK_RECORDS", 2048)
+        assert len(pts) > 10 * ingest._CHUNK_RECORDS
+        streamed = run("load_grid", load_grid)
+    for got, want in zip(streamed, (dsm_raw, occ)):
+        np.testing.assert_array_equal(got.values, want.values)
+    del streamed
     dsm = run("fill", lambda: interpolate_nearest(dsm_raw))
     water = run("water", lambda: detect_water(occ, WaterParams()))
     objects = extract_objects(breakline_map(dsm, 1.0))
@@ -136,13 +162,19 @@ def stage_peaks(tmp_path_factory):
         write_ascii_grid(str(tmp / "dsm.asc"), terrain.dsm)
         write_ascii_grid(str(tmp / "widest.asc"), widest)
 
-    run("write", write)
     # Every cell a distinct float whose millimetre keys overflow the key
     # table: one text per cell, found by np.searchsorted.
     distinct = raster_of(np.random.default_rng(7).uniform(-1000.0, 1000.0, (SIDE, SIDE)))
     assert np.unique(distinct.values).size == SIDE * SIDE
-    run("write_distinct", lambda: write_ascii_grid(str(tmp / "distinct.asc"), distinct))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formats, "_BLOCK_CELLS", 4096)
+        run("write", write)
+        run("write_map3d", lambda: write_ascii_grid(str(tmp / "map3d.asc"), res.map3d))
+        run("write_distinct", lambda: write_ascii_grid(str(tmp / "distinct.asc"), distinct))
     run("read", lambda: read_ascii_grid(str(tmp / "dsm.asc")))
+    del dsm_raw, occ, dsm, water, objects, terrain, res
+    result = run("run", lambda: run_pipeline(PipelineConfig(), [str(las)]))
+    assert result.windows == 1 and result.spec == spec
     return peaks
 
 

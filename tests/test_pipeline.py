@@ -10,7 +10,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from lidarmaps import pipeline
+from lidarmaps import _kernels, ingest, pipeline
 from lidarmaps.config import OUTPUT_NAMES, PipelineConfig, serialize_config
 from lidarmaps.errors import ConfigError, DegenerateScene, SpecMismatch
 from lidarmaps.evaluate import (
@@ -33,7 +33,7 @@ from lidarmaps.pipeline import (
     run_sweep,
 )
 
-from conftest import points_from_field, raster_of, write_xyz_text
+from conftest import build_las, points_from_field, raster_of, write_xyz_text
 
 
 def cloud_of(field: np.ndarray, gsd: float = 1.0, origin=(0.0, 0.0)) -> PointCloud:
@@ -262,6 +262,51 @@ def test_windows_hold_one_window_of_grids_at_a_time(tmp_path, monkeypatch):
     assert len(refs) == 4 * 3 and all(r() is None for r in refs)
 
 
+@pytest.mark.parametrize("command", ["map", "sweep", "sweep map3d from dsm"])
+def test_one_window_frees_each_grid_after_its_last_reader(tmp_path, monkeypatch, command):
+    # In a one-window run the raw min-z grid is freed once the fill has
+    # read it and the count grid once water has; a sweep, which outputs
+    # only map2d, frees dtm, and dsm unless map3d is made from it, before
+    # extraction.  Each grid is watched through a weak reference.
+    refs = {}
+    alive_at = {}
+
+    def alive():
+        return sorted(name for name, ref in refs.items() if ref() is not None)
+
+    def watch(name, real, keep):
+        def wrapped(*args, **kwargs):
+            alive_at.setdefault(name, alive())
+            out = real(*args, **kwargs)
+            for grid, values in keep(out).items():
+                refs[grid] = weakref.ref(values)
+            return out
+        monkeypatch.setattr(pipeline, name, wrapped)
+
+    watch("rasterize_min_clouds", pipeline.rasterize_min_clouds,
+          lambda out: {"min_z": out[0].values, "counts": out[1].values})
+    watch("interpolate_nearest", pipeline.interpolate_nearest, lambda out: {})
+    watch("detect_water", pipeline.detect_water, lambda out: {})
+    watch("derive_terrain", pipeline.derive_terrain,
+          lambda out: {"dsm": out.dsm.values, "dtm": out.dtm.values})
+    watch("extract_buildings", pipeline.extract_buildings, lambda out: {})
+    cloud, truth_path = sweep_scene(tmp_path)
+    if command == "map":
+        run_pipeline(small_cfg(), [cloud])
+        kept = ["dsm", "dtm"]
+    else:
+        source = "dsm" if command.endswith("dsm") else "ndhm"
+        run_sweep(small_cfg(map3d_source=source), "k3", [1, 3], [cloud], truth_path)
+        kept = ["dsm"] if source == "dsm" else []
+    assert alive_at == {
+        "rasterize_min_clouds": [],
+        "interpolate_nearest": ["counts", "min_z"],
+        "detect_water": ["counts"],
+        "derive_terrain": [],
+        "extract_buildings": kept,
+    }
+
+
 def test_empty_window_core_stays_nodata(caplog):
     field = np.zeros((10, 40))
     field[:, 4:26] = np.nan
@@ -293,6 +338,47 @@ def test_file_inputs_match_memory(tmp_path):
     merged = run_pipeline(small_cfg(), [cloud, path])
     assert merged.point_count == 3200
     assert_products_equal(merged.products, from_mem.products)
+
+
+def test_las_files_grid_as_they_are_read(tmp_path, monkeypatch):
+    # A LAS input is scanned for its bounds, then gridded chunk by chunk as
+    # it is read again; read_las, which holds every point, is not called.
+    # The products, counts and summary equal those of the clouds read_las
+    # returns, here over chunks of 7 records gridded in blocks of 5 points.
+    pts = points_from_field(straddle_field(), 1.0)
+    west = pts[:, 0] < 20.0
+    a, b = str(tmp_path / "west.las"), str(tmp_path / "east.las")
+    with open(a, "wb") as f:
+        f.write(build_las(pts[west]))
+    # A z scale of 2^1023 makes every non-zero z of the east file
+    # infinite: its 18 roof points and one raised ground point are dropped.
+    east = pts[~west].copy()
+    east[0, 2] = 0.003
+    las = bytearray(build_las(east))
+    las[147:155] = np.float64(2.0**1023).tobytes()
+    with open(b, "wb") as f:
+        f.write(las)
+    with np.errstate(over="ignore"):
+        clouds = [ingest.read_las(a), ingest.read_las(b)]
+    assert clouds[1].dropped_nonfinite == 19
+    cfg = small_cfg()
+    want = run_pipeline(cfg, clouds, out_dir=str(tmp_path / "memory"))
+
+    def held_whole(path):
+        raise AssertionError("read_las holds the whole file")
+
+    monkeypatch.setattr(ingest, "read_las", held_whole)
+    monkeypatch.setattr(ingest, "_CHUNK_RECORDS", 7)
+    monkeypatch.setattr(_kernels, "_BLOCK", 5)
+    with np.errstate(over="ignore"):
+        got = run_pipeline(cfg, [a, b], out_dir=str(tmp_path / "files"))
+    assert got.spec == want.spec
+    assert (got.point_count, got.dropped_nonfinite) == (want.point_count, 19) == (1581, 19)
+    assert_products_equal(got.products, want.products)
+    files = sorted(p.name for p in (tmp_path / "files").iterdir())
+    assert files == ["config.txt", "map2d.asc", "map3d.asc", "summary.txt"]
+    for name in files:
+        assert (tmp_path / "files" / name).read_bytes() == (tmp_path / "memory" / name).read_bytes()
 
 
 def test_forced_input_format(tmp_path):
@@ -646,6 +732,15 @@ def test_sweep_rows_match_pipeline_runs(tmp_path):
         assert len({(m.tp, m.fp) for _, m in expected}) > 1, f"{param} changes nothing"
         for workers in (1, 2):
             assert run_sweep(cfg, param, values, [cloud], truth_path, workers=workers) == expected
+
+
+def test_sweep_rejects_a_repeated_value_before_reading(tmp_path):
+    # Nothing is read: the input does not exist.
+    missing = str(tmp_path / "missing.las")
+    with pytest.raises(ConfigError, match=r"^sweep value k3=3 is given more than once$"):
+        run_sweep(small_cfg(), "k3", [3, 1, 3], [missing], missing)
+    with pytest.raises(ConfigError, match=r"^sweep value dt=0.1 is given more than once$"):
+        run_sweep(small_cfg(), "dt", [0.10, 0.1], [missing], missing)
 
 
 def test_sweep_runs_surface_once_per_window(tmp_path, monkeypatch):

@@ -11,11 +11,12 @@ and again as the same points split into four inputs, gridded together
 by grid.rasterize_min_clouds as a map of four tile files is; both grid
 one block of points at a time, so neither peak grows with the points.
 The same points, written once to a LAS file at 1 mm steps, are read and
-gridded two ways: read_las, which holds every point, then
-rasterize_min_clouds; and as a map grids a LAS file, scan_las for the
-bounds, then rasterize_min_clouds over the chunks as they are read
+gridded two ways: read_las, which gathers every point into one array,
+then rasterize_min_clouds; and as a map grids a LAS file, scan_las for
+the bounds, then rasterize_min_clouds over the chunks as they are read
 again, so only the grids and one chunk are held.  The scan alone is
-timed too; the streamed read costs one more pass over the records.
+timed too: both ways start with it, as read_las is the gather of the
+scan's chunks.
 The XYZ text reader is timed on a file of the first 200,000 points (or
 all of them, if fewer), written once beforehand.
 The roughness count runs over every cell and at a random 9% of the cells,

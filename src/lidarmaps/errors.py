@@ -97,7 +97,9 @@ class IoFailure(LidarMapsError):
 
 
 class OpenRing(LidarMapsError):
-    """Polygon ring does not close (first vertex != last vertex)."""
+    """Polygon ring is not a closed ring of finite vertices: under four
+    (x, y) rows, a first vertex != the last, or a NaN or infinite
+    coordinate."""
 
 
 class SelfIntersection(LidarMapsError):

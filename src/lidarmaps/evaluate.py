@@ -272,6 +272,10 @@ def _validate_ring(ring: np.ndarray, what: str) -> np.ndarray:
     ring = np.asarray(ring, np.float64)
     if ring.ndim != 2 or ring.shape[1] != 2 or ring.shape[0] < 4:
         raise OpenRing(f"{what}: a ring needs >= 4 (x, y) rows incl. closure")
+    finite = np.isfinite(ring).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise OpenRing(f"{what}: vertex {i} {ring[i].tolist()} is not finite")
     if ring[0, 0] != ring[-1, 0] or ring[0, 1] != ring[-1, 1]:
         raise OpenRing(f"{what}: first vertex {ring[0]} != last {ring[-1]}")
     _check_self_intersection(ring, what)
@@ -345,8 +349,6 @@ def rasterize_polygons(
         rings = [_validate_ring(r, f"polygon {idx - 1}") for r in rings]
         x1, y1 = np.concatenate([r[:-1] for r in rings]).T
         x2, y2 = np.concatenate([r[1:] for r in rings]).T
-        if np.isnan(y1).any():
-            continue  # its y range [nan, nan) holds no row centre
         # An edge crosses the rows whose centre yc has (y1 > yc) != (y2 > yc),
         # that is min(y1, y2) <= yc < max(y1, y2); one entry per crossing.
         lo = np.searchsorted(cy, np.minimum(y1, y2))

@@ -13,7 +13,7 @@ import os
 import struct
 from array import array
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -64,6 +64,10 @@ class PointCloud:
 
     def __len__(self) -> int:
         return int(self.points.shape[0])
+
+    def chunks(self) -> Iterator[np.ndarray]:
+        """The points as one chunk, as LasScan.chunks gives a file's."""
+        yield self.points
 
 
 def parse_las_header(buf: bytes) -> LasHeaderInfo:
@@ -118,26 +122,32 @@ def parse_las_header(buf: bytes) -> LasHeaderInfo:
     )
 
 
-def _drop_nonfinite(pts: np.ndarray, source: str) -> tuple[np.ndarray, int]:
-    finite = np.isfinite(pts).all(axis=1)
-    dropped = int(pts.shape[0] - np.count_nonzero(finite))
+def _finite_rows(chunk: np.ndarray) -> np.ndarray:
+    """The rows of an (n, 3) chunk with no non-finite coordinate.  The
+    whole chunk is checked first, so a row mask is built only for a
+    chunk that holds a non-finite value."""
+    return chunk if np.isfinite(chunk).all() else chunk[np.isfinite(chunk).all(axis=1)]
+
+
+def _fold_bounds(
+    chunks: Iterable[np.ndarray], total: int, source: str
+) -> tuple[tuple[float, float, float, float], int, int]:
+    """(bounds, count, dropped) of finite (n, 3) chunks cut from `total`
+    rows of `source`: logs the drop, and raises EmptyCloud when no row
+    is left."""
+    lo, hi, count = [np.inf, np.inf], [-np.inf, -np.inf], 0
+    for chunk in chunks:
+        if len(chunk):
+            for axis in (0, 1):
+                lo[axis] = min(lo[axis], chunk[:, axis].min())
+                hi[axis] = max(hi[axis], chunk[:, axis].max())
+        count += len(chunk)
+    dropped = total - count
     if dropped:
         log.warning("dropped %d non-finite points from %s", dropped, source)
-        pts = pts[finite]
-    return pts, dropped
-
-
-def _as_cloud(pts: np.ndarray, source: str) -> PointCloud:
-    pts, dropped = _drop_nonfinite(pts, source)
-    if pts.shape[0] == 0:
+    if count == 0:
         raise EmptyCloud(f"no usable points in {source}")
-    bounds = (
-        float(pts[:, 0].min()),
-        float(pts[:, 1].min()),
-        float(pts[:, 0].max()),
-        float(pts[:, 1].max()),
-    )
-    return PointCloud(pts, bounds, dropped)
+    return (float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1])), count, dropped
 
 
 def _las_header(path: str) -> LasHeaderInfo:
@@ -160,26 +170,21 @@ def _las_header(path: str) -> LasHeaderInfo:
     return info
 
 
-def _las_chunks(
-    path: str, info: LasHeaderInfo, out: np.ndarray | None = None
-) -> Iterator[np.ndarray]:
+def _las_chunks(path: str, info: LasHeaderInfo) -> Iterator[np.ndarray]:
     """The records of `path`, _CHUNK_RECORDS at a time in file order,
-    dequantized as (n, 3) float64 chunks: into the next rows of `out`
-    when it is given, else into one buffer that every chunk reuses, so
-    each chunk must be used before the next is read."""
+    dequantized as (n, 3) float64 chunks into one buffer that every chunk
+    reuses, so each chunk must be used before the next is read."""
     rec = [("x", "<i4"), ("y", "<i4"), ("z", "<i4")]
     if info.record_length > 12:
         rec.append(("skip", f"V{info.record_length - 12}"))
     rec = np.dtype(rec)
-    reuse = out is None
-    if reuse:
-        out = np.empty((min(_CHUNK_RECORDS, info.point_count), 3), np.float64)
+    out = np.empty((min(_CHUNK_RECORDS, info.point_count), 3), np.float64)
     try:
         with open(path, "rb") as f:
             f.seek(info.data_offset)
             for s in range(0, info.point_count, _CHUNK_RECORDS):
                 raw = np.fromfile(f, dtype=rec, count=min(_CHUNK_RECORDS, info.point_count - s))
-                chunk = out[:raw.size] if reuse else out[s:s + raw.size]
+                chunk = out[:raw.size]
                 for axis, name in enumerate("xyz"):
                     np.multiply(raw[name], info.scale[axis], out=chunk[:, axis])
                     chunk[:, axis] += info.offset[axis]
@@ -191,24 +196,29 @@ def _las_chunks(
 def read_las(path: str) -> PointCloud:
     """Read an uncompressed LAS file (versions 1.1-1.4, formats 0-10).
 
+    The gather of scan_las: its chunks copied into one point array.
     Horizontal bounds come from the points themselves, not from the header,
     so a stale header cannot skew the grid.
     """
-    info = _las_header(path)
-    pts = np.empty((info.point_count, 3), np.float64)
-    # Each chunk is dequantized straight into its rows of pts.
-    for _ in _las_chunks(path, info, out=pts):
-        pass
-    return _as_cloud(pts, path)
+    scan = scan_las(path)
+    pts = np.empty((len(scan), 3), np.float64)
+    n = 0
+    for chunk in scan.chunks():
+        if n + len(chunk) <= len(pts):
+            pts[n:n + len(chunk)] = chunk
+        n += len(chunk)
+    if n != len(pts):
+        raise IoFailure(
+            f"{path} changed while it was read: {len(pts)} finite points, then {n}"
+        )
+    return PointCloud(pts, scan.bounds, scan.dropped_nonfinite)
 
 
 @dataclass
 class LasScan:
     """A LAS file's bounds and point counts, found by one pass over its
-    records without holding them; chunks() reads the points again.
-
-    bounds, len() and dropped_nonfinite are those of read_las's
-    PointCloud of the same file.
+    records without holding them; chunks() reads the points again, and
+    read_las gathers them into a PointCloud.
     """
 
     path: str
@@ -223,28 +233,15 @@ class LasScan:
     def chunks(self) -> Iterator[np.ndarray]:
         """The finite points in file order, one reused chunk at a time."""
         for chunk in _las_chunks(self.path, self.info):
-            yield chunk[np.isfinite(chunk).all(axis=1)] if self.dropped_nonfinite else chunk
+            yield _finite_rows(chunk) if self.dropped_nonfinite else chunk
 
 
 def scan_las(path: str) -> LasScan:
-    """read_las's bounds, point count and drop warning for `path`, with
-    the same errors, from one pass over its records."""
+    """The bounds, point count and drop warning of `path`, from one pass
+    over its records."""
     info = _las_header(path)
-    lo, hi, count = [np.inf, np.inf], [-np.inf, -np.inf], 0
-    for chunk in _las_chunks(path, info):
-        if not np.isfinite(chunk).all():
-            chunk = chunk[np.isfinite(chunk).all(axis=1)]
-        if len(chunk):
-            for axis in (0, 1):
-                lo[axis] = min(lo[axis], chunk[:, axis].min())
-                hi[axis] = max(hi[axis], chunk[:, axis].max())
-        count += len(chunk)
-    dropped = info.point_count - count
-    if dropped:
-        log.warning("dropped %d non-finite points from %s", dropped, path)
-    if count == 0:
-        raise EmptyCloud(f"no usable points in {path}")
-    bounds = (float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
+    chunks = (_finite_rows(chunk) for chunk in _las_chunks(path, info))
+    bounds, count, dropped = _fold_bounds(chunks, info.point_count, path)
     return LasScan(path, info, bounds, count, dropped)
 
 
@@ -275,7 +272,9 @@ def read_xyz_text(path: str) -> PointCloud:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     if not values:
         raise EmptyCloud(f"no data rows in {path}")
-    return _as_cloud(np.frombuffer(values, np.float64).reshape(-1, 3), path)
+    pts = _finite_rows(np.frombuffer(values, np.float64).reshape(-1, 3))
+    bounds, _, dropped = _fold_bounds((pts,), len(values) // 3, path)
+    return PointCloud(pts, bounds, dropped)
 
 
 def _point_format(path: str, fmt: str) -> str:

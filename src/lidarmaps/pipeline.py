@@ -26,7 +26,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .extract import extract_buildings
 from .formats import _write_report, read_ascii_grid, write_ascii_grid
 from .grid import GridSpec, Raster, grid_from_bounds, interpolate_nearest, rasterize_min_clouds
 from .hydro import detect_water
-from .ingest import LasScan, PointCloud, scan_points
+from .ingest import PointCloud, scan_points
 from .terrain import derive_terrain
 
 if TYPE_CHECKING:
@@ -227,7 +227,7 @@ def _run_windows(
 
     whole = (0, 0, spec.width, spec.height)
     try:
-        grids = list(rasterize_min_clouds(_point_arrays(clouds), spec, *whole))
+        grids = list(rasterize_min_clouds((p for c in clouds for p in c.chunks()), spec, *whole))
     except MemoryError as exc:
         raise GridTooLarge(f"a {spec.width} x {spec.height} grid does not fit in memory") from exc
     grids.append(None if external_dtm is None else _sample_external(external_dtm, spec))
@@ -274,13 +274,6 @@ def _run_windows(
         empty_windows=empty,
     )
     return result, [{n: Raster(spec, v) for n, v in m.items()} for m in mosaics]
-
-
-def _point_arrays(clouds: list[PointCloud | LasScan]) -> Iterator[np.ndarray]:
-    """The points of every cloud in input order: a PointCloud's array, or
-    a scanned LAS file's chunks as they are read."""
-    for c in clouds:
-        yield from c.chunks() if isinstance(c, LasScan) else (c.points,)
 
 
 def run_pipeline(

@@ -114,6 +114,24 @@ def build_las(
     return bytes(head[:do].ljust(do, b"\0")) + bytes(body)
 
 
+def dequantize_las(data: bytes) -> tuple[np.ndarray, int]:
+    """(finite points, dropped count) of LAS bytes, read independently of
+    the reader from the public header's fields: the records' leading
+    int32 x, y, z by np.frombuffer, raw * scale + offset, and the rows
+    with a non-finite coordinate dropped."""
+    data_offset, = struct.unpack_from("<I", data, 96)
+    record_length, count = struct.unpack_from("<HI", data, 105)
+    scale = struct.unpack_from("<3d", data, 131)
+    offset = struct.unpack_from("<3d", data, 155)
+    rec = np.dtype({"names": ["x", "y", "z"], "formats": ["<i4"] * 3,
+                    "offsets": [0, 4, 8], "itemsize": record_length})
+    raw = np.frombuffer(data, rec, count, data_offset)
+    with np.errstate(over="ignore"):
+        pts = np.column_stack([raw[n] * scale[i] + offset[i] for i, n in enumerate("xyz")])
+    finite = np.isfinite(pts).all(axis=1)
+    return pts[finite], len(pts) - int(finite.sum())
+
+
 # ---------------------------------------------------------------------------
 # oracles
 # ---------------------------------------------------------------------------
@@ -327,3 +345,72 @@ def instance_census(pred: np.ndarray, truth_labels: np.ndarray):
         if 2 * np.count_nonzero(cells & (truth_labels > 0)) <= np.count_nonzero(cells):
             commissions.add(lb)
     return detected, commissions
+
+
+def pipeline_oracle(points: np.ndarray, cfg) -> dict[str, np.ndarray]:
+    """Reference one-window map run: the seven grids of `run_pipeline` on
+    `points` under the PipelineConfig `cfg`, by per-cell loops over the
+    README's five stages.
+
+    rasterize: the grid from the points' bounds, the lowest z per cell
+    (a tie of 0.0 and -0.0 is +0.0), NaN where no point falls.
+    fill: every void takes its nearest valued cell.
+    water: with p the occupied share of all cells and n the cells of a
+    cell's water_window, clipped at the border, the cell is flagged when
+    its occupied cells number at most n*p - sigma_k*sqrt(n*p*(1-p)) (none
+    when p is 1); 8-connected flagged bodies under water_min_area go, and
+    the rest grow by a Chebyshev buffer of ceil(water_buffer / gsd) cells.
+    terrain: break-line cells step by more than slope_threshold to an
+    8-neighbour; of the 4-connected smooth regions, the largest (the
+    earliest of equals) and every one touching the border are ground, the
+    rest objects; a break-line cell is an object when one of its
+    8-neighbours is an object region cell or none is ground.  The ground
+    cells' heights fill the rest by nearest fill, and ndhm is dsm - dtm
+    clamped at 0.0.
+    extract: extract_scan.
+    """
+    points = np.asarray(points, np.float64)
+    gsd = cfg.gsd
+    x0, y0 = float(points[:, 0].min()), float(points[:, 1].min())
+    width = math.floor((float(points[:, 0].max()) - x0) / gsd) + 1
+    height = math.floor((float(points[:, 1].max()) - y0) / gsd) + 1
+    zmin, counts, _ = rasterize_scan(points, GridSpec(x0, y0, gsd, width, height))
+    occupied = counts > 0
+    dsm = nearest_fill_scan(np.where(occupied, zmin + 0.0, np.nan), occupied)
+
+    wp = cfg.water_params()
+    h, w = occupied.shape
+    p = int(np.count_nonzero(occupied)) / occupied.size
+    r = wp.window // 2
+    flagged = np.zeros((h, w), bool)
+    for i in range(h):
+        for j in range(w):
+            rows, cols = slice(max(0, i - r), i + r + 1), slice(max(0, j - r), j + r + 1)
+            n = float(occupied[rows, cols].size)
+            got = int(np.count_nonzero(occupied[rows, cols]))
+            flagged[i, j] = p < 1 and got <= n * p - wp.sigma_k * math.sqrt(n * p * (1.0 - p))
+    labels, count = flood_labels(flagged, eight=True)
+    bodies = np.zeros((h, w), bool)
+    for c in range(1, count + 1):
+        if np.count_nonzero(labels == c) * (gsd * gsd) >= wp.min_area:
+            bodies |= labels == c
+    water = dilate_scan(bodies, 2 * math.ceil(wp.buffer / gsd) + 1, "square")
+
+    br = breakline_scan(dsm, cfg.slope_threshold)
+    labels, count = flood_labels(~br, eight=False)
+    sizes = [int(np.count_nonzero(labels == c)) for c in range(1, count + 1)]
+    ground_ids = {1 + sizes.index(max(sizes))}
+    ground_ids |= set(labels[0, :]) | set(labels[-1, :]) | set(labels[:, 0]) | set(labels[:, -1])
+    ground = np.isin(labels, sorted(ground_ids - {0}))
+    objects = ~br & ~ground
+    for i, j in zip(*np.nonzero(br)):
+        near = (slice(max(0, i - 1), i + 2), slice(max(0, j - 1), j + 2))
+        near_object = (~br[near] & ~ground[near]).any()
+        objects[i, j] = near_object or not ground[near].any()
+    dtm = nearest_fill_scan(dsm, ~objects)
+    ndhm = dsm - dtm
+    ndhm[~(ndhm > 0)] = 0.0
+
+    map2d, map3d, diff, _ = extract_scan(ndhm, water, cfg.extract_params(), dsm)
+    return {"map2d": map2d, "map3d": map3d, "dsm": dsm, "dtm": dtm, "ndhm": ndhm,
+            "water": water, "diff": diff}

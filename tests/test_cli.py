@@ -296,6 +296,26 @@ def test_eval_malformed_geojson_exits_2(tmp_path, capsys, doc):
     assert capsys.readouterr().err.startswith(f"error: {truth}: ")
 
 
+@pytest.mark.parametrize("vertex", ["[NaN, 5]", "[5, Infinity]"], ids=["nan", "infinity"])
+def test_non_finite_truth_vertex_exits_2(tmp_path, capsys, vertex):
+    # json.load reads NaN and Infinity; such a vertex once mislabelled
+    # cells without an error.
+    pred = str(tmp_path / "pred.asc")
+    write_ascii_grid(pred, raster_of(np.zeros((10, 10), bool), gsd=1.0))
+    truth = tmp_path / "non_finite.geojson"
+    truth.write_text(
+        '{"type": "Polygon", "coordinates": [[[1, 1], [5, 1], %s, [1, 5], [1, 1]]]}' % vertex
+    )
+    rc = main(["eval", "--pred", pred, "--truth", str(truth), "--out", str(tmp_path / "eval")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: polygon 0: vertex 2 ")
+    scene, _ = sweep_inputs(tmp_path)
+    rc = main(["sweep", scene, "--param", "k1", "--values", "3", "--truth", str(truth),
+               "--out", str(tmp_path / "sweep"), "--gsd", "1", "--k2", "3", "--k3", "3"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: polygon 0: vertex 2 ")
+
+
 @pytest.mark.parametrize(
     "empty",
     [{"type": "Polygon", "coordinates": []}, {"type": "MultiPolygon", "coordinates": [[]]}],

@@ -22,6 +22,7 @@ from lidarmaps.evaluate import (
     band_name,
     confusion,
     load_geojson_polygons,
+    load_truth_labels,
     match_instances,
     rasterize_polygons,
     tiling_comparison,
@@ -398,6 +399,32 @@ def test_open_ring_rejected():
         rasterize_polygons([[unclosed]], spec)
     with pytest.raises(OpenRing):
         rasterize_polygons([[np.asarray([(0, 0), (1, 0), (0, 0)], np.float64)]], spec)
+
+
+# json.load reads NaN and Infinity; a ring holding one once filled its rows
+# to the grid's east edge (36 cells for the NaN x on a 10 x 10 grid, 41
+# for the infinite y) or, for a NaN y, dropped the whole polygon.
+NON_FINITE_RINGS = {
+    "nan_x": "[[1, 1], [5, 1], [NaN, 5], [1, 5], [1, 1]]",
+    "infinite_y": "[[1, 1], [5, 1], [5, Infinity], [1, 5], [1, 1]]",
+    "nan_y": "[[1, 1], [5, 1], [5, NaN], [1, 5], [1, 1]]",
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_RINGS))
+def test_non_finite_vertex_rejected(tmp_path, name):
+    spec = GridSpec(0.0, 0.0, 1.0, 10, 10)
+    path = tmp_path / "truth.geojson"
+    ring = NON_FINITE_RINGS[name]
+    square = "[[6, 6], [8, 6], [8, 8], [6, 8], [6, 6]]"
+    path.write_text(
+        '{"type": "MultiPolygon", "coordinates": [[%s], [%s]]}' % (square, ring)
+    )
+    with pytest.raises(OpenRing, match=r"^polygon 1: vertex 2 \[.*\] is not finite$"):
+        load_truth_labels(str(path), spec)
+    # The same rings from the API.
+    with pytest.raises(OpenRing, match="^polygon 0: vertex 2 "):
+        rasterize_polygons([[np.asarray(json.loads(ring.replace("Infinity", "1e999")))]], spec)
 
 
 def test_bowtie_rejected():

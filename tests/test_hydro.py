@@ -119,6 +119,20 @@ def test_threshold_formula_cellwise(sigma_k):
     assert np.array_equal(got, expected)
 
 
+def test_threshold_is_inclusive():
+    # p = 1/2 and sigma_k = 1: a corner's clipped 3x3 window has n = 4, so
+    # its threshold is 4/2 - sqrt(4/4) = 1.0 exactly, and a corner with
+    # one occupied cell in its window sits on it: water.
+    occ = np.zeros((4, 4), np.int64)
+    occ[:, 2:] = 1
+    occ[0, 2] = occ[3, 2] = 0
+    occ[1, 1] = occ[2, 1] = 1
+    assert np.count_nonzero(occ) == 8
+    mask = classify_water(occupancy_of(occ), window=3, sigma_k=1.0).values
+    assert occupied_scan(occ, 3)[0, 0] == 1 and mask[0, 0]
+    assert occupied_scan(occ, 3)[3, 0] == 1 and mask[3, 0]
+
+
 def test_hole_interior_flagged():
     occ = np.ones((200, 200), np.int64)
     occ[100:130, 100:130] = 0

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import logging
+import re
 import struct
 
 import numpy as np
 import pytest
 
-from conftest import LAS_CORE_SIZES, build_las, write_xyz_text
+from conftest import LAS_CORE_SIZES, build_las, dequantize_las, write_xyz_text
 from lidarmaps.errors import (
     BadSignature,
     EmptyCloud,
@@ -245,8 +246,11 @@ def _outcome(fn, path, caplog):
 
 @pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
 def test_scan_las_matches_read_las(tmp_path, monkeypatch, caplog, chunk):
-    # scan_las reports read_las's bounds, counts, warning and errors, and
-    # its chunks hold read_las's points to the bit, whatever the chunking.
+    # read_las gathers scan_las's chunks, so a defect the two share would
+    # pass a comparison of one with the other.  Each reader (and
+    # load_points) is checked against the file bytes dequantized here:
+    # bounds, counts, warning, errors and points to the bit, whatever
+    # the chunking.
     monkeypatch.setattr(ingest, "_CHUNK_RECORDS", chunk)
     rng = np.random.default_rng(33)
     pts = rng.uniform(-50.0, 50.0, (100, 3))
@@ -263,27 +267,58 @@ def test_scan_las_matches_read_las(tmp_path, monkeypatch, caplog, chunk):
         "zero_points": build_las(np.zeros((0, 3))),
         "bad_signature": b"LASX" + plain[4:],
     }
+    errors = {
+        "all_non_finite": EmptyCloud, "truncated": Truncated,
+        "zero_points": EmptyCloud, "bad_signature": BadSignature,
+    }
     for name, data in files.items():
         path = _write(tmp_path, f"{name}.las", data)
-        want, want_log = _outcome(read_las, path, caplog)
-        got, got_log = _outcome(scan_las, path, caplog)
-        assert got_log == want_log, name
-        if isinstance(want, tuple):
-            assert got == want, name
+        results = [_outcome(fn, path, caplog) for fn in (read_las, load_points, scan_las)]
+        if name in errors:
+            assert results[0][0][0] is errors[name], name
+            assert results[1] == results[2] == results[0], name
             continue
-        assert isinstance(got, LasScan)
-        assert (got.bounds, len(got), got.dropped_nonfinite) == (
-            want.bounds, len(want), want.dropped_nonfinite
-        ), name
+        want, dropped = dequantize_las(data)
+        want_bounds = (want[:, 0].min(), want[:, 1].min(), want[:, 0].max(), want[:, 1].max())
+        want_log = [f"dropped {dropped} non-finite points from {path}"] if dropped else []
+        assert dropped == {"non_finite": 88}.get(name, 0)
+        for got, got_log in results:
+            assert got_log == want_log, name
+            assert (len(got), got.dropped_nonfinite) == (len(want), dropped), name
+            assert np.array(got.bounds).tobytes() == np.array(want_bounds).tobytes(), name
+        scan = results[2][0]
+        assert isinstance(scan, LasScan)
         # The chunks share one buffer, so each is copied before the next.
         with np.errstate(over="ignore"):
-            chunks = [c.copy() for c in got.chunks()]
+            chunks = [c.copy() for c in scan.chunks()]
         assert max(len(c) for c in chunks) <= chunk
-        joined = np.concatenate(chunks)
-        np.testing.assert_array_equal(joined.view(np.int64), want.points.view(np.int64))
-    assert _outcome(read_las, str(tmp_path / "non_finite.las"), caplog)[1] == [
-        "dropped 88 non-finite points from " + str(tmp_path / "non_finite.las")
-    ]
+        for points in (results[0][0].points, results[1][0].points, np.concatenate(chunks)):
+            np.testing.assert_array_equal(points.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("chunk", [1, 1 << 14])
+@pytest.mark.parametrize("change", ["drop", "add"])
+def test_read_las_rejects_a_file_changed_between_passes(tmp_path, monkeypatch, chunk, change):
+    # read_las sizes its array by the scan, then reads the file again; a
+    # second pass of another point count is an IoFailure, neither a
+    # cloud with unset rows nor numpy's shape error.
+    monkeypatch.setattr(ingest, "_CHUNK_RECORDS", chunk)
+    path = _write(tmp_path, "a.las", build_las(PTS))
+    real, calls = ingest._las_chunks, []
+
+    def changed(*args):
+        calls.append(args)
+        for c in real(*args):
+            if len(calls) == 2 and change == "drop":
+                c = c[1:]
+            elif len(calls) == 2:
+                c = np.concatenate([c, c[:1]])
+            yield c
+
+    monkeypatch.setattr(ingest, "_las_chunks", changed)
+    with pytest.raises(IoFailure, match=f"^{re.escape(path)} changed while it was read"):
+        read_las(path)
+    assert len(calls) == 2
 
 
 def test_scan_points_dispatch(tmp_path):

@@ -33,7 +33,15 @@ from lidarmaps.pipeline import (
     run_sweep,
 )
 
-from conftest import build_las, points_from_field, raster_of, write_xyz_text
+from conftest import (
+    build_las,
+    dequantize_las,
+    flood_labels,
+    pipeline_oracle,
+    points_from_field,
+    raster_of,
+    write_xyz_text,
+)
 
 
 def cloud_of(field: np.ndarray, gsd: float = 1.0, origin=(0.0, 0.0)) -> PointCloud:
@@ -379,6 +387,107 @@ def test_las_files_grid_as_they_are_read(tmp_path, monkeypatch):
     assert files == ["config.txt", "map2d.asc", "map3d.asc", "summary.txt"]
     for name in files:
         assert (tmp_path / "files" / name).read_bytes() == (tmp_path / "memory" / name).read_bytes()
+
+
+def oracle_scene(rng: np.random.Generator, gsd: float, terrace: bool) -> np.ndarray:
+    """Points of a random scene of 30-40 cells a side at `gsd`: 1-3
+    returns per cell (a few cells none) over ground that is flat at
+    exactly 0.0 m, then ramps up 0.3 m per cell; on it two flat-roofed
+    blocks (at the border or not), two rough tree crowns, a 3 x 3 cell
+    void patch and a round pond with no returns.  With `terrace` the
+    ground steps up 2 m across the whole scene, so a smooth region other
+    than the largest touches the border; else a 2-cell wall 2 cells in
+    from the border seals the largest smooth region off from it."""
+    h, w = (int(v) for v in rng.integers(30, 41, 2))
+    per_cell = rng.integers(1, 4, (h, w))
+    per_cell[rng.random((h, w)) < 0.04] = 0
+    i, j = np.indices((h, w))
+    pi, pj = rng.integers(12, h - 12), rng.integers(12, w - 12)
+    per_cell[np.hypot(i - pi, j - pj) < rng.uniform(3.5, 6.0)] = 0
+    vi, vj = rng.integers(2, h - 5), rng.integers(2, w - 5)
+    per_cell[vi:vi + 3, vj:vj + 3] = 0
+    per_cell[0, 0] = per_cell[-1, -1] = 1  # the scene spans the whole grid
+    rows = np.repeat(i.ravel(), per_cell.ravel())
+    cols = np.repeat(j.ravel(), per_cell.ravel())
+    # A fifth of the returns lie on their cell's lower-left edges.
+    edge = rng.random((2, len(rows))) < 0.2
+    u = np.where(edge, 0.0, rng.random((2, len(rows))))
+    ci, cj = rows + u[0], cols + u[1]
+    ramp = rng.integers(8, w - 8)
+    z = 0.3 * np.clip(cj - ramp, 0.0, None)
+    if terrace:
+        z[ci >= rng.integers(4, 8)] += 2.0
+    else:
+        inset = np.minimum(np.minimum(ci, h - ci), np.minimum(cj, w - cj))
+        z[(inset >= 2) & (inset < 4)] += 3.0
+    for _ in range(2):
+        bh, bw = rng.integers(5, 9, 2)
+        bi, bj = rng.integers(0, h - bh + 1), rng.integers(0, w - bw + 1)
+        roof = (ci >= bi) & (ci < bi + bh) & (cj >= bj) & (cj < bj + bw)
+        z[roof] = z[roof].max() + rng.uniform(3.0, 8.0)
+    for _ in range(2):
+        ti, tj = rng.uniform(4, h - 4), rng.uniform(4, w - 4)
+        crown = np.hypot(ci - ti, cj - tj) < rng.uniform(2.0, 4.0)
+        z[crown] += rng.uniform(2.0, 10.0, np.count_nonzero(crown))
+    x0, y0 = rng.uniform(-50.0, 50.0, 2)
+    pts = np.column_stack([x0 + cj * gsd, y0 + ci * gsd, z])
+    return pts[rng.permutation(len(pts))]
+
+
+def test_run_pipeline_matches_chain_oracle(tmp_path):
+    # All seven grids of run_pipeline equal pipeline_oracle's, bit for bit,
+    # on random scenes written as two LAS files, run three ways: on the
+    # paths (read as they are gridded), on load_points of each, and on the
+    # oracle's own dequantization of the file bytes in memory.  The second
+    # file stores z with a negative scale and a -0.0 offset, so its ground
+    # is -0.0 where the first file's is 0.0: the two tie.  Each scene runs
+    # twice: first with no water area floor and no buffer, so the water
+    # grid holds every flagged body, then with the floor at exactly one
+    # body's area and a buffer of a fractional number of cells.
+    rng = np.random.default_rng(57)
+    seen, bodies_dropped = np.zeros(5, int), 0
+    for trial in range(5):
+        gsd = (1.0, 0.5)[trial % 2]
+        pts = oracle_scene(rng, gsd, terrace=trial % 2 == 0)
+        paths, parts = [], []
+        for k, (scale, offset) in enumerate(((0.001, 0.0), (-0.001, -0.0))):
+            data = build_las(pts[k::2], scale=(0.001, 0.001, scale), offset=(0.0, 0.0, offset))
+            paths.append(str(tmp_path / f"scene{trial}_{k}.las"))
+            with open(paths[-1], "wb") as f:
+                f.write(data)
+            parts.append(dequantize_las(data)[0])
+        points = np.concatenate(parts)
+        zeros = np.signbit(points[points[:, 2] == 0.0, 2])
+        assert zeros.any() and not zeros.all()
+        bounds = (*points[:, :2].min(axis=0), *points[:, :2].max(axis=0))
+        cfg = small_cfg(
+            gsd=gsd, dt=0.5, kernel_shape=("square", "diamond")[trial % 2],
+            median_roof=(0, 3)[trial % 3 == 2], map3d_source=("ndhm", "dsm")[trial % 4 == 3],
+            water_window=int(rng.choice([3, 5])), water_min_area=1e-9, water_buffer=0.0,
+            overlap_m=12.0, outputs=OUTPUT_NAMES,
+        )
+        for run in range(2):
+            want = pipeline_oracle(points, cfg)
+            for inputs in (paths, [ingest.load_points(p) for p in paths],
+                           [PointCloud(points, bounds)]):
+                res = run_pipeline(cfg, inputs)
+                assert res.windows == 1
+                for name in OUTPUT_NAMES:
+                    got = res.products[name].values
+                    assert got.dtype == want[name].dtype, (trial, run, name)
+                    assert got.tobytes() == want[name].tobytes(), (trial, run, name)
+            sizes = np.sort(np.bincount(flood_labels(want["water"], eight=True)[0].ravel())[1:])
+            floor = int(sizes[len(sizes) // 2])
+            cfg = replace(
+                cfg, water_min_area=floor * gsd**2,
+                water_buffer=float(rng.choice([0.4, 1.2, 2.0])) * gsd,
+            )
+        bodies_dropped += int(np.count_nonzero(sizes < floor))
+        seen += np.bincount(want["diff"].ravel(), minlength=5) > 0
+    # Between them the scenes drop water bodies under the floor, remove
+    # candidates by water, opening and planarity, and add cells by the
+    # dilation.
+    assert bodies_dropped and (seen > 0).all(), (bodies_dropped, seen)
 
 
 def test_forced_input_format(tmp_path):

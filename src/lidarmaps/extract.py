@@ -117,24 +117,27 @@ def extract_buildings(
 ) -> ExtractResult:
     """Run the full candidate -> filter -> refine chain on one grid."""
     ndhm = terrain.ndhm
-    raw = ndhm.values >= params.ht
-    after_water = raw
+    # Each filter keeps a subset of its input, so the code of a removed
+    # raw cell is 1 plus the number of filters it passed: the number of
+    # the masks raw, after water and after opening that hold it.
+    kept = ndhm.values >= params.ht
+    diff = kept.astype(np.uint8)
     if water is not None:
         require_same_spec(ndhm, water.mask, "candidates and water mask")
-        after_water = raw & ~water.mask.values
-    after_open = opening(ndhm.with_values(after_water), params.k1, params.kernel_shape)
+        kept &= ~water.mask.values
+    diff += kept
+    after_open = opening(ndhm.with_values(kept), params.k1, params.kernel_shape)
+    del kept
+    diff += after_open.values
     cand = planarity_filter(after_open, ndhm, params.k2, params.rt, params.dt)
+    del after_open
     map2d = dilate(cand.mask, params.k3, "square")
     source = ndhm if params.map3d_source == "ndhm" else terrain.dsm
     map3d = build_3d(source, map2d, params.median_roof)
-
-    diff = np.zeros(raw.shape, np.uint8)
+    # map2d holds every kept candidate: its raw cells were not removed,
+    # and the rest of it the dilation added.
     final = map2d.values
-    removed = raw & ~final
-    diff[removed & ~after_water] = DIFF_WATER
-    diff[removed & after_water & ~after_open.values] = DIFF_MORPHOLOGY
-    diff[removed & after_open.values & ~cand.mask.values] = DIFF_PLANARITY
-    diff[final & ~raw] = DIFF_DILATION
+    diff[final] = (diff[final] == 0) * np.uint8(DIFF_DILATION)
     return ExtractResult(
         map2d=map2d,
         map3d=map3d,

@@ -113,8 +113,8 @@ def _millimetre_index(distinct: np.ndarray, words: np.ndarray, cells: int) -> Ca
     The table maps each key to the row of a value with that key; it is
     used only if all values that share a key have the same text, so the
     row found is the cell's own text.  NaN, inf and -inf take the three
-    entries after the finite keys.  The key span is found _BLOCK_CELLS
-    values at a time; all keys are made only for a table within bounds.
+    entries after the finite keys.  The key span is found, and the table
+    filled and checked, _BLOCK_CELLS values at a time.
     """
     lo, hi, special = np.inf, -np.inf, False
     with np.errstate(over="ignore", invalid="ignore"):
@@ -136,11 +136,17 @@ def _millimetre_index(distinct: np.ndarray, words: np.ndarray, cells: int) -> Ca
             np.nan_to_num(key, copy=False, nan=span, posinf=span + 1, neginf=span + 2)
         return key.astype(np.intp)
 
-    at = slots(_millimetre_keys(distinct))
+    # Filled, then checked, one block of values at a time in value order,
+    # so the last value written for a key is the one the table keeps.
     table = np.zeros(span + 3, np.min_scalar_type(distinct.size))
-    table[at] = np.arange(distinct.size)
-    if not np.array_equal(words[table[at]], words):
-        return None
+    blocks = range(0, distinct.size, _BLOCK_CELLS)
+    for i in blocks:
+        at = slots(_millimetre_keys(distinct[i:i + _BLOCK_CELLS]))
+        table[at] = np.arange(i, i + at.size)
+    for i in blocks:
+        at = slots(_millimetre_keys(distinct[i:i + _BLOCK_CELLS]))
+        if not np.array_equal(words[table[at]], words[i:i + _BLOCK_CELLS]):
+            return None
     return lambda block: table[slots(_millimetre_keys(block))]
 
 

@@ -204,13 +204,8 @@ def read_las(path: str) -> PointCloud:
     pts = np.empty((len(scan), 3), np.float64)
     n = 0
     for chunk in scan.chunks():
-        if n + len(chunk) <= len(pts):
-            pts[n:n + len(chunk)] = chunk
+        pts[n:n + len(chunk)] = chunk
         n += len(chunk)
-    if n != len(pts):
-        raise IoFailure(
-            f"{path} changed while it was read: {len(pts)} finite points, then {n}"
-        )
     return PointCloud(pts, scan.bounds, scan.dropped_nonfinite)
 
 
@@ -231,9 +226,19 @@ class LasScan:
         return self.count
 
     def chunks(self) -> Iterator[np.ndarray]:
-        """The finite points in file order, one reused chunk at a time."""
+        """The finite points in file order, one reused chunk at a time, and
+        none past the scan's count; IoFailure at the end if the file no
+        longer holds that many (it changed between the passes)."""
+        n = 0
         for chunk in _las_chunks(self.path, self.info):
-            yield _finite_rows(chunk) if self.dropped_nonfinite else chunk
+            chunk = _finite_rows(chunk)
+            if n < self.count:
+                yield chunk[:self.count - n]
+            n += len(chunk)
+        if n != self.count:
+            raise IoFailure(
+                f"{self.path} changed while it was read: {self.count} finite points, then {n}"
+            )
 
 
 def scan_las(path: str) -> LasScan:

@@ -8,12 +8,13 @@ first pass for its bounds, so its points are never held whole), and an
 external terrain grid is sampled once onto the same grid; each window
 cuts its padded box from those grids and never sees a point.  Windows
 run one at a time in this process, and only each window's core is
-copied into the mosaic; the last window's chain frees each global grid
-after its last reader.  The mosaic differs from a one-window run (the
-default window_size_m gives one to any extent under 1000 m on a side):
-every stage with a non-local rule (the occupancy rate p, the ground
-regions, the nearest fills, the per-component statistics) sees only the
-window's padded box.
+copied into the mosaic.  `_CHAIN` declares the grids each stage reads
+and makes, and a window drops each grid after its last reader there, so
+the last window's chain frees the global grids.  The mosaic differs from
+a one-window run (the default window_size_m gives one to any extent
+under 1000 m on a side): every stage with a non-local rule (the
+occupancy rate p, the ground regions, the nearest fills, the
+per-component statistics) sees only the window's padded box.
 
 The chain splits at terrain: the surface stages run once per window, then
 extraction once per ExtractParams, one for `map` and one per value for
@@ -44,9 +45,9 @@ from .errors import ConfigError, GridTooLarge, LidarMapsError
 from .extract import extract_buildings
 from .formats import _write_report, read_ascii_grid, write_ascii_grid
 from .grid import GridSpec, Raster, grid_from_bounds, interpolate_nearest, rasterize_min_clouds
-from .hydro import detect_water
+from .hydro import WaterMask, detect_water
 from .ingest import PointCloud, scan_points
-from .terrain import derive_terrain
+from .terrain import TerrainSet, derive_terrain
 
 if TYPE_CHECKING:
     from .evaluate import ConfusionMetrics
@@ -99,29 +100,27 @@ def plan_windows(spec: GridSpec, window_size_m: float, overlap_m: float) -> list
     return windows
 
 
-def _cut_window(
-    dsm: Raster, counts: Raster, ext: Raster | None, box: tuple[int, int, int, int]
-) -> list[Raster | None]:
-    """The box of the global min-z, count and external-terrain grids as
-    views on its own sub-grid."""
+def _cut_window(grids: dict, box: tuple[int, int, int, int]) -> dict[str, Raster | None]:
+    """The box of each global grid (min-z, count and external terrain, or
+    None) as a view on its own sub-grid."""
     c0, r0, w, h = box
-    sub = dsm.spec.subgrid(c0, r0, w, h)
+    sub = grids["min_z"].spec.subgrid(c0, r0, w, h)
     sl = (slice(r0, r0 + h), slice(c0, c0 + w))
-    return [
-        Raster(sub, dsm.values[sl]),
-        Raster(sub, counts.values[sl]),
-        None if ext is None else Raster(sub, ext.values[sl]),
-    ]
+    return {n: None if g is None else Raster(sub, g.values[sl]) for n, g in grids.items()}
 
 
 # ---------------------------------------------------------------------------
 # per-window stage chain
 # ---------------------------------------------------------------------------
 
-_NODATA = {
-    "dsm": np.nan, "dtm": np.nan, "ndhm": np.nan, "water": False,
-    "map2d": False, "map3d": np.nan, "diff": np.uint8(0),
-}
+# The chain after rasterize: (stage, grids it reads, grids it makes).
+# Extract also reads the grid its map3d_source names.
+_CHAIN = (
+    ("fill", ("min_z",), ("dsm",)),
+    ("water", ("counts",), ("water",)),
+    ("terrain", ("dsm", "external"), ("dtm", "ndhm")),
+    ("extract", ("ndhm", "water"), ("map2d", "map3d", "diff")),
+)
 
 
 def _sample_external(ext: Raster, spec: GridSpec) -> Raster:
@@ -135,46 +134,52 @@ def _sample_external(ext: Raster, spec: GridSpec) -> Raster:
 
 
 def _window_products(
-    gridded: list[Raster | None],
+    grids: dict[str, Raster | None],
     window: Window,
     cfg: PipelineConfig,
     params: list[ExtractParams],
     names: tuple[str, ...],
 ) -> list[dict[str, np.ndarray]] | None:
     """Surface stages once, then extraction once per entry of `params`, on
-    the min-z, count and external-terrain (or None) grids of the window's
-    padded box, given in that order in `gridded`.  Returns, per entry of
+    the window's padded box of the min-z, count and external-terrain (or
+    None) grids, keyed min_z, counts and external.  Returns, per entry of
     `params`, the core slices of the grids in `names`; None for an empty
     window.
 
-    Each grid is let go after its last reader: the chain takes the three
-    out of `gridded` at the fill, water and terrain, and keeps dsm and dtm
-    past ndhm only for an output in `names` or a map3d made from dsm.  A
-    grid that no caller holds elsewhere is freed there.
+    The lifetimes come from _CHAIN: after each stage, every grid whose
+    last reader (or, if none, maker) it was leaves `grids` unless it is
+    in `names`, and a grid that no caller holds elsewhere is freed there.
     """
-    if not gridded[1].values.any():
+    if not grids["counts"].values.any():
         log.warning("window %d is empty; its core stays nodata", window.index)
         return None
     pc0, pr0 = window.padded[:2]
     c0, r0, w, h = window.core
     sl = (slice(r0 - pr0, r0 - pr0 + h), slice(c0 - pc0, c0 - pc0 + w))
+    last = {grid: stage for stage, reads, makes in _CHAIN for grid in (*makes, *reads)}
+    last.update(dict.fromkeys((p.map3d_source for p in params), "extract"))
+
+    def done(stage):
+        for name in [n for n in grids if last.get(n) == stage and n not in names]:
+            del grids[name]
+
     try:
-        dsm = interpolate_nearest(gridded.pop(0))
-        water = detect_water(gridded.pop(0), cfg.water_params())
-        terrain = derive_terrain(dsm, cfg.slope_threshold, gridded.pop(0))
-        del dsm
-        if "dtm" not in names:
-            terrain.dtm = None
-        if "dsm" not in names and all(p.map3d_source != "dsm" for p in params):
-            terrain.dsm = None
-        surface = {"dsm": terrain.dsm, "dtm": terrain.dtm, "ndhm": terrain.ndhm, "water": water.mask}
+        grids["dsm"] = interpolate_nearest(grids["min_z"])
+        done("fill")
+        grids["water"] = detect_water(grids["counts"], cfg.water_params()).mask
+        done("water")
+        terrain = derive_terrain(grids["dsm"], cfg.slope_threshold, grids["external"])
+        grids["dtm"], grids["ndhm"] = terrain.dtm, terrain.ndhm
+        del terrain
+        done("terrain")
         out = []
         for p in params:
-            res = extract_buildings(terrain, water, p)
-            grids = {**surface, "map2d": res.map2d, "map3d": res.map3d, "diff": res.difference}
-            out.append({n: grids[n].values[sl] for n in names})
+            terrain = TerrainSet(grids.get("dsm"), grids.get("dtm"), grids["ndhm"])
+            res = extract_buildings(terrain, WaterMask(grids["water"]), p)
+            made = {**grids, "map2d": res.map2d, "map3d": res.map3d, "diff": res.difference}
+            out.append({n: made[n].values[sl] for n in names})
             # Only the grids in `names` outlive this value's extraction.
-            del res, grids
+            del terrain, res, made
     except LidarMapsError as exc:
         raise type(exc)(f"window {window.index} {window.core}: {exc}") from exc
     return out
@@ -210,34 +215,31 @@ def _run_windows(
     _check_count(workers, "workers")
     if not inputs:
         raise ConfigError("at least one input cloud is required")
-    clouds = [
-        c if isinstance(c, PointCloud) else scan_points(c, input_format) for c in inputs
-    ]
+    clouds = [c if isinstance(c, PointCloud) else scan_points(c, input_format) for c in inputs]
     if isinstance(external_dtm, str):
         external_dtm = read_ascii_grid(external_dtm)
     lo_x, lo_y, hi_x, hi_y = zip(*(c.bounds for c in clouds))
     spec = grid_from_bounds(min(lo_x), min(lo_y), max(hi_x), max(hi_y), cfg.gsd)
     windows = plan_windows(spec, cfg.window_size_m, cfg.overlap_m)
-    log.info(
-        "grid %dx%d cells at %.3g m, %d window(s)",
-        spec.width, spec.height, cfg.gsd, len(windows),
-    )
+    log.info("grid %dx%d cells at %.3g m, %d window(s)",
+             spec.width, spec.height, cfg.gsd, len(windows))
     # The fill sees one padded box at a time; some box is both the tallest and widest.
     _kernels.check_fill_shape(max(w.padded[3] for w in windows), max(w.padded[2] for w in windows))
 
     whole = (0, 0, spec.width, spec.height)
     try:
-        grids = list(rasterize_min_clouds((p for c in clouds for p in c.chunks()), spec, *whole))
+        grids = rasterize_min_clouds((p for c in clouds for p in c.chunks()), spec, *whole)
     except MemoryError as exc:
         raise GridTooLarge(f"a {spec.width} x {spec.height} grid does not fit in memory") from exc
-    grids.append(None if external_dtm is None else _sample_external(external_dtm, spec))
+    grids = dict(zip(("min_z", "counts"), grids))
+    grids["external"] = None if external_dtm is None else _sample_external(external_dtm, spec)
     point_count, dropped = sum(len(c) for c in clouds), sum(c.dropped_nonfinite for c in clouds)
-    del clouds, external_dtm
     # Windows get views into overlapping boxes of these grids; read-only,
     # so no stage can change a neighbouring window's input.
-    for grid in grids:
+    for grid in grids.values():
         if grid is not None:
             grid.values.flags.writeable = False
+    del clouds, external_dtm, grid
 
     # A window's grids (`cores` and the loop's views) are freed before the
     # next window starts.  A whole-grid window hands its grids over as the
@@ -245,7 +247,7 @@ def _run_windows(
     mosaics: list[dict[str, np.ndarray]] = [{} for _ in params]
     empty = 0
     for window in windows:
-        cut = _cut_window(*grids, window.padded)
+        cut = _cut_window(grids, window.padded)
         if window is windows[-1]:
             # No later window reads the global grids, so the last one's
             # chain frees each of them after its last reader.
@@ -261,17 +263,14 @@ def _run_windows(
                     mosaic[name] = values if values.flags.writeable else values.copy()
                     continue
                 if name not in mosaic:
-                    mosaic[name] = np.full(spec.shape, _NODATA[name])
+                    nodata = np.nan if values.dtype.kind == "f" else 0
+                    mosaic[name] = np.full(spec.shape, nodata, values.dtype)
                 mosaic[name][r0:r0 + h, c0:c0 + w] = values
         del cores, window_cores, values
 
     result = PipelineResult(
-        spec=spec,
-        products={},
-        windows=len(windows),
-        point_count=point_count,
-        dropped_nonfinite=dropped,
-        empty_windows=empty,
+        spec=spec, products={}, windows=len(windows), point_count=point_count,
+        dropped_nonfinite=dropped, empty_windows=empty,
     )
     return result, [{n: Raster(spec, v) for n, v in m.items()} for m in mosaics]
 

@@ -13,6 +13,7 @@ from collections import deque
 
 import numpy as np
 
+from lidarmaps import ingest
 from lidarmaps._kernels import _round_half_away_in_place
 from lidarmaps.grid import GridSpec, Raster
 
@@ -130,6 +131,36 @@ def dequantize_las(data: bytes) -> tuple[np.ndarray, int]:
         pts = np.column_stack([raw[n] * scale[i] + offset[i] for i, n in enumerate("xyz")])
     finite = np.isfinite(pts).all(axis=1)
     return pts[finite], len(pts) - int(finite.sum())
+
+
+#: The ways change_second_las_pass changes a file of 1,600 finite points,
+#: and the finite points its second pass then holds.
+SECOND_PASS_CHANGES = {"drop_row": 1599, "nan_z": 1550, "half": 800}
+
+
+def change_second_las_pass(monkeypatch, change: str) -> None:
+    """Make the second ingest._las_chunks call of a run read the file as
+    if it had changed since the first: its first record dropped, a NaN z
+    in its first 50 records, or only the first half of its records."""
+    real, calls = ingest._las_chunks, []
+
+    def changed(path, info):
+        calls.append(path)
+        left = info.point_count // 2
+        for i, chunk in enumerate(real(path, info)):
+            if len(calls) == 2 and change == "drop_row" and i == 0:
+                chunk = chunk[1:]
+            elif len(calls) == 2 and change == "nan_z" and i == 0:
+                chunk = chunk.copy()
+                chunk[:50, 2] = np.nan
+            elif len(calls) == 2 and change == "half":
+                if left <= 0:
+                    return
+                chunk = chunk[:left]
+                left -= len(chunk)
+            yield chunk
+
+    monkeypatch.setattr(ingest, "_las_chunks", changed)
 
 
 # ---------------------------------------------------------------------------

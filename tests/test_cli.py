@@ -15,7 +15,14 @@ import pytest
 from lidarmaps.cli import main
 from lidarmaps.formats import write_ascii_grid
 
-from conftest import points_from_field, raster_of, write_xyz_text
+from conftest import (
+    SECOND_PASS_CHANGES,
+    build_las,
+    change_second_las_pass,
+    points_from_field,
+    raster_of,
+    write_xyz_text,
+)
 
 
 def write_scene(tmp_path, field: np.ndarray) -> str:
@@ -71,6 +78,32 @@ def test_workers_below_one_exit_1(tmp_path, capsys, workers):
     assert capsys.readouterr().err.startswith(
         f"error: workers must be a positive integer, got {workers}"
     )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("change", sorted(SECOND_PASS_CHANGES))
+@pytest.mark.parametrize("command", ["map", "sweep"])
+def test_las_file_changed_between_passes_exits_2(tmp_path, capsys, monkeypatch, command, change):
+    # The scan counts 1600 finite points; a gridding pass that reads
+    # another number fails the command before anything is written.
+    las = tmp_path / "scene.las"
+    las.write_bytes(build_las(points_from_field(block_field(), gsd=1.0)))
+    truth = tmp_path / "truth.geojson"
+    truth.write_text(json.dumps({"type": "Polygon", "coordinates": [
+        [[17, 17], [23, 17], [23, 23], [17, 23], [17, 17]]
+    ]}))
+    out = tmp_path / "out"
+    args = {
+        "map": ["map", str(las)],
+        "sweep": ["sweep", str(las), "--param", "k3", "--values", "1,3", "--truth", str(truth)],
+    }[command]
+    change_second_las_pass(monkeypatch, change)
+    assert main(args + ["--out", str(out)] + MAP_FLAGS) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"error: {las} changed while it was read: "
+        f"1600 finite points, then {SECOND_PASS_CHANGES[change]}"
+    ), err
     assert not out.exists()
 
 

@@ -17,7 +17,9 @@ whole key table, its largest; the write_map3d stage writes the map3d
 grid, NaN but for the few distinct roof heights, so its byte table is
 small and a sort copy of the whole grid breaks its budget; the
 write_distinct stage writes a float grid whose every cell is a distinct
-value.  All three write the cells in blocks of 4,096, a sixteenth of
+value, and the write_keyed stage one over 0-32 m, whose keys fit the key
+table, so a table fill or check over all distinct values at once breaks
+its budget.  All four write the cells in blocks of 4,096, a sixteenth of
 the grid (the default, 16,384, is a quarter of it but a 244th of a
 1 km² grid).  The read stage reads back the dsm.
 
@@ -68,6 +70,7 @@ BUDGETS = {
     "write": 9.4,  # measured 7.5
     "write_map3d": 3.0,  # measured 2.4
     "write_distinct": 38.3,  # measured 30.6
+    "write_keyed": 27.9,  # measured 22.3
     "read": 21.0,  # measured 16.8
     "run": 65.7,  # measured 62.7
 }
@@ -166,11 +169,20 @@ def stage_peaks(tmp_path_factory):
     # table: one text per cell, found by np.searchsorted.
     distinct = raster_of(np.random.default_rng(7).uniform(-1000.0, 1000.0, (SIDE, SIDE)))
     assert np.unique(distinct.values).size == SIDE * SIDE
+    # The same over 0-32 m, whose keys fit the key table: it is filled
+    # and checked for every distinct value.
+    keyed = raster_of(np.random.default_rng(7).uniform(0.0, 32.0, (SIDE, SIDE)))
+    floats = np.unique(keyed.values)
+    assert floats.size == SIDE * SIDE
+    words = formats._byte_table(floats.size, formats._joined(floats, "%.3f"))
+    assert formats._millimetre_index(floats, words, floats.size) is not None
+    del floats, words
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(formats, "_BLOCK_CELLS", 4096)
         run("write", write)
         run("write_map3d", lambda: write_ascii_grid(str(tmp / "map3d.asc"), res.map3d))
         run("write_distinct", lambda: write_ascii_grid(str(tmp / "distinct.asc"), distinct))
+        run("write_keyed", lambda: write_ascii_grid(str(tmp / "keyed.asc"), keyed))
     run("read", lambda: read_ascii_grid(str(tmp / "dsm.asc")))
     del dsm_raw, occ, dsm, water, objects, terrain, res
     result = run("run", lambda: run_pipeline(PipelineConfig(), [str(las)]))

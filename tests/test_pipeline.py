@@ -4,6 +4,7 @@ the eval driver, and parameter sweeps."""
 import json
 import logging
 import os
+import re
 import weakref
 from dataclasses import fields, replace
 
@@ -12,7 +13,7 @@ import pytest
 
 from lidarmaps import _kernels, ingest, pipeline
 from lidarmaps.config import OUTPUT_NAMES, PipelineConfig, serialize_config
-from lidarmaps.errors import ConfigError, DegenerateScene, SpecMismatch
+from lidarmaps.errors import ConfigError, DegenerateScene, IoFailure, SpecMismatch
 from lidarmaps.evaluate import (
     ConfusionMetrics,
     confusion,
@@ -34,7 +35,9 @@ from lidarmaps.pipeline import (
 )
 
 from conftest import (
+    SECOND_PASS_CHANGES,
     build_las,
+    change_second_las_pass,
     dequantize_las,
     flood_labels,
     pipeline_oracle,
@@ -270,12 +273,14 @@ def test_windows_hold_one_window_of_grids_at_a_time(tmp_path, monkeypatch):
     assert len(refs) == 4 * 3 and all(r() is None for r in refs)
 
 
-@pytest.mark.parametrize("command", ["map", "sweep", "sweep map3d from dsm"])
+@pytest.mark.parametrize("command", ["map", "sweep", "sweep map3d from dsm", "sweep external dtm"])
 def test_one_window_frees_each_grid_after_its_last_reader(tmp_path, monkeypatch, command):
     # In a one-window run the raw min-z grid is freed once the fill has
     # read it and the count grid once water has; a sweep, which outputs
     # only map2d, frees dtm, and dsm unless map3d is made from it, before
-    # extraction.  Each grid is watched through a weak reference.
+    # extraction, and an external terrain grid, sampled onto the map's
+    # grid, once terrain has read it.  Each grid is watched through a weak
+    # reference.
     refs = {}
     alive_at = {}
 
@@ -298,10 +303,24 @@ def test_one_window_frees_each_grid_after_its_last_reader(tmp_path, monkeypatch,
     watch("derive_terrain", pipeline.derive_terrain,
           lambda out: {"dsm": out.dsm.values, "dtm": out.dtm.values})
     watch("extract_buildings", pipeline.extract_buildings, lambda out: {})
+    watch("_sample_external", pipeline._sample_external,
+          lambda out: {"external": out.values})
     cloud, truth_path = sweep_scene(tmp_path)
     if command == "map":
         run_pipeline(small_cfg(), [cloud])
         kept = ["dsm", "dtm"]
+    elif command == "sweep external dtm":
+        ext = raster_of(np.zeros((8, 8)), gsd=5.0)
+        run_sweep(small_cfg(), "k3", [1, 3], [cloud], truth_path, external_dtm=ext)
+        assert alive_at == {
+            "rasterize_min_clouds": [],
+            "_sample_external": ["counts", "min_z"],
+            "interpolate_nearest": ["counts", "external", "min_z"],
+            "detect_water": ["counts", "external"],
+            "derive_terrain": ["external"],
+            "extract_buildings": [],
+        }
+        return
     else:
         source = "dsm" if command.endswith("dsm") else "ndhm"
         run_sweep(small_cfg(map3d_source=source), "k3", [1, 3], [cloud], truth_path)
@@ -387,6 +406,23 @@ def test_las_files_grid_as_they_are_read(tmp_path, monkeypatch):
     assert files == ["config.txt", "map2d.asc", "map3d.asc", "summary.txt"]
     for name in files:
         assert (tmp_path / "files" / name).read_bytes() == (tmp_path / "memory" / name).read_bytes()
+
+
+@pytest.mark.parametrize("change", sorted(SECOND_PASS_CHANGES))
+def test_map_rejects_a_las_file_changed_between_passes(tmp_path, monkeypatch, change):
+    # The scan counts the file's finite points and sizes the grid; a
+    # gridding pass that reads another number of them is an IoFailure,
+    # not a map of what it read under the scan's point count.
+    path = str(tmp_path / "scene.las")
+    with open(path, "wb") as f:
+        f.write(build_las(points_from_field(straddle_field(), 1.0)))
+    assert run_pipeline(small_cfg(), [path]).point_count == 1600
+    change_second_las_pass(monkeypatch, change)
+    then = SECOND_PASS_CHANGES[change]
+    with pytest.raises(IoFailure, match=(
+        f"^{re.escape(path)} changed while it was read: 1600 finite points, then {then}$"
+    )):
+        run_pipeline(small_cfg(), [path])
 
 
 def oracle_scene(rng: np.random.Generator, gsd: float, terrace: bool) -> np.ndarray:
@@ -880,3 +916,95 @@ def test_sweepable_params_are_extraction_settings():
     # The surface stages never see ExtractParams, so a sweep may share them
     # between values only while every sweepable parameter is one of its fields.
     assert set(SWEEPABLE) <= {f.name for f in fields(ExtractParams)}
+
+
+# ---------------------------------------------------------------------------
+# the settings each stage reads
+# ---------------------------------------------------------------------------
+
+# The PipelineConfig fields each stage of pipeline._CHAIN reads (rasterize,
+# which makes the fill's and water's input grids, reads gsd), and those no
+# stage reads.  pipeline._CHAIN declares the grids.
+STAGE_SETTINGS = {
+    "fill": {"gsd"},
+    "water": {"gsd", "water_window", "water_sigma_k", "water_min_area", "water_buffer"},
+    "terrain": {"gsd", "slope_threshold"},
+    "extract": {f.name for f in fields(ExtractParams)},
+    None: {"window_size_m", "overlap_m", "outputs"},
+}
+# Each stage's function in pipeline, and the grids it returns.
+STAGE_CALLS = {
+    "fill": ("interpolate_nearest", lambda out: [out]),
+    "water": ("detect_water", lambda out: [out.mask]),
+    "terrain": ("derive_terrain", lambda out: [out.dtm, out.ndhm]),
+    "extract": ("extract_buildings", lambda out: [out.map2d, out.map3d, out.difference]),
+}
+DECLARED_BASE = dict(
+    k1=3, k2=3, k3=3, water_window=3, water_min_area=20.0, water_buffer=1.0, overlap_m=12.0,
+)
+# A second valid value of every field; each still gives the scenes one window.
+SECOND_VALUES = {
+    "gsd": 0.5, "slope_threshold": 2.5,
+    "ht": 4.0, "k1": 5, "k2": 7, "rt": 2, "dt": 0.0, "k3": 1,
+    "kernel_shape": "diamond", "median_roof": 3, "map3d_source": "dsm",
+    "water_window": 5, "water_sigma_k": 1.0, "water_min_area": 200.0, "water_buffer": 0.0,
+    "window_size_m": 500.0, "overlap_m": 30.0, "outputs": ("dsm",),
+}
+
+
+def declared_upstream(stage: str) -> set[str]:
+    """The settings of `stage` and of every stage it reads a grid from
+    through pipeline._CHAIN (extract's map3d_source may name dsm)."""
+    maker = {grid: s for s, _, makes in pipeline._CHAIN for grid in makes}
+    reads = {s: reads for s, reads, _ in pipeline._CHAIN}[stage]
+    if stage == "extract":
+        reads = (*reads, "dsm")
+    settings = set(STAGE_SETTINGS[stage])
+    for grid in reads:
+        if grid in maker:
+            settings |= declared_upstream(maker[grid])
+    return settings
+
+
+def test_stage_settings_are_declared(monkeypatch):
+    # A stage's grids stay bit-identical unless it or a stage it reads from
+    # declares the changed setting, and every setting a stage declares
+    # changes its grids on some scene.  So no sweepable setting moves dsm,
+    # water, dtm or ndhm, which a sweep shares between its values.
+    all_fields = {f.name for f in fields(PipelineConfig)}
+    assert set().union(*STAGE_SETTINGS.values()) == set(SECOND_VALUES) == all_fields
+    assert [s for s, _, _ in pipeline._CHAIN] == list(STAGE_CALLS)
+    for param in SWEEPABLE:
+        assert [s for s in STAGE_CALLS if param in declared_upstream(s)] == ["extract"]
+
+    got = {}
+    for stage, (name, grids) in STAGE_CALLS.items():
+        def recorded(*args, _stage=stage, _real=getattr(pipeline, name), _grids=grids, **kw):
+            out = _real(*args, **kw)
+            assert _stage not in got, f"{_stage} ran twice"
+            got[_stage] = [(g.spec, g.values.dtype, g.values.tobytes()) for g in _grids(out)]
+            return out
+        monkeypatch.setattr(pipeline, name, recorded)
+
+    def stages(cfg, cloud):
+        got.clear()
+        assert run_pipeline(cfg, [cloud]).windows == 1
+        return dict(got)
+
+    rng = np.random.default_rng(24)
+    moved = {stage: set() for stage in STAGE_CALLS}
+    for terrace in (False, True):
+        pts = oracle_scene(rng, 1.0, terrace)
+        cloud = PointCloud(pts, (*pts[:, :2].min(axis=0), *pts[:, :2].max(axis=0)))
+        base = small_cfg(**DECLARED_BASE)
+        want = stages(base, cloud)
+        for field, value in SECOND_VALUES.items():
+            assert getattr(base, field) != value, field
+            changed = stages(replace(base, **{field: value}), cloud)
+            for stage in STAGE_CALLS:
+                if changed[stage] != want[stage]:
+                    assert field in declared_upstream(stage), (terrace, field, stage)
+                    moved[stage].add(field)
+    for stage, settings in STAGE_SETTINGS.items():
+        if stage is not None:
+            assert settings <= moved[stage], (stage, settings - moved[stage])

@@ -30,23 +30,6 @@ def _runs(mask):
 
 
 # ---------------------------------------------------------------------------
-# minimum-z rasterization
-# ---------------------------------------------------------------------------
-# Each block of points comes in as flat row-major cell indices of the
-# window with a mask of the points inside it.  A 1-D np.minimum.at lowers
-# the min-z grid and an np.add.at of int32 ones (a scalar 1 takes numpy's
-# slow path) raises the count grid, both in input order, so gridding block
-# by block gives the same grids to the bit as one pass.
-
-
-def rasterize_min(zmin, counts, cells, zs, inside):
-    if not inside.all():
-        cells, zs = cells[inside], zs[inside]
-    np.minimum.at(zmin.reshape(-1), cells, zs)
-    np.add.at(counts.reshape(-1), cells, np.ones(cells.size, np.int32))
-
-
-# ---------------------------------------------------------------------------
 # exact nearest-valid-cell fill
 # ---------------------------------------------------------------------------
 # Distances are Euclidean between cell centers; in cell units every squared

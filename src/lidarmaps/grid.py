@@ -131,12 +131,13 @@ def require_same_spec(a: Raster, b: Raster, what: str = "rasters") -> None:
 
 
 def rasterize_min(points: np.ndarray, spec: GridSpec) -> tuple[Raster, Raster]:
-    """Grid the cloud into a min-z raster and a point-count raster.
+    """Grid the cloud into a min-z raster and a bool occupancy raster.
 
     The lowest return per cell suppresses vegetation over penetrable canopy
-    while solid surfaces keep their own elevation.  Cells with no points
-    come back NaN in the min-z raster; points outside the grid are
-    ignored.  This is rasterize_min_window over the whole grid.
+    while solid surfaces keep their own elevation.  A cell is occupied
+    when some point lowered its min-z below the +inf it starts at; an
+    unoccupied cell comes back NaN in the min-z raster.  Points outside
+    the grid are ignored.  This is rasterize_min_window over the whole grid.
     """
     return rasterize_min_window(points, spec, 0, 0, spec.width, spec.height)
 
@@ -158,11 +159,11 @@ def rasterize_min_clouds(
 ) -> tuple[Raster, Raster]:
     """rasterize_min_window of several (n, 3) point arrays as one cloud,
     without joining them: each is gridded _kernels._BLOCK points at a time
-    straight into the window's grids, in input order, so the grids are
-    those of one array of all the points, to the bit.  The arrays may
-    come one at a time, as chunks of a file being read."""
+    straight into the window's min-z grid by one np.minimum.at, in input
+    order, so the grids are those of one array of all the points, to the
+    bit.  The arrays may come one at a time, as chunks of a file being
+    read."""
     dsm = np.full((height, width), np.inf)
-    counts = np.zeros((height, width), np.int32)
     for points in clouds:
         for s in range(0, len(points), _kernels._BLOCK):
             block = np.asarray(points[s:s + _kernels._BLOCK], np.float64)
@@ -173,15 +174,22 @@ def rasterize_min_clouds(
             # The flat index row * width + col, built in place in rows.
             rows *= width
             rows += cols
-            _kernels.rasterize_min(dsm, counts, rows, block[:, 2], inside)
-    if not counts.any():
+            zs = block[:, 2]
+            if not inside.all():
+                rows, zs = rows[inside], zs[inside]
+            np.minimum.at(dsm.reshape(-1), rows, zs)
+    # A NaN z leaves its cell NaN, so occupied; a +inf z leaves it as if
+    # no point fell there.
+    occupied = dsm != np.inf
+    if not occupied.any():
         raise NoPointsInGrid("no point fell inside the window")
     sub = spec.subgrid(col0, row0, width, height)
-    # The kernel keeps the last of tied minima, so 0.0 and -0.0 would take
-    # their sign from the point order; -0.0 + 0.0 is +0.0, all else is kept.
-    dsm[counts == 0] = np.nan
+    # np.minimum.at keeps the last of tied minima, so 0.0 and -0.0 would
+    # take their sign from the point order; -0.0 + 0.0 is +0.0, all else
+    # is kept.
+    dsm[~occupied] = np.nan
     dsm += 0.0
-    return Raster(sub, dsm), Raster(sub, counts)
+    return Raster(sub, dsm), Raster(sub, occupied)
 
 
 def interpolate_nearest(raster: Raster) -> Raster:

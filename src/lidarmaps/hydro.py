@@ -37,10 +37,11 @@ def _window_extent(n: int, radius: int) -> np.ndarray:
 
 
 def occupied_cell_count(counts: Raster, window: int = WaterParams.window) -> Raster:
-    """Occupied-cell tally of a point-count raster over the centered
-    window, clipped at borders: the morphology's square kernel summing a
-    0/1 grid, where a cell past the border adds 0.  A tally never exceeds
-    its window's in-bounds cells, so int32 holds it below 2^31 cells."""
+    """Occupied-cell tally of an occupancy raster (a cell is occupied
+    where it is > 0) over the centered window, clipped at borders: the
+    morphology's square kernel summing a 0/1 grid, where a cell past the
+    border adds 0.  A tally never exceeds its window's in-bounds cells,
+    so int32 holds it below 2^31 cells."""
     radius = _check_kernel(window, "window") // 2
     dtype = np.int32 if counts.values.size < 2**31 else np.int64
     occupied = (counts.values > 0).astype(dtype)
@@ -52,7 +53,8 @@ def classify_water(
     window: int = WaterParams.window,
     sigma_k: float = WaterParams.sigma_k,
 ) -> Raster:
-    """Flag cells whose window is improbably empty under the binomial model.
+    """Flag cells of an occupancy raster (occupied where > 0) whose
+    window is improbably empty under the binomial model.
 
     With p the grid-wide occupied fraction and n the in-bounds window size,
     a cell is water iff occupied_count <= n*p - sigma_k*sqrt(n*p*(1-p)).
@@ -99,6 +101,7 @@ def filter_and_buffer(water: Raster, params: WaterParams = WaterParams()) -> Wat
 
 
 def detect_water(counts: Raster, params: WaterParams = WaterParams()) -> WaterMask:
-    """classify_water then filter_and_buffer under one set of parameters."""
+    """classify_water of an occupancy raster then filter_and_buffer under
+    one set of parameters."""
     flagged = classify_water(counts, params.window, params.sigma_k)
     return filter_and_buffer(flagged, params)

@@ -3,7 +3,7 @@ stage chain, mosaicking, and the sweep driver (the eval driver is in
 evaluate.py).
 
 Every input cloud is gridded in place, block by block, into one global
-min-z grid and one global count grid (a LAS file as it is read, after a
+min-z grid and one occupancy grid (a LAS file as it is read, after a
 first pass for its bounds, so its points are never held whole), and an
 external terrain grid is sampled once onto the same grid; each window
 cuts its padded box from those grids and never sees a point.  Windows
@@ -101,8 +101,8 @@ def plan_windows(spec: GridSpec, window_size_m: float, overlap_m: float) -> list
 
 
 def _cut_window(grids: dict, box: tuple[int, int, int, int]) -> dict[str, Raster | None]:
-    """The box of each global grid (min-z, count and external terrain, or
-    None) as a view on its own sub-grid."""
+    """The box of each global grid (min-z, occupancy and external
+    terrain, or None) as a view on its own sub-grid."""
     c0, r0, w, h = box
     sub = grids["min_z"].spec.subgrid(c0, r0, w, h)
     sl = (slice(r0, r0 + h), slice(c0, c0 + w))
@@ -117,7 +117,7 @@ def _cut_window(grids: dict, box: tuple[int, int, int, int]) -> dict[str, Raster
 # Extract also reads the grid its map3d_source names.
 _CHAIN = (
     ("fill", ("min_z",), ("dsm",)),
-    ("water", ("counts",), ("water",)),
+    ("water", ("occupied",), ("water",)),
     ("terrain", ("dsm", "external"), ("dtm", "ndhm")),
     ("extract", ("ndhm", "water"), ("map2d", "map3d", "diff")),
 )
@@ -141,16 +141,16 @@ def _window_products(
     names: tuple[str, ...],
 ) -> list[dict[str, np.ndarray]] | None:
     """Surface stages once, then extraction once per entry of `params`, on
-    the window's padded box of the min-z, count and external-terrain (or
-    None) grids, keyed min_z, counts and external.  Returns, per entry of
-    `params`, the core slices of the grids in `names`; None for an empty
-    window.
+    the window's padded box of the min-z, occupancy and external-terrain
+    (or None) grids, keyed min_z, occupied and external.  Returns, per
+    entry of `params`, the core slices of the grids in `names`; None for
+    an empty window.
 
     The lifetimes come from _CHAIN: after each stage, every grid whose
     last reader (or, if none, maker) it was leaves `grids` unless it is
     in `names`, and a grid that no caller holds elsewhere is freed there.
     """
-    if not grids["counts"].values.any():
+    if not grids["occupied"].values.any():
         log.warning("window %d is empty; its core stays nodata", window.index)
         return None
     pc0, pr0 = window.padded[:2]
@@ -166,7 +166,7 @@ def _window_products(
     try:
         grids["dsm"] = interpolate_nearest(grids["min_z"])
         done("fill")
-        grids["water"] = detect_water(grids["counts"], cfg.water_params()).mask
+        grids["water"] = detect_water(grids["occupied"], cfg.water_params()).mask
         done("water")
         terrain = derive_terrain(grids["dsm"], cfg.slope_threshold, grids["external"])
         grids["dtm"], grids["ndhm"] = terrain.dtm, terrain.ndhm
@@ -231,7 +231,7 @@ def _run_windows(
         grids = rasterize_min_clouds((p for c in clouds for p in c.chunks()), spec, *whole)
     except MemoryError as exc:
         raise GridTooLarge(f"a {spec.width} x {spec.height} grid does not fit in memory") from exc
-    grids = dict(zip(("min_z", "counts"), grids))
+    grids = dict(zip(("min_z", "occupied"), grids))
     grids["external"] = None if external_dtm is None else _sample_external(external_dtm, spec)
     point_count, dropped = sum(len(c) for c in clouds), sum(c.dropped_nonfinite for c in clouds)
     # Windows get views into overlapping boxes of these grids; read-only,

@@ -286,7 +286,8 @@ def test_oracle_rasterize_min():
         except NoPointsInGrid:
             assert counts.sum() == 0
             continue
-        np.testing.assert_array_equal(occ.values, counts)
+        assert occ.values.dtype == bool
+        np.testing.assert_array_equal(occ.values, counts > 0)
         np.testing.assert_array_equal(np.isnan(ras.values), counts == 0)
         np.testing.assert_array_equal(ras.values[counts > 0], zmin[counts > 0])
     record_suite("rasterize_min", t0)

@@ -131,7 +131,8 @@ def test_rasterize_min_matches_scan():
         dsm, occ = rasterize_min(pts, spec)
         expect = np.where(counts > 0, zmin, np.nan)
         np.testing.assert_array_equal(dsm.values, expect)
-        np.testing.assert_array_equal(occ.values, counts)
+        assert occ.values.dtype == bool
+        np.testing.assert_array_equal(occ.values, counts > 0)
 
 
 def test_rasterize_keeps_minimum_per_cell():
@@ -139,7 +140,8 @@ def test_rasterize_keeps_minimum_per_cell():
     pts = np.array([[0.5, 0.5, 9.0], [0.4, 0.4, 3.0], [0.6, 0.6, 7.0], [1.5, 0.5, 2.0]])
     dsm, occ = rasterize_min(pts, spec)
     np.testing.assert_array_equal(dsm.values, [[3.0, 2.0]])
-    np.testing.assert_array_equal(occ.values, [[3, 1]])
+    assert occ.values.dtype == bool
+    np.testing.assert_array_equal(occ.values, rasterize_scan(pts, spec)[1] > 0)
 
 
 def test_rasterize_cell_edges_half_open():
@@ -147,6 +149,32 @@ def test_rasterize_cell_edges_half_open():
     dsm, _ = rasterize_min(np.array([[1.0, 1.0, 5.0]]), spec)
     assert np.isfinite(dsm.values[1, 1])
     assert np.isnan(dsm.values[0, 0])
+
+
+def test_rasterize_inf_z_grids_as_no_point():
+    # A cell is occupied when its min-z fell below the +inf it starts at,
+    # so a +inf z, which no reader yields, leaves its cell as if no point
+    # fell there: not occupied and NaN.  A finite z beside it still wins.
+    spec = GridSpec(0.0, 0.0, 1.0, 3, 1)
+    pts = np.array([[0.5, 0.5, np.inf], [1.5, 0.5, np.inf], [1.5, 0.5, 2.0], [2.5, 0.5, -np.inf]])
+    for order in (pts, pts[::-1]):
+        dsm, occ = rasterize_min(order, spec)
+        np.testing.assert_array_equal(dsm.values, [[np.nan, 2.0, -np.inf]])
+        np.testing.assert_array_equal(occ.values, [[False, True, True]])
+    with pytest.raises(NoPointsInGrid):
+        rasterize_min(pts[:2], spec)
+
+
+def test_rasterize_nan_z_leaves_its_cell_occupied_and_nan():
+    # A NaN z, which no reader yields, wins its cell's minimum whatever
+    # the order, so the cell is occupied and its min-z NaN.
+    spec = GridSpec(0.0, 0.0, 1.0, 3, 1)
+    pts = np.array([[0.5, 0.5, np.nan], [1.5, 0.5, 1.0], [1.5, 0.5, np.nan], [2.5, 0.5, 1.0]])
+    with np.errstate(invalid="ignore"):
+        for order in (pts, pts[::-1]):
+            dsm, occ = rasterize_min(order, spec)
+            np.testing.assert_array_equal(dsm.values, [[np.nan, np.nan, 1.0]])
+            np.testing.assert_array_equal(occ.values, [[True, True, True]])
 
 
 def test_rasterize_crowded_cell_ties_and_max_edge():
@@ -174,8 +202,9 @@ def test_rasterize_crowded_cell_ties_and_max_edge():
     dsm, occ = rasterize_min(pts, spec)
     zmin, counts, oob = rasterize_scan(pts, spec)
     np.testing.assert_array_equal(dsm.values, np.where(counts > 0, zmin, np.nan))
-    np.testing.assert_array_equal(occ.values, counts)
-    assert oob == 3 and int(occ.values.sum()) == len(pts) - 3
+    assert occ.values.dtype == bool
+    np.testing.assert_array_equal(occ.values, counts > 0)
+    assert oob == 3 and np.count_nonzero(occ.values) == np.count_nonzero(counts)
     assert counts[0, 0] == n and counts[-1, -1] == 2
     # 0.0 and -0.0 compare equal and the kernel keeps the last of tied
     # minima; a zero minimum is still stored as +0.0 in either point order,
@@ -213,7 +242,8 @@ def test_rasterize_window_slices_global_run():
         sl = (slice(r0, r0 + h), slice(c0, c0 + w))
         np.testing.assert_array_equal(win.values, full.values[sl])
         np.testing.assert_array_equal(occ_win.values, occ_full.values[sl])
-        assert int(occ_win.values.sum()) == int(np.count_nonzero(inside))
+        assert occ_win.values.dtype == bool
+        assert np.count_nonzero(occ_win.values) == len(set(zip(gr[inside], gc[inside])))
         assert win.spec.origin_x == spec.origin_x + c0 * GSD
         assert win.spec.origin_y == spec.origin_y + r0 * GSD
         assert win.spec.shape == (h, w)
@@ -264,9 +294,9 @@ def test_clouds_grid_bit_for_bit_as_one_array(monkeypatch, block):
         expect = np.where(counts[sl] > 0, zmin[sl], np.nan) + 0.0
         for want in (expect, ref[0].values):
             np.testing.assert_array_equal(dsm.values.view(np.int64), want.view(np.int64))
-        for want in (counts[sl], ref[1].values):
+        for want in (counts[sl] > 0, ref[1].values):
             np.testing.assert_array_equal(occ.values, want)
-        assert occ.values.dtype == ref[1].values.dtype == np.int32
+        assert occ.values.dtype == ref[1].values.dtype == bool
         assert dsm.spec == ref[0].spec == spec.subgrid(c0, r0, w, h)
         zero_minima += int(np.count_nonzero(dsm.values == 0))
     assert zero_minima > 100

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import flood_labels, raster_of
+from lidarmaps.config import PipelineConfig
 from lidarmaps.errors import BadKernel, ConfigError, DegenerateOccupancy
 from lidarmaps.hydro import (
     WaterParams,
@@ -17,10 +18,12 @@ from lidarmaps.hydro import (
     filter_and_buffer,
     occupied_cell_count,
 )
+from lidarmaps.ingest import PointCloud
+from lidarmaps.pipeline import run_pipeline
 
 
 def occupancy_of(occ: np.ndarray):
-    """The point-count raster of the given counts."""
+    """An occupancy raster of the given counts, occupied where > 0."""
     return raster_of(np.asarray(occ, np.int64))
 
 
@@ -290,3 +293,59 @@ def test_parameter_validation(kwargs):
     (field,) = kwargs
     with pytest.raises(ConfigError, match=f"^water_{field} must be"):
         WaterParams(**kwargs)
+
+
+# ---------------------------------------------------------------------------
+# point density that varies across the scene
+# ---------------------------------------------------------------------------
+
+LAKES = ((100.0, 100.0), (300.0, 100.0))  # one in each half, radius 20 m
+ROOFS = ((30.0, 30.0), (40.0, 160.0), (160.0, 40.0))  # lower-left corners, 8 m squares
+
+
+def two_density_run(west: float, east: float, width: float = 400.0):
+    """run_pipeline on a width x width/2 m scene at 0.5 m whose west half
+    holds `west` points per m² and whose east half `east`: flat ground,
+    a lake of 20 m radius in each half and three 8 m roofs, 10 m high,
+    in the west half.  Returns (water, map2d, cell centre x, y)."""
+    rng = np.random.default_rng(14)
+    half = width / 2
+    parts = []
+    for x0, density in ((0.0, west), (half, east)):
+        n = int(density * half * half)
+        parts.append(np.column_stack([rng.uniform(x0, x0 + half, n), rng.uniform(0.0, half, n)]))
+    xy = np.concatenate(parts)
+    z = np.full(len(xy), 20.0)
+    for x0, y0 in ROOFS:
+        z[(xy[:, 0] >= x0) & (xy[:, 0] < x0 + 8) & (xy[:, 1] >= y0) & (xy[:, 1] < y0 + 8)] = 30.0
+    for cx, cy in LAKES:
+        keep = np.hypot(xy[:, 0] - cx, xy[:, 1] - cy) > 20.0
+        xy, z = xy[keep], z[keep]
+    pts = np.column_stack([xy, z])
+    cloud = PointCloud(pts, (pts[:, 0].min(), pts[:, 1].min(), pts[:, 0].max(), pts[:, 1].max()))
+    res = run_pipeline(PipelineConfig(), [cloud])
+    x, y = res.spec.cell_center(*np.indices(res.spec.shape))
+    return res.products["water"].values, res.products["map2d"].values, x, y
+
+
+def check_water_follows_lakes(west: float, east: float):
+    water, map2d, x, y = two_density_run(west, east)
+    # Away from the lakes and their 5 m buffer, with 5 m to spare.
+    dry = np.ones(water.shape, bool)
+    for cx, cy in LAKES:
+        dry &= np.hypot(x - cx, y - cy) > 30.0
+        assert water[np.hypot(x - cx, y - cy) < 15.0].all(), (cx, cy)
+    flooded = np.count_nonzero(water & dry & (x < 200.0)) / np.count_nonzero(dry & (x < 200.0))
+    kept = [bool(map2d[(x > x0 + 2) & (x < x0 + 6) & (y > y0 + 2) & (y < y0 + 6)].all())
+            for x0, y0 in ROOFS]
+    assert (flooded, kept) == (0.0, [True, True, True])
+
+
+def test_water_follows_lakes_at_uniform_density():
+    check_water_follows_lakes(4.0, 4.0)
+
+
+@pytest.mark.xfail(strict=True, reason="p is one rate for the whole window, so a half at half "
+                   "the density of the other reads as water (ROADMAP item 14)")
+def test_water_follows_lakes_when_density_varies():
+    check_water_follows_lakes(4.0, 8.0)

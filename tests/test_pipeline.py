@@ -276,7 +276,7 @@ def test_windows_hold_one_window_of_grids_at_a_time(tmp_path, monkeypatch):
 @pytest.mark.parametrize("command", ["map", "sweep", "sweep map3d from dsm", "sweep external dtm"])
 def test_one_window_frees_each_grid_after_its_last_reader(tmp_path, monkeypatch, command):
     # In a one-window run the raw min-z grid is freed once the fill has
-    # read it and the count grid once water has; a sweep, which outputs
+    # read it and the occupancy grid once water has; a sweep, which outputs
     # only map2d, frees dtm, and dsm unless map3d is made from it, before
     # extraction, and an external terrain grid, sampled onto the map's
     # grid, once terrain has read it.  Each grid is watched through a weak
@@ -297,7 +297,7 @@ def test_one_window_frees_each_grid_after_its_last_reader(tmp_path, monkeypatch,
         monkeypatch.setattr(pipeline, name, wrapped)
 
     watch("rasterize_min_clouds", pipeline.rasterize_min_clouds,
-          lambda out: {"min_z": out[0].values, "counts": out[1].values})
+          lambda out: {"min_z": out[0].values, "occupied": out[1].values})
     watch("interpolate_nearest", pipeline.interpolate_nearest, lambda out: {})
     watch("detect_water", pipeline.detect_water, lambda out: {})
     watch("derive_terrain", pipeline.derive_terrain,
@@ -314,9 +314,9 @@ def test_one_window_frees_each_grid_after_its_last_reader(tmp_path, monkeypatch,
         run_sweep(small_cfg(), "k3", [1, 3], [cloud], truth_path, external_dtm=ext)
         assert alive_at == {
             "rasterize_min_clouds": [],
-            "_sample_external": ["counts", "min_z"],
-            "interpolate_nearest": ["counts", "external", "min_z"],
-            "detect_water": ["counts", "external"],
+            "_sample_external": ["min_z", "occupied"],
+            "interpolate_nearest": ["external", "min_z", "occupied"],
+            "detect_water": ["external", "occupied"],
             "derive_terrain": ["external"],
             "extract_buildings": [],
         }
@@ -327,8 +327,8 @@ def test_one_window_frees_each_grid_after_its_last_reader(tmp_path, monkeypatch,
         kept = ["dsm"] if source == "dsm" else []
     assert alive_at == {
         "rasterize_min_clouds": [],
-        "interpolate_nearest": ["counts", "min_z"],
-        "detect_water": ["counts"],
+        "interpolate_nearest": ["min_z", "occupied"],
+        "detect_water": ["occupied"],
         "derive_terrain": [],
         "extract_buildings": kept,
     }

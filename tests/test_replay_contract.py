@@ -1,9 +1,9 @@
 """The benchmark replay's contract with the package.
 
 e2ebench/replay.py drives the stages through their public names:
-rasterize_min_window's (min-z, count) pair, detect_water on the count
-raster, WaterMask.mask, TerrainSet built from four positional grids,
-CandidateSet.count and .kept, and plan_windows.  A change that breaks any
+rasterize_min_window's (min-z, occupancy) pair, detect_water on the
+occupancy raster, WaterMask.mask, TerrainSet built from four positional
+grids, CandidateSet.count and .kept, and plan_windows.  A change that breaks any
 of them fails here, on a small scene, instead of in a traced benchmark
 run.  The replay is only read, never edited.
 """

@@ -64,7 +64,7 @@ import numpy as np
 
 from lidarmaps import _kernels as kernels
 from lidarmaps import grid
-from lidarmaps.config import PipelineConfig
+from lidarmaps.config import OUTPUT_NAMES, PipelineConfig
 from lidarmaps.formats import read_ascii_grid, write_ascii_grid
 from lidarmaps.grid import GridSpec, Raster
 from lidarmaps.ingest import PointCloud, read_las, read_xyz_text, scan_las
@@ -177,7 +177,7 @@ def _cases(size: int, n_points: int, rng: np.random.Generator, out_dir: str) -> 
     ):
         sz[(sx >= x0) & (sx < x0 + bw) & (sy >= y0) & (sy < y0 + bh)] += bz
     scene = PointCloud(np.column_stack([sx, sy, sz]), (sx.min(), sy.min(), sx.max(), sy.max()))
-    scene_cfg = PipelineConfig(gsd=1.0, window_size_m=w / 2)
+    scene_cfg = PipelineConfig(gsd=1.0, window_size_m=w / 2, outputs=OUTPUT_NAMES)
 
     return [
         (

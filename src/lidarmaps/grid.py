@@ -180,14 +180,15 @@ def rasterize_min_clouds(
             np.minimum.at(dsm.reshape(-1), rows, zs)
     # A NaN z leaves its cell NaN, so occupied; a +inf z leaves it as if
     # no point fell there.
-    occupied = dsm != np.inf
-    if not occupied.any():
+    void = dsm == np.inf
+    if void.all():
         raise NoPointsInGrid("no point fell inside the window")
     sub = spec.subgrid(col0, row0, width, height)
+    dsm[void] = np.nan
+    occupied = np.logical_not(void, out=void)
     # np.minimum.at keeps the last of tied minima, so 0.0 and -0.0 would
     # take their sign from the point order; -0.0 + 0.0 is +0.0, all else
     # is kept.
-    dsm[~occupied] = np.nan
     dsm += 0.0
     return Raster(sub, dsm), Raster(sub, occupied)
 

@@ -135,6 +135,6 @@ def derive_terrain(
         require_same_spec(dsm, external_dtm, "dsm and external dtm")
         dtm = external_dtm
     else:
-        br = breakline_map(dsm, slope_threshold)
-        dtm = fill_ground(dsm, extract_objects(br))
+        # The break-line mask is freed before the ground fill runs.
+        dtm = fill_ground(dsm, extract_objects(breakline_map(dsm, slope_threshold)))
     return TerrainSet(dsm, dtm, compute_ndhm(dsm, dtm))

@@ -15,7 +15,7 @@ from functools import wraps
 import numpy as np
 import pytest
 
-from lidarmaps.config import PipelineConfig
+from lidarmaps.config import OUTPUT_NAMES, PipelineConfig
 from lidarmaps.errors import NoPointsInGrid
 from lidarmaps.evaluate import (
     confusion,
@@ -475,10 +475,13 @@ def test_window_independence():
     field = np.zeros((20, 40))
     field[7:13, 17:23] = 6.0  # straddles the core boundary at x = 20
     cloud = cloud_of(field, gsd=1.0)
-    knobs = dict(gsd=1.0, k1=3, k2=3, k3=3, water_window=3, overlap_m=6.0)
+    knobs = dict(
+        gsd=1.0, k1=3, k2=3, k3=3, water_window=3, overlap_m=6.0, outputs=OUTPUT_NAMES
+    )
     two = run_pipeline(PipelineConfig(window_size_m=20.0, **knobs), [cloud])
     one = run_pipeline(PipelineConfig(window_size_m=1000.0, **knobs), [cloud])
     assert two.windows == 2 and one.windows == 1
+    assert list(two.products) == list(one.products) == list(OUTPUT_NAMES)
     assert two.products["map2d"].values.any()
     for name, ras in two.products.items():
         a, b = ras.values, one.products[name].values

@@ -42,7 +42,9 @@ def cloud_of(pts: np.ndarray) -> PointCloud:
 
 
 def grids(pts: np.ndarray, window_size_m: float):
-    cfg = PipelineConfig(window_size_m=window_size_m, overlap_m=8.0, water_min_area=25.0)
+    cfg = PipelineConfig(
+        window_size_m=window_size_m, overlap_m=8.0, water_min_area=25.0, outputs=OUTPUT_NAMES
+    )
     res = run_pipeline(cfg, [cloud_of(pts)])
     assert res.windows == (1 if window_size_m > EXTENT else 4)
     return res.spec, res.products

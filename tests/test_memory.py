@@ -24,9 +24,11 @@ the grid (the default, 16,384, is a quarter of it but a 244th of a
 1 km² grid).  The read stage reads back the dsm.
 
 The run stage is a whole one-window run_pipeline of the LAS file, all
-seven grids, nothing written.  Its budget is the value measured plus 0.75
-bytes per cell, less than the 1 of a bool grid such as the occupancy
-mask, so that a grid kept alive past its last reader breaks it.
+seven grids, nothing written; the run_default stage is the same run with
+the default outputs, which frees dsm and dtm after terrain.  Their
+budgets are the value measured plus 0.75 bytes per cell, less than the 1
+of a bool grid such as the occupancy mask, so that a grid kept alive
+past its last reader breaks them.
 
 The second half checks that run_pipeline's products are writeable arrays
 that share no memory with the read-only global grids the windows are cut
@@ -43,7 +45,7 @@ import pytest
 
 from conftest import GSD, build_las, raster_of, write_xyz_text
 from lidarmaps import _kernels, formats, ingest, pipeline
-from lidarmaps.config import PipelineConfig
+from lidarmaps.config import OUTPUT_NAMES, PipelineConfig
 from lidarmaps.extract import ExtractParams, extract_buildings
 from lidarmaps.formats import read_ascii_grid, write_ascii_grid
 from lidarmaps.grid import grid_from_bounds, interpolate_nearest, rasterize_min, rasterize_min_clouds
@@ -56,18 +58,18 @@ SIDE = 256  # cells a side at GSD
 
 # Peak bytes per cell (per point for load_xyz) above what was held before
 # the stage: the value measured on this scene when the budget was set,
-# plus 25% (plus 0.75 bytes per cell for run).  A budget is never raised:
-# where a stage now measures more than when its budget was set, the
-# comment gives both values.
+# plus 25% (plus 0.75 bytes per cell for run and run_default).  A budget
+# is never raised: where a stage now measures more than when its budget
+# was set, the comment gives both values.
 BUDGETS = {
     "load": 40.3,  # measured 38.3; set at 32.2
     "load_xyz": 34.8,  # measured 27.8
-    "load_grid": 13.8,  # measured 11.1
-    "rasterize": 13.6,  # measured 10.8
+    "load_grid": 13.5,  # measured 10.8
+    "rasterize": 13.3,  # measured 10.6
     "fill": 57.5,  # measured 46.0
     "ground_fill": 29.5,  # measured 23.6
     "water": 16.4,  # measured 13.1
-    "terrain": 32.1,  # measured 25.7
+    "terrain": 30.8,  # measured 24.6
     "extract": 45.8,  # measured 36.6
     "write": 9.3,  # measured 7.4
     "write_map3d": 3.0,  # measured 2.4
@@ -75,6 +77,7 @@ BUDGETS = {
     "write_keyed": 27.9,  # measured 22.3
     "read": 21.0,  # measured 17.1; set at 16.8
     "run": 62.4,  # measured 61.7
+    "run_default": 55.8,  # measured 55.0
 }
 
 
@@ -187,8 +190,11 @@ def stage_peaks(tmp_path_factory):
         run("write_keyed", lambda: write_ascii_grid(str(tmp / "keyed.asc"), keyed))
     run("read", lambda: read_ascii_grid(str(tmp / "dsm.asc")))
     del dsm_raw, occ, dsm, water, objects, terrain, res
-    result = run("run", lambda: run_pipeline(PipelineConfig(), [str(las)]))
+    result = run("run", lambda: run_pipeline(PipelineConfig(outputs=OUTPUT_NAMES), [str(las)]))
     assert result.windows == 1 and result.spec == spec
+    del result
+    result = run("run_default", lambda: run_pipeline(PipelineConfig(), [str(las)]))
+    assert sorted(result.products) == ["map2d", "map3d", "water"]
     return peaks
 
 
@@ -223,7 +229,7 @@ def test_products_are_writeable_and_own_their_memory(monkeypatch, window_size_m,
     # The sample grid matches the map grid cell for cell, so the dtm
     # product would be a plain cut of the global sample if not copied.
     ext = raster_of(np.full((SIDE, SIDE), 100.0)) if external else None
-    cfg = PipelineConfig(window_size_m=window_size_m, overlap_m=16.0)
+    cfg = PipelineConfig(window_size_m=window_size_m, overlap_m=16.0, outputs=OUTPUT_NAMES)
     res = run_pipeline(cfg, [cloud], external_dtm=ext)
     assert res.windows == (1 if window_size_m > SIDE * GSD else math.ceil(SIDE * GSD / window_size_m) ** 2)
     assert len(globals_) == (3 if external else 2)

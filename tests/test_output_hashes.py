@@ -6,8 +6,9 @@ point index, coordinates in whole millimetres), so no change to numpy's
 random streams can move it.  It is a 100 m square on a gentle slope with
 four flat roofs, a rough tree crown and a pond with no returns, written
 as one LAS file.  The commands are a seven-grid `map` in one window, the
-same `map` in four windows, `eval` of the one-window map2d against the
-roofs as GeoJSON, and `sweep k1=5,7`.
+same `map` in four windows, the README quick start (a `map` of the
+default outputs) in one window and in four, `eval` of the one-window
+map2d against the roofs as GeoJSON, and `sweep k1=5,7`.
 
 Change a digest only in a change that sets out to change those bytes and
 says which files move and why.
@@ -53,6 +54,14 @@ DIGESTS = {
     "map_windows/ndhm.asc": "82512c0e1e0e75af91a93854af5e97fa3faab6077802472918664e61dea66c79",
     "map_windows/summary.txt": "3f753d01c038b327f6f05600ff8b1bcdb654520a965f232b27f070d6a17a1d29",
     "map_windows/water.asc": "66621455770089bd6678cdb59a7c0ba5bac9cd540ea484d7e2bfadb1e463c54a",
+    "map_default/config.txt": "acd1bc91f01a8572b5d296da41339e97deb96976968adfe89ab0969fa9d2d85e",
+    "map_default/map2d.asc": "4d0094210968e364bf70c707757e8a09096f9d51f060f7358a81ac3aa7f6964f",
+    "map_default/map3d.asc": "57e4f0bde940ddc0fdc5023eb335df6841e2f4050f8e8197b0b792b6fbbd2429",
+    "map_default/summary.txt": "94e6da1fe0f0ccf4570829dba488348a8b1c588ea0e556e093f92bde5a877cd7",
+    "map_default_windows/config.txt": "39f030d875444c9fa8828628e77c73481e302ef711fa57e99d8d6a775e057983",
+    "map_default_windows/map2d.asc": "2f92d0a607788ba9e71dc405c3ad39067e4cdf24287efba2e63fc927c78b246e",
+    "map_default_windows/map3d.asc": "e40384f561d09c17ad0d4633b7011b27e92cdb7f06c57feb59aeb95759f97b93",
+    "map_default_windows/summary.txt": "3f753d01c038b327f6f05600ff8b1bcdb654520a965f232b27f070d6a17a1d29",
     "eval/eval_summary.txt": "dd8d5f9d2cfcd43c3924b653bbb192d593a29e84b9cc5d35ea5cf1f68840054a",
     "eval/instances.txt": "26831168ecde9f2d9d31824f01190217fa579285888a7ce6f1a9f1bb47106846",
     "eval/tiles.txt": "ed9ff11ee7333bd0234b7a2d7045851352ddd78e31e7c0846ec02062ad20dda4",
@@ -97,7 +106,7 @@ def roofs_geojson() -> dict:
 
 @pytest.fixture(scope="module")
 def written(tmp_path_factory):
-    """{command/file: SHA-256} of every file the four commands write."""
+    """{command/file: SHA-256} of every file the six commands write."""
     tmp = tmp_path_factory.mktemp("hashes")
     las, truth = tmp / "scene.las", tmp / "roofs.geojson"
     las.write_bytes(build_las(scene_points()))
@@ -105,6 +114,8 @@ def written(tmp_path_factory):
     runs = {
         "map": ["map", str(las), *MAP],
         "map_windows": ["map", str(las), *MAP, *WINDOWS],
+        "map_default": ["map", str(las)],
+        "map_default_windows": ["map", str(las), *WINDOWS],
         "eval": ["eval", "--pred", str(tmp / "map" / "map2d.asc"), "--truth", str(truth)],
         "sweep": ["sweep", str(las), "--param", "k1", "--values", "5,7", "--truth", str(truth)],
     }

@@ -176,7 +176,7 @@ def test_sample_external_clamps_to_border():
 
 
 def test_single_window_scene():
-    res = run_pipeline(small_cfg(), [cloud_of(straddle_field())])
+    res = run_pipeline(small_cfg(outputs=OUTPUT_NAMES), [cloud_of(straddle_field())])
     assert res.windows == 1
     assert res.empty_windows == 0
     assert res.point_count == 1600
@@ -193,6 +193,27 @@ def test_single_window_scene():
     diff = res.products["diff"].values
     assert (diff[expect2d & ~(ndhm > 0)] == 4).all()
     assert not res.products["water"].values.any()
+
+
+@pytest.mark.parametrize("window_size_m", [1000.0, 20.0], ids=["one_window", "four_windows"])
+def test_products_are_the_outputs_plus_map2d_and_water(window_size_m):
+    # A run keeps only the grids it writes, plus map2d and water, which
+    # the summary counts, in output order; each is the grid of a
+    # seven-grid run.
+    cloud = cloud_of(straddle_field())
+    every = run_pipeline(small_cfg(window_size_m=window_size_m, outputs=OUTPUT_NAMES), [cloud])
+    for outputs, kept in (
+        (("map2d", "map3d"), ["map2d", "map3d", "water"]),
+        (("diff", "dsm"), ["map2d", "dsm", "water", "diff"]),
+        (("water", "ndhm"), ["map2d", "ndhm", "water"]),
+    ):
+        cfg = small_cfg(window_size_m=window_size_m, outputs=outputs)
+        products = run_pipeline(cfg, [cloud]).products
+        assert list(products) == kept
+        for name, product in products.items():
+            want = every.products[name].values
+            assert product.values.dtype == want.dtype, name
+            assert product.values.tobytes() == want.tobytes(), name
 
 
 def test_merge_order_does_not_change_grid_bytes(tmp_path):
@@ -222,8 +243,8 @@ def assert_products_equal(a: dict, b: dict) -> None:
 
 def test_mosaic_matches_single_window():
     cloud = cloud_of(straddle_field())
-    tiled = run_pipeline(small_cfg(window_size_m=20.0), [cloud])
-    mono = run_pipeline(small_cfg(), [cloud])
+    tiled = run_pipeline(small_cfg(window_size_m=20.0, outputs=OUTPUT_NAMES), [cloud])
+    mono = run_pipeline(small_cfg(outputs=OUTPUT_NAMES), [cloud])
     assert tiled.windows == 4 and mono.windows == 1
     assert tiled.products["map2d"].values.any()
     assert_products_equal(tiled.products, mono.products)
@@ -237,7 +258,8 @@ def test_parallel_workers_match_serial(monkeypatch):
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     cloud = cloud_of(straddle_field())
-    for cfg, windows in ((small_cfg(window_size_m=20.0), 4), (small_cfg(), 1)):
+    for cfg, windows in ((small_cfg(window_size_m=20.0, outputs=OUTPUT_NAMES), 4),
+                         (small_cfg(outputs=OUTPUT_NAMES), 1)):
         serial = run_pipeline(cfg, [cloud], workers=1)
         parallel = run_pipeline(cfg, [cloud], workers=2)
         assert serial.windows == parallel.windows == windows
@@ -259,7 +281,7 @@ def test_windows_hold_one_window_of_grids_at_a_time(tmp_path, monkeypatch):
 
     monkeypatch.setattr(pipeline, "_window_products", tracked)
     cloud = cloud_of(straddle_field())
-    cfg = small_cfg(window_size_m=20.0)
+    cfg = small_cfg(window_size_m=20.0, outputs=OUTPUT_NAMES)
     assert run_pipeline(cfg, [cloud]).windows == 4
     assert len(refs) == 4 * len(OUTPUT_NAMES)
     # The mosaics hold copies, so the last window's grids are freed too.
@@ -273,14 +295,16 @@ def test_windows_hold_one_window_of_grids_at_a_time(tmp_path, monkeypatch):
     assert len(refs) == 4 * 3 and all(r() is None for r in refs)
 
 
-@pytest.mark.parametrize("command", ["map", "sweep", "sweep map3d from dsm", "sweep external dtm"])
+@pytest.mark.parametrize(
+    "command", ["map", "map all outputs", "sweep", "sweep map3d from dsm", "sweep external dtm"]
+)
 def test_one_window_frees_each_grid_after_its_last_reader(tmp_path, monkeypatch, command):
     # In a one-window run the raw min-z grid is freed once the fill has
-    # read it and the occupancy grid once water has; a sweep, which outputs
-    # only map2d, frees dtm, and dsm unless map3d is made from it, before
-    # extraction, and an external terrain grid, sampled onto the map's
-    # grid, once terrain has read it.  Each grid is watched through a weak
-    # reference.
+    # read it and the occupancy grid once water has; a map of the default
+    # outputs and a sweep, which output neither, free dtm, and dsm unless
+    # map3d is made from it, before extraction, and an external terrain
+    # grid, sampled onto the map's grid, once terrain has read it.  Each
+    # grid is watched through a weak reference.
     refs = {}
     alive_at = {}
 
@@ -308,6 +332,9 @@ def test_one_window_frees_each_grid_after_its_last_reader(tmp_path, monkeypatch,
     cloud, truth_path = sweep_scene(tmp_path)
     if command == "map":
         run_pipeline(small_cfg(), [cloud])
+        kept = []
+    elif command == "map all outputs":
+        run_pipeline(small_cfg(outputs=OUTPUT_NAMES), [cloud])
         kept = ["dsm", "dtm"]
     elif command == "sweep external dtm":
         ext = raster_of(np.zeros((8, 8)), gsd=5.0)
@@ -339,7 +366,7 @@ def test_empty_window_core_stays_nodata(caplog):
     field[:, 4:26] = np.nan
     cloud = cloud_of(field)
     with caplog.at_level(logging.WARNING, logger="lidarmaps.pipeline"):
-        res = run_pipeline(small_cfg(window_size_m=10.0), [cloud])
+        res = run_pipeline(small_cfg(window_size_m=10.0, outputs=OUTPUT_NAMES), [cloud])
     assert res.windows == 4
     assert res.empty_windows == 1
     assert any(
@@ -358,11 +385,12 @@ def test_file_inputs_match_memory(tmp_path):
     cloud = cloud_of(straddle_field())
     path = str(tmp_path / "scene.xyz")
     write_xyz_text(cloud.points, path)
-    from_file = run_pipeline(small_cfg(), [path])
-    from_mem = run_pipeline(small_cfg(), [cloud])
+    cfg = small_cfg(outputs=OUTPUT_NAMES)
+    from_file = run_pipeline(cfg, [path])
+    from_mem = run_pipeline(cfg, [cloud])
     assert_products_equal(from_file.products, from_mem.products)
     # duplicated input changes the count but not the minimum surface
-    merged = run_pipeline(small_cfg(), [cloud, path])
+    merged = run_pipeline(cfg, [cloud, path])
     assert merged.point_count == 3200
     assert_products_equal(merged.products, from_mem.products)
 
@@ -388,7 +416,7 @@ def test_las_files_grid_as_they_are_read(tmp_path, monkeypatch):
     with np.errstate(over="ignore"):
         clouds = [ingest.read_las(a), ingest.read_las(b)]
     assert clouds[1].dropped_nonfinite == 19
-    cfg = small_cfg()
+    cfg = small_cfg(outputs=OUTPUT_NAMES)
     want = run_pipeline(cfg, clouds, out_dir=str(tmp_path / "memory"))
 
     def held_whole(path):
@@ -403,7 +431,7 @@ def test_las_files_grid_as_they_are_read(tmp_path, monkeypatch):
     assert (got.point_count, got.dropped_nonfinite) == (want.point_count, 19) == (1581, 19)
     assert_products_equal(got.products, want.products)
     files = sorted(p.name for p in (tmp_path / "files").iterdir())
-    assert files == ["config.txt", "map2d.asc", "map3d.asc", "summary.txt"]
+    assert files == sorted(["config.txt", "summary.txt", *(f"{n}.asc" for n in OUTPUT_NAMES)])
     for name in files:
         assert (tmp_path / "files" / name).read_bytes() == (tmp_path / "memory" / name).read_bytes()
 
@@ -562,7 +590,8 @@ def test_external_dtm_grid_and_path(tmp_path):
     field = np.full((20, 20), 10.0)
     cloud = cloud_of(field)
     ext = raster_of(np.full((6, 6), 3.0), gsd=5.0, origin=(0.0, 0.0))
-    res = run_pipeline(small_cfg(), [cloud], external_dtm=ext)
+    cfg = small_cfg(outputs=OUTPUT_NAMES)
+    res = run_pipeline(cfg, [cloud], external_dtm=ext)
     assert np.allclose(res.products["dtm"].values, 3.0)
     assert np.allclose(res.products["ndhm"].values, 7.0)
     assert res.products["map2d"].values.all()
@@ -570,7 +599,7 @@ def test_external_dtm_grid_and_path(tmp_path):
 
     path = str(tmp_path / "ref_dtm.asc")
     write_ascii_grid(path, ext)
-    res2 = run_pipeline(small_cfg(), [cloud], external_dtm=path)
+    res2 = run_pipeline(cfg, [cloud], external_dtm=path)
     np.testing.assert_array_equal(res.products["dtm"].values, res2.products["dtm"].values)
 
 
@@ -583,8 +612,8 @@ def test_windowed_dtm_is_one_global_sample(origin, gsd):
     ext_shape = (int(45 / gsd), int(45 / gsd))
     values = np.random.default_rng(5).uniform(-1.0, 1.0, ext_shape)
     ext = raster_of(values, gsd=gsd, origin=origin)
-    res = run_pipeline(small_cfg(window_size_m=20.0), [cloud_of(straddle_field())],
-                       external_dtm=ext, workers=2)
+    res = run_pipeline(small_cfg(window_size_m=20.0, outputs=("dtm",)),
+                       [cloud_of(straddle_field())], external_dtm=ext, workers=2)
     assert res.windows == 4
     np.testing.assert_array_equal(
         res.products["dtm"].values, _sample_external(ext, res.spec).values
@@ -628,7 +657,7 @@ def test_two_inputs_grid_together(tmp_path):
     # Two XYZ files, the west and the east half of the field, the second
     # with one non-finite point: the grid spans the union of their bounds
     # and summary.txt counts the points of both.
-    cfg = small_cfg(window_size_m=20.0)
+    cfg = small_cfg(window_size_m=20.0, outputs=OUTPUT_NAMES)
     one = run_pipeline(cfg, [cloud_of(straddle_field())])
     pts = points_from_field(straddle_field(), 1.0)
     west = pts[:, 0] < 20.0
@@ -641,6 +670,7 @@ def test_two_inputs_grid_together(tmp_path):
     res = run_pipeline(cfg, [str(a), str(b)], out_dir=str(out))
     assert res.spec == one.spec == GridSpec(0.5, 0.5, 1.0, 40, 40)
     assert (res.point_count, res.dropped_nonfinite) == (1600, 1)
+    assert list(res.products) == list(one.products) == list(OUTPUT_NAMES)
     for name, product in one.products.items():
         np.testing.assert_array_equal(res.products[name].values, product.values)
     summary = (out / "summary.txt").read_text().splitlines()

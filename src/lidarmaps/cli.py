@@ -55,8 +55,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--overlap", type=float, dest="overlap_m", metavar="OVERLAP",
                    help="window overlap in meters")
     p.add_argument("--median-roof", type=int, metavar="N", help="roof median window, 0=off")
-    p.add_argument("--kernel-shape", choices=("square", "diamond"))
-    p.add_argument("--map3d-source", choices=("ndhm", "dsm"), help="roof height source")
+    p.add_argument("--kernel-shape", help="opening kernel shape: square or diamond")
+    p.add_argument("--map3d-source", help="roof height source: ndhm or dsm")
     p.add_argument("--emit", type=lambda raw: _coerce("outputs", raw), dest="outputs",
                    metavar="LIST", help=f"comma list of {','.join(OUTPUT_NAMES)}")
 

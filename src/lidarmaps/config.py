@@ -18,9 +18,6 @@ from .errors import BadKernel, ConfigError
 #: Raster products the pipeline can emit, in canonical output order.
 OUTPUT_NAMES = ("map2d", "map3d", "dsm", "dtm", "ndhm", "water", "diff")
 
-#: The settings `sweep` can vary; each is an ExtractParams field.
-SWEEPABLE = ("k1", "dt", "k3", "ht")
-
 #: `eval`'s default tile edge in meters.
 DEFAULT_TILE_SIZE = 500.0
 
@@ -106,6 +103,11 @@ class ExtractParams:
             _check_kernel(self.median_roof, "median_roof")
         if self.map3d_source not in ("ndhm", "dsm"):
             raise ConfigError(f"map3d_source must be ndhm or dsm, got {self.map3d_source!r}")
+
+
+#: The settings `sweep` can vary: every ExtractParams field, since the
+#: surface stages that a sweep shares between its values read none of them.
+SWEEPABLE = tuple(f.name for f in fields(ExtractParams))
 
 
 @dataclass(frozen=True)

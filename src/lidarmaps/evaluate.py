@@ -310,27 +310,29 @@ def _segments_intersect(a, b, c, d) -> bool:
 
 def _check_self_intersection(ring: np.ndarray, what: str) -> None:
     """Sweep the ring's segments by x-extent; flag any crossing or touch
-    between non-adjacent segments."""
-    m = ring.shape[0] - 1  # closing vertex repeats the first
+    between non-adjacent segments.
+
+    A vertex given twice makes a segment of zero length, which the even-odd
+    rule ignores; it is left out here too, so the segments on either side
+    of it are adjacent.  Messages number segments as `ring` does."""
+    index = np.flatnonzero((ring[1:] != ring[:-1]).any(axis=1)).tolist()
+    m = len(index)
     segs = []
-    for i in range(m):
+    for k, i in enumerate(index):
         a, b = ring[i], ring[i + 1]
-        if a[0] == b[0] and a[1] == b[1]:
-            continue  # zero-length, harmless
-        segs.append((min(a[0], b[0]), max(a[0], b[0]), i, a, b))
+        segs.append((min(a[0], b[0]), max(a[0], b[0]), k, a, b))
     segs.sort(key=lambda s: s[0])
     active: list[tuple[float, int, np.ndarray, np.ndarray]] = []
-    for xmin, xmax, i, a, b in segs:
+    for xmin, xmax, k, a, b in segs:
         active = [s for s in active if s[0] >= xmin]
-        for _, j, c, d in active:
-            gap = abs(i - j)
+        for _, l, c, d in active:
+            gap = abs(k - l)
             if gap <= 1 or gap == m - 1:
                 continue  # consecutive segments share one vertex
             if _segments_intersect(a, b, c, d):
-                raise SelfIntersection(
-                    f"{what}: segments {min(i, j)} and {max(i, j)} intersect"
-                )
-        active.append((xmax, i, a, b))
+                i, j = sorted((index[k], index[l]))
+                raise SelfIntersection(f"{what}: segments {i} and {j} intersect")
+        active.append((xmax, k, a, b))
 
 
 def rasterize_polygons(

@@ -66,7 +66,11 @@ def roughness_at(ndhm: Raster, k2: int, cells: np.ndarray) -> np.ndarray:
 
 
 def planarity_filter(
-    candidates: Raster, ndhm: Raster, k2: int = 5, rt: int = 4, dt: float = 0.1
+    candidates: Raster,
+    ndhm: Raster,
+    k2: int = ExtractParams.k2,
+    rt: int = ExtractParams.rt,
+    dt: float = ExtractParams.dt,
 ) -> CandidateSet:
     """Keep components whose planar-cell share is at least dt.
 
@@ -94,7 +98,9 @@ def planarity_filter(
     )
 
 
-def build_3d(heights: Raster, map2d: Raster, median_roof: int = 0) -> Raster:
+def build_3d(
+    heights: Raster, map2d: Raster, median_roof: int = ExtractParams.median_roof
+) -> Raster:
     """Height map restricted to building cells, optionally median-smoothed.
 
     The median window sees building cells only, so roof heights never bleed

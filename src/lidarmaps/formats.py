@@ -243,6 +243,14 @@ def _write_report(out_dir: str, name: str, lines: list[str]) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
+def _parses_as_float(word: str) -> bool:
+    try:
+        float(word)
+    except ValueError:
+        return False
+    return True
+
+
 def read_ascii_grid(path: str) -> Raster:
     """Parse a grid file back into a Raster of float64 values.
 
@@ -257,12 +265,17 @@ def read_ascii_grid(path: str) -> Raster:
             mark = 0
             for i, line in enumerate(iter(f.readline, ""), 1):
                 parts = line.split()
-                if len(parts) != 2 or parts[0].lower() not in _HEADER_KEYS + ("nodata_value",):
+                # A header line is a key and a value; a body row, even one
+                # of two cells, starts with a number.
+                if len(parts) != 2 or _parses_as_float(parts[0]):
                     # Put the body's first line back: a join would copy the body.
                     f.seek(mark)
                     break
+                key = parts[0].lower()
+                if key not in _HEADER_KEYS + ("nodata_value",):
+                    raise MalformedHeader(f"{path}: line {i}: unknown header key {parts[0]!r}")
                 try:
-                    header[parts[0].lower()] = float(parts[1])
+                    header[key] = float(parts[1])
                 except ValueError as exc:
                     raise MalformedHeader(f"{path}: bad header line {i}: {line.rstrip()!r}") from exc
                 mark = f.tell()

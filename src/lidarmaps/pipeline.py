@@ -338,10 +338,11 @@ def run_sweep(
 ) -> list[tuple[object, ConfusionMetrics]]:
     """Score map2d once per parameter value, everything else fixed.
 
-    All values are validated before any window runs, then share one
-    surface pass per window (every SWEEPABLE parameter is an extraction
-    setting).  Returns (value, metrics) rows ordered by value; with
-    out_dir set, a sweep.txt table is written alongside.
+    `param` is any ExtractParams field.  All values are validated before
+    any window runs, then share one surface pass per window, which reads
+    no extraction setting.  median_roof and map3d_source shape only map3d,
+    so their rows repeat.  Returns (value, metrics) rows ordered by value;
+    with out_dir set, a sweep.txt table is written alongside.
     """
     if param not in SWEEPABLE:
         raise ConfigError(f"sweep parameter must be one of {SWEEPABLE}, got {param!r}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .config import _check_positive
+from .config import PipelineConfig, _check_positive
 from .errors import ConfigError, DegenerateScene, NoGround
 from .grid import Raster, component_sizes, connected_components, require_same_spec
 
@@ -54,7 +54,9 @@ _NEIGHBOUR_PAIRS = (
 )
 
 
-def breakline_map(dsm: Raster, slope_threshold: float = 1.0) -> Raster:
+def breakline_map(
+    dsm: Raster, slope_threshold: float = PipelineConfig.slope_threshold
+) -> Raster:
     """Flag cells whose elevation steps by more than the threshold.
 
     A cell is a break-line cell iff |dz| to at least one 8-neighbor exceeds
@@ -127,7 +129,7 @@ def compute_ndhm(dsm: Raster, dtm: Raster) -> Raster:
 
 def derive_terrain(
     dsm: Raster,
-    slope_threshold: float = 1.0,
+    slope_threshold: float = PipelineConfig.slope_threshold,
     external_dtm: Raster | None = None,
 ) -> TerrainSet:
     """Produce the TerrainSet, via break-lines or a supplied terrain model."""

@@ -60,6 +60,18 @@ def test_config_error_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--kernel-shape", "disc", "kernel shape must be 'square' or 'diamond', got 'disc'"),
+    ("--map3d-source", "dtm", "map3d_source must be ndhm or dsm, got 'dtm'"),
+])
+def test_named_value_flags_are_checked_by_their_setting(tmp_path, capsys, flag, value, message):
+    # The flag takes any word; the setting's own validator names the valid ones.
+    out = tmp_path / "out"
+    assert main(["map", str(tmp_path / "absent.xyz"), "--out", str(out), flag, value]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_data_errors_exit_2(tmp_path, capsys):
     rc = main(["map", str(tmp_path / "missing.xyz"), "--out", str(tmp_path / "out")])
     assert rc == 2
@@ -134,6 +146,29 @@ def test_non_finite_grid_header_exits_2(tmp_path, capsys, key, value):
         assert main(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ") and "must be" in err
+        assert not out.exists()
+
+
+def test_grid_with_centre_keys_exits_2(tmp_path, capsys):
+    # ESRI's xllcenter/yllcenter are not read; the error names the first.
+    center = tmp_path / "center.asc"
+    center.write_text(
+        "ncols 40\nnrows 40\nxllcenter 0.5\nyllcenter 0.5\ncellsize 1\n"
+        + ("0 " * 40 + "\n") * 40
+    )
+    good = str(tmp_path / "good.asc")
+    write_ascii_grid(good, raster_of(np.zeros((40, 40), bool), gsd=1.0))
+    scene = write_scene(tmp_path, block_field())
+    runs = [
+        ["map", scene, "--dtm-file", str(center)] + MAP_FLAGS,
+        ["eval", "--pred", str(center), "--truth", good],
+    ]
+    for i, argv in enumerate(runs):
+        out = tmp_path / f"out{i}"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {center}: line 3: unknown header key 'xllcenter'\n"
+        )
         assert not out.exists()
 
 
@@ -288,6 +323,20 @@ def test_eval_geojson_truth(tmp_path, capsys):
     )
     assert rc == 0
     assert "iou=1.0000" in capsys.readouterr().out
+
+
+def test_eval_accepts_a_ring_with_a_repeated_vertex(tmp_path, capsys):
+    pred = str(tmp_path / "pred.asc")
+    mask = np.zeros((6, 6), bool)
+    mask[:4, :4] = True  # the cell centres from 0.5 to 3.5 m
+    write_ascii_grid(pred, raster_of(mask, gsd=1.0))
+    truth = tmp_path / "truth.geojson"
+    truth.write_text(json.dumps({"type": "Polygon", "coordinates": [
+        [[0.5, 0.5], [4.5, 0.5], [4.5, 0.5], [4.5, 4.5], [0.5, 4.5], [0.5, 0.5]]
+    ]}))
+    rc = main(["eval", "--pred", pred, "--truth", str(truth), "--out", str(tmp_path / "eval")])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("iou=1.0000 ")
 
 
 @pytest.mark.parametrize("tile_size", ["0", "-1", "nan", "inf"])
@@ -548,6 +597,10 @@ def test_parsing_and_setting_errors_load_no_numpy(tmp_path):
         "map --k1 4": (["map", scene, "--out", out, "--k1", "4"], 1),
         "sweep --k1 4": (["sweep", scene, "--param", "k3", "--values", "3", "--truth", truth,
                           "--out", out, "--k1", "4"], 1),
+        "map --kernel-shape disc": (["map", scene, "--out", out, "--kernel-shape", "disc"], 1),
+        "map --map3d-source dtm": (["map", scene, "--out", out, "--map3d-source", "dtm"], 1),
+        "sweep --param gsd": (["sweep", scene, "--param", "gsd", "--values", "1",
+                               "--truth", truth, "--out", out], 1),
     }
     for name, (argv, rc) in commands.items():
         seen = run_cli_fresh(*argv)

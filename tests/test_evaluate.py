@@ -432,6 +432,44 @@ def test_bowtie_rejected():
     bowtie = ring((0, 0), (2, 2), (2, 0), (0, 2))
     with pytest.raises(SelfIntersection):
         rasterize_polygons([[bowtie]], spec)
+    # A repeated vertex hides no crossing; segment 1 is the repeat's.
+    bowtie = ring((0, 0), (2, 2), (2, 2), (2, 0), (0, 2))
+    with pytest.raises(SelfIntersection, match="^polygon 0: segments 0 and 3 intersect$"):
+        rasterize_polygons([[bowtie]], spec)
+
+
+# A vertex on a non-adjacent edge, in both orientations and mirrored in x
+# (each is found by a different one of the four touch tests), and two
+# collinear non-adjacent edges that overlap.
+TOUCHING_RINGS = {
+    "vertex-on-edge": ([(0, 0), (4, 0), (4, 4), (2, 0), (0, 4)], "0 and 3"),
+    "vertex-on-edge-reversed": ([(0, 4), (2, 0), (4, 4), (4, 0), (0, 0)], "0 and 3"),
+    "vertex-on-edge-mirrored": ([(4, 0), (0, 0), (0, 4), (2, 0), (4, 4)], "0 and 2"),
+    "vertex-on-edge-mirrored-reversed": ([(4, 4), (2, 0), (0, 4), (0, 0), (4, 0)], "1 and 3"),
+    "collinear-overlap": ([(0, 0), (4, 0), (4, 2), (3, 2), (3, 0), (1, 0), (1, 2), (0, 2)],
+                          "0 and 4"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOUCHING_RINGS))
+def test_touching_ring_rejected(name):
+    pts, segments = TOUCHING_RINGS[name]
+    with pytest.raises(SelfIntersection, match=f"^polygon 0: segments {segments} intersect$"):
+        rasterize_polygons([[ring(*pts)]], GridSpec(0.0, 0.0, 0.5, 10, 10))
+
+
+SQUARE = [(0.5, 0.5), (4.5, 0.5), (4.5, 4.5), (0.5, 4.5)]
+
+
+@pytest.mark.parametrize("at", [0, 1, 3])
+def test_repeated_vertex_is_a_zero_length_edge(at):
+    # Hand-digitized footprints often give a vertex twice; the edges on
+    # either side of the repeat are still adjacent.
+    spec = GridSpec(0.0, 0.0, 0.5, 12, 12)
+    clean = rasterize_polygons([[ring(*SQUARE)]], spec).values
+    repeated = ring(*SQUARE[:at + 1], *SQUARE[at:])
+    assert len(repeated) == 6
+    assert np.array_equal(rasterize_polygons([[repeated]], spec).values, clean)
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,23 @@ def test_missing_header_key(tmp_path):
         read_ascii_grid(str(path))
 
 
+def test_unknown_header_key_is_named(tmp_path):
+    # ESRI's cell-centre keys are not read; the error names the line and
+    # the key, not the corner keys and cellsize as missing.
+    path = tmp_path / "center.asc"
+    path.write_text("ncols 2\nnrows 1\nxllcenter 0.5\nyllcenter 0.5\ncellsize 1\n1 2\n")
+    with pytest.raises(MalformedHeader, match=r"center\.asc: line 3: unknown header key 'xllcenter'$"):
+        read_ascii_grid(str(path))
+
+
+def test_two_cell_body_row_is_not_a_header_line(tmp_path):
+    path = tmp_path / "two.asc"
+    path.write_text("ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\nnan 2\n-9999 4\n")
+    values = read_ascii_grid(str(path)).values
+    assert values[1, 1] == 2 and values[0, 1] == 4
+    assert np.isnan(values[1, 0]) and np.isnan(values[0, 0])
+
+
 def test_unparseable_header_number(tmp_path):
     path = tmp_path / "bad.asc"
     path.write_text("ncols two\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n5\n")

@@ -321,6 +321,14 @@ def test_read_las_rejects_a_file_changed_between_passes(tmp_path, monkeypatch, c
     assert len(calls) == 2
 
 
+def test_las_file_removed_between_passes(tmp_path):
+    path = _write(tmp_path, "a.las", build_las(PTS))
+    scan = scan_las(path)
+    (tmp_path / "a.las").unlink()
+    with pytest.raises(IoFailure, match=f"^cannot read {re.escape(path)}: "):
+        list(scan.chunks())
+
+
 def test_scan_points_dispatch(tmp_path):
     las = _write(tmp_path, "a.las", build_las(PTS))
     xyz = tmp_path / "b.txt"

@@ -41,24 +41,34 @@ def _runs(mask):
 # under the _BIG sentinel, up to 38,967 x 38,967 cells for a square grid;
 # then _BIG plus any search step still fits in int64.
 #
-# Column pass: every cell gets the key of the nearest source in its own
-# column; a valid cell is its own source at d2 = 0.  The void cells of a
+# Column pass: every void cell gets the nearest source in its own column,
+# as the signed row offset d to it (its row minus the source's), and a
+# column with no source at all gets d = h, past every real offset.  The
+# offset is written into the void cell of the output itself, exact as a
+# float64, so the pass keeps no grid of its own.  The void cells of a
 # column form vertical runs, found by the labeller's run finder _runs on
-# the transposed void mask.  A void cell's candidates are the valid
-# cells just above and below its run; the smaller key wins, and a missing
-# neighbour (or a column with no source at all) reads _BIG.  The pass runs
-# over bands of about _BLOCK cells' worth of columns, so its run and
-# per-void arrays are bounded by the band.
+# the transposed void mask.  A void cell's candidates are the valid cells
+# just above and below its run: the upper one wins down to the run's
+# middle, ties included, as it is the earlier in row-major order.  The
+# pass runs over bands of about _BLOCK cells' worth of columns, so its run
+# and per-void arrays are bounded by the band.
 #
-# Search: a void cell then looks at columns c - k and c + k for
+# Search: a void cell looks only along its own row, so the rows are
+# searched in bands of about _BLOCK cells (at least one row), and a band
+# needs only its own keys.  Those are made, before any cell of the band is
+# written, from the offsets the column pass left in its void cells: the
+# key of a cell d rows from its column source is d^2 * n plus that
+# source's flat index, _BIG for d = h, and a valid cell's key is its own
+# flat index.  A void cell then looks at columns c - k and c + k for
 # k = 1, 2, ...: the candidate there is that column's key plus k^2 * n,
 # one take, one add and one np.minimum per direction.  Every source beyond
 # column offset k is at least k^2 away, so once the best key is below
-# k^2 * n no later column can win or tie, and the cell stops.  The void
-# cells are searched _BLOCK at a time, as flat indices; each round writes
-# the cells that met the stop rule to the output and compacts the rest, so
-# a round costs the cells still searching rather than the whole grid.  Only
-# void cells are written and only sources read, so the output is the one copy.
+# k^2 * n no later column can win or tie, and the cell stops.  Each round
+# writes the cells that met the stop rule to the output and compacts the
+# rest, so a round costs the cells still searching rather than the whole
+# band.  Only void cells are written and only sources read, so the output
+# is the one full-grid array: the scratch memory is one band of columns
+# or of rows, whatever the grid's size.
 
 
 def check_fill_shape(h: int, w: int) -> None:
@@ -70,48 +80,57 @@ def check_fill_shape(h: int, w: int) -> None:
         )
 
 
-def _column_keys(valid, key, c0):
-    """Write the column-pass keys of the void cells of valid[:, c0:...]
-    into the flat key grid, valid being a band of the grid's columns."""
-    h = valid.shape[0]
-    n = key.size
-    w = n // h
+def _column_sources(valid, out, c0):
+    """Write into each void cell of out[:, c0:...] its row minus the row of
+    the nearest source in its column, or h if the column has none, valid
+    being that band of columns."""
+    h, w = out.shape
     col, start, end = _runs(~valid.T)
     col += c0
     length = end - start
-    above = np.where(start > 0, (start - 1) * w + col, _BIG)
-    below = np.where(end < h, end * w + col, _BIG)
-    # One entry per void cell, run by run: its row, its key through the
-    # source above, its key through the source below.
-    row = np.arange(int(length.sum()), dtype=np.int64)
-    row += np.repeat(start - (np.cumsum(length) - length), length)
-    up = row - np.repeat(start - 1, length)
-    up *= up
-    up *= n
-    up += np.repeat(above, length)
-    dn = np.repeat(end, length)
-    dn -= row
-    dn *= dn
-    dn *= n
-    dn += np.repeat(below, length)
-    np.minimum(up, dn, out=up)
-    del dn
-    np.minimum(up, _BIG, out=up)
-    row *= w
-    row += np.repeat(col, length)
-    key[row] = up
+    # One entry per void cell, run by run: its place in its run.
+    pos = np.arange(int(length.sum()), dtype=np.int64)
+    pos -= np.repeat(np.cumsum(length) - length, length)
+    # The last place of each run that takes the source above: its middle,
+    # none when the run starts at row 0, every place when it ends at h.
+    upper = np.where(end == h, h, np.where(start == 0, -1, (length - 1) // 2))
+    d = np.where(pos <= np.repeat(upper, length), pos + 1, pos - np.repeat(length, length))
+    pos *= w
+    pos += np.repeat(start * w + col, length)
+    out.reshape(-1)[pos] = d
+    # A run of every row is a column with no source.
+    out[:, col[length == h]] = h
 
 
-def _search(cell, key, out_flat, w):
-    """Fill the void cells `cell` (flat indices) from their best key."""
-    n = key.size
-    best = key[cell]
+def _search(out, valid, r0):
+    """Fill the void cells of out[r0:...] from their nearest source,
+    valid being that band of rows."""
+    h, w = out.shape
+    n = h * w
+    flat = out.reshape(-1)
+    base = r0 * w
+    band = flat[base:base + valid.size]
+    cell = np.flatnonzero(~valid)
+    if cell.size == 0:
+        return
+    # A void cell's key through its column source, d rows away: d^2 * n
+    # plus the source's flat index, cell + base - d * w.
+    d = band[cell].astype(np.int64)
+    best = d * n
+    best -= w
+    best *= d
+    best += cell
+    best += base
+    np.copyto(best, _BIG, where=d == h)
+    del d
+    key = np.arange(base, base + valid.size, dtype=np.int64)
+    key[cell] = best
     col = cell % w
     for k in range(1, w):
         k2n = k * k * n
         done = best < k2n
         if done.any():
-            out_flat[cell[done]] = out_flat[best[done] % n]
+            band[cell[done]] = flat[best[done] % n]
             keep = ~done
             cell, col, best = cell[keep], col[keep], best[keep]
             if cell.size == 0:
@@ -121,22 +140,19 @@ def _search(cell, key, out_flat, w):
             cand = key.take(cell + off, mode="clip")
             cand += k2n
             np.minimum(best, cand, out=best, where=ok)
-    out_flat[cell] = out_flat[best % n]
+    band[cell] = flat[best % n]
 
 
 def nearest_fill(values, valid):
     h, w = values.shape
     check_fill_shape(h, w)
     out = np.array(values, np.float64, order="C")
-    voids = np.flatnonzero(~valid)
-    if voids.size == 0:
-        return out
-    key = np.arange(h * w, dtype=np.int64)
-    band = max(1, _BLOCK // h)
-    for c0 in range(0, w, band):
-        _column_keys(valid[:, c0:c0 + band], key, c0)
-    for s in range(0, voids.size, _BLOCK):
-        _search(voids[s:s + _BLOCK], key, out.reshape(-1), w)
+    cols = max(1, _BLOCK // h)
+    for c0 in range(0, w, cols):
+        _column_sources(valid[:, c0:c0 + cols], out, c0)
+    rows = max(1, _BLOCK // w)
+    for r0 in range(0, h, rows):
+        _search(out, valid[r0:r0 + rows], r0)
     return out
 
 
@@ -238,28 +254,46 @@ def label_components(mask, eight):
 # window gather (roughness and roof median)
 # ---------------------------------------------------------------------------
 # Both windowed kernels compute only the cells a caller asks for, given as
-# flat row-major indices `cells`.  The grid is padded once by r = k // 2
-# with a fill value; the k x k window of cell (i, j) then starts at flat
-# index i * (w + 2r) + j of the padded grid, and its values are that base
-# plus the fixed offsets di * (w + 2r) + dj, 0 <= di, dj < k.  Cells are
-# gathered in blocks of about _BLOCK values, so the scratch memory is that
-# block, its index and its sort, however many cells are asked for.
+# ascending flat row-major indices `cells`.  They run over bands of rows,
+# about _BLOCK cells (at least one row) each.  A band copies only the rows
+# its windows touch, its own rows and r = k // 2 more on each side, into a
+# slab padded by r on every side with a fill value; the k x k window of
+# cell (i, j) then starts at flat index (i - i0) * (w + 2r) + j of the
+# slab of the band starting at row i0, and its values are that base plus
+# the fixed offsets di * (w + 2r) + dj, 0 <= di, dj < k.  The band's
+# shift, -i0 * (w + 2r), is folded into the k * k offsets rather than
+# added per cell.  A band's cells are gathered in blocks of about _BLOCK
+# values, so the scratch memory is the slab, one block, its index and its
+# sort, however many cells are asked for.
 
 
-def _window_blocks(vals, k, cells, fill):
-    """Yield (start, windows): the k*k window values of cells[start:...]."""
+def _window_blocks(vals, k, cells, fill, mask=None):
+    """Yield (start, windows): the k*k window values of cells[start:...];
+    the cells outside `mask`, if one is given, read as `fill` too."""
     h, w = vals.shape
     r = k // 2
     stride = w + 2 * r
-    padded = np.full((h + 2 * r, stride), fill, vals.dtype)
-    padded[r:r + h, r:r + w] = vals
-    flat = padded.reshape(-1)
     di, dj = np.divmod(np.arange(k * k, dtype=np.int64), k)
     offsets = di * stride + dj
     step = max(1, _BLOCK // (k * k))
-    for s in range(0, cells.size, step):
-        row, col = np.divmod(cells[s:s + step], w)
-        yield s, flat[(row * stride + col)[:, None] + offsets]
+    rows = max(1, _BLOCK // w)
+    edges = np.searchsorted(cells, np.arange(0, h + rows, rows) * w)
+    for i0, start, stop in zip(range(0, h, rows), edges[:-1], edges[1:]):
+        if start == stop:
+            continue
+        top, bottom = max(i0 - r, 0), min(i0 + rows + r, h)
+        slab = np.full((rows + 2 * r, stride), fill, vals.dtype)
+        inner = slab[top - i0 + r:bottom - i0 + r, r:r + w]
+        inner[...] = vals[top:bottom]
+        if mask is not None:
+            np.copyto(inner, fill, where=~mask[top:bottom])
+        flat = slab.reshape(-1)
+        shifted = offsets - i0 * stride
+        for s in range(start, stop, step):
+            row, col = np.divmod(cells[s:min(s + step, stop)], w)
+            row *= stride
+            row += col
+            yield s, flat[row[:, None] + shifted]
 
 
 def _round_half_away_in_place(x: np.ndarray) -> None:
@@ -285,7 +319,7 @@ def _round_half_away_in_place(x: np.ndarray) -> None:
 
 def distinct_count(heights, k, cells):
     """Distinct rounded heights in the border-clipped k x k window of each
-    flat cell; `heights` is float64 and below +inf."""
+    of the ascending flat `cells`; `heights` is float64 and below +inf."""
     out = np.empty(cells.size, np.int32)
     for s, block in _window_blocks(heights, k, cells, np.inf):
         _round_half_away_in_place(block)
@@ -299,14 +333,15 @@ def distinct_count(heights, k, cells):
 # median over masked window (roof smoothing)
 # ---------------------------------------------------------------------------
 # Cells outside the mask read as NaN, as does the pad, so nanmedian sees
-# exactly the masked in-bounds cells of each window.  Only mask cells are
-# computed; every other cell is NaN.
+# exactly the masked in-bounds cells of each window; the mask is applied
+# in each slab, so no masked copy of the grid is made.  Only mask cells
+# are computed; every other cell is NaN.
 
 
 def masked_median(vals, mask, k):
     h, w = vals.shape
     out = np.full(h * w, np.nan)
     cells = np.flatnonzero(mask)
-    for s, block in _window_blocks(np.where(mask, vals, np.nan), k, cells, np.nan):
+    for s, block in _window_blocks(vals, k, cells, np.nan, mask):
         out[cells[s:s + block.shape[0]]] = np.nanmedian(block, axis=1)
     return out.reshape(h, w)

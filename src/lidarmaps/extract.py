@@ -43,14 +43,14 @@ class CandidateSet:
 @dataclass
 class ExtractResult:
     map2d: Raster
-    map3d: Raster
-    difference: Raster
+    map3d: Raster | None
+    difference: Raster | None
     candidates: CandidateSet
 
 
 def roughness_at(ndhm: Raster, k2: int, cells: np.ndarray) -> np.ndarray:
-    """Distinct rounded-integer heights in the k2 window around each flat
-    row-major cell of `cells`, as int32.
+    """Distinct rounded-integer heights in the k2 window around each of
+    `cells`, ascending flat row-major indices, as int32.
 
     Halves round away from zero; windows clip at the raster border.  A NaN
     or infinite height has no rounded value: every such cell of a window
@@ -120,24 +120,34 @@ def extract_buildings(
     terrain: TerrainSet,
     water: WaterMask | None = None,
     params: ExtractParams = ExtractParams(),
+    map2d_only: bool = False,
 ) -> ExtractResult:
-    """Run the full candidate -> filter -> refine chain on one grid."""
+    """Run the full candidate -> filter -> refine chain on one grid.
+
+    With map2d_only, the chain stops after the dilation: no difference map
+    is kept and no map3d is built, and the result's map3d and difference
+    are None.
+    """
     ndhm = terrain.ndhm
     # Each filter keeps a subset of its input, so the code of a removed
     # raw cell is 1 plus the number of filters it passed: the number of
     # the masks raw, after water and after opening that hold it.
     kept = ndhm.values >= params.ht
-    diff = kept.astype(np.uint8)
+    diff = None if map2d_only else kept.astype(np.uint8)
     if water is not None:
         require_same_spec(ndhm, water.mask, "candidates and water mask")
         kept &= ~water.mask.values
-    diff += kept
+    if diff is not None:
+        diff += kept
     after_open = opening(ndhm.with_values(kept), params.k1, params.kernel_shape)
     del kept
-    diff += after_open.values
+    if diff is not None:
+        diff += after_open.values
     cand = planarity_filter(after_open, ndhm, params.k2, params.rt, params.dt)
     del after_open
     map2d = dilate(cand.mask, params.k3, "square")
+    if map2d_only:
+        return ExtractResult(map2d=map2d, map3d=None, difference=None, candidates=cand)
     source = ndhm if params.map3d_source == "ndhm" else terrain.dsm
     map3d = build_3d(source, map2d, params.median_roof)
     # map2d holds every kept candidate: its raw cells were not removed,

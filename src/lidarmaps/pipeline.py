@@ -114,7 +114,7 @@ def _cut_window(grids: dict, box: tuple[int, int, int, int]) -> dict[str, Raster
 # ---------------------------------------------------------------------------
 
 # The chain after rasterize: (stage, grids it reads, grids it makes).
-# Extract also reads the grid its map3d_source names.
+# Extract also reads the grid its map3d_source names, when it makes map3d.
 _CHAIN = (
     ("fill", ("min_z",), ("dsm",)),
     ("water", ("occupied",), ("water",)),
@@ -157,7 +157,11 @@ def _window_products(
     c0, r0, w, h = window.core
     sl = (slice(r0 - pr0, r0 - pr0 + h), slice(c0 - pc0, c0 - pc0 + w))
     last = {grid: stage for stage, reads, makes in _CHAIN for grid in (*makes, *reads)}
-    last.update(dict.fromkeys((p.map3d_source for p in params), "extract"))
+    # Without map3d or diff among `names`, extraction stops at map2d and
+    # reads no map3d source.
+    map2d_only = not {"map3d", "diff"} & set(names)
+    if not map2d_only:
+        last.update(dict.fromkeys((p.map3d_source for p in params), "extract"))
 
     def done(stage):
         for name in [n for n in grids if last.get(n) == stage and n not in names]:
@@ -168,14 +172,16 @@ def _window_products(
         done("fill")
         grids["water"] = detect_water(grids["occupied"], cfg.water_params()).mask
         done("water")
-        terrain = derive_terrain(grids["dsm"], cfg.slope_threshold, grids["external"])
+        terrain = derive_terrain(
+            grids["dsm"], cfg.slope_threshold, grids["external"], keep_dtm="dtm" in names
+        )
         grids["dtm"], grids["ndhm"] = terrain.dtm, terrain.ndhm
         del terrain
         done("terrain")
         out = []
         for p in params:
             terrain = TerrainSet(grids.get("dsm"), grids.get("dtm"), grids["ndhm"])
-            res = extract_buildings(terrain, WaterMask(grids["water"]), p)
+            res = extract_buildings(terrain, WaterMask(grids["water"]), p, map2d_only)
             made = {**grids, "map2d": res.map2d, "map3d": res.map3d, "diff": res.difference}
             out.append({n: made[n].values[sl] for n in names})
             # Only the grids in `names` outlive this value's extraction.
@@ -340,8 +346,8 @@ def run_sweep(
 
     `param` is any ExtractParams field.  All values are validated before
     any window runs, then share one surface pass per window, which reads
-    no extraction setting.  median_roof and map3d_source shape only map3d,
-    so their rows repeat.  Returns (value, metrics) rows ordered by value;
+    no extraction setting; each value's extraction stops at map2d.
+    median_roof and map3d_source shape only map3d, so their rows repeat.  Returns (value, metrics) rows ordered by value;
     with out_dir set, a sweep.txt table is written alongside.
     """
     if param not in SWEEPABLE:

@@ -27,10 +27,11 @@ DEGENERATE_BREAKLINE_FRACTION = 0.95
 
 @dataclass
 class TerrainSet:
-    """Surface, terrain, and their difference on one grid."""
+    """Surface, terrain, and their difference on one grid; dtm is None
+    when the difference was written over it (derive_terrain's keep_dtm)."""
 
     dsm: Raster
-    dtm: Raster
+    dtm: Raster | None
     ndhm: Raster
     # Read by nothing; kept because the benchmark replay builds TerrainSet
     # from four positional arguments.
@@ -118,10 +119,11 @@ def fill_ground(dsm: Raster, objects: Raster) -> Raster:
     return dsm.with_values(_kernels.nearest_fill(vals, ground))
 
 
-def compute_ndhm(dsm: Raster, dtm: Raster) -> Raster:
-    """Normalized height: surface minus terrain, clamped at zero."""
+def compute_ndhm(dsm: Raster, dtm: Raster, overwrite: bool = False) -> Raster:
+    """Normalized height: surface minus terrain, clamped at zero.  With
+    overwrite, it is written into dtm's values, which no longer hold dtm."""
     require_same_spec(dsm, dtm, "dsm and dtm")
-    diff = dsm.values - dtm.values
+    diff = np.subtract(dsm.values, dtm.values, out=dtm.values if overwrite else None)
     # In place; NaN and -0.0 both become 0.0, as every non-positive value.
     diff[~(diff > 0)] = 0.0
     return dsm.with_values(diff)
@@ -131,12 +133,18 @@ def derive_terrain(
     dsm: Raster,
     slope_threshold: float = PipelineConfig.slope_threshold,
     external_dtm: Raster | None = None,
+    keep_dtm: bool = True,
 ) -> TerrainSet:
-    """Produce the TerrainSet, via break-lines or a supplied terrain model."""
+    """Produce the TerrainSet, via break-lines or a supplied terrain model.
+
+    Without keep_dtm, a dtm made by the ground fill is not returned: the
+    ndhm is written over it, so no third grid is allocated, and the set's
+    dtm is None.  A supplied terrain model is never written.
+    """
     if external_dtm is not None:
         require_same_spec(dsm, external_dtm, "dsm and external dtm")
-        dtm = external_dtm
-    else:
-        # The break-line mask is freed before the ground fill runs.
-        dtm = fill_ground(dsm, extract_objects(breakline_map(dsm, slope_threshold)))
-    return TerrainSet(dsm, dtm, compute_ndhm(dsm, dtm))
+        return TerrainSet(dsm, external_dtm, compute_ndhm(dsm, external_dtm))
+    # The break-line mask is freed before the ground fill runs.
+    dtm = fill_ground(dsm, extract_objects(breakline_map(dsm, slope_threshold)))
+    ndhm = compute_ndhm(dsm, dtm, overwrite=not keep_dtm)
+    return TerrainSet(dsm, dtm if keep_dtm else None, ndhm)

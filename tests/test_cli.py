@@ -2,6 +2,7 @@
 subcommands run end to end through main()."""
 
 import contextlib
+import hashlib
 import json
 import os
 import resource
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lidarmaps import _kernels
 from lidarmaps.cli import main
 from lidarmaps.formats import write_ascii_grid
 
@@ -474,6 +476,38 @@ def test_sweep_end_to_end(tmp_path, capsys):
     table = (out / "sweep.txt").read_text().splitlines()
     assert table[0] == "# sweep param=k1"
     assert len(table) == 5
+
+
+# sweep.txt of the median_roof sweep below, as written when every sweep
+# value still built map3d.
+MEDIAN_ROOF_SWEEP_SHA256 = "02d98f445efd094079e83b5a8344dc30ddd377e2427fd57a9c111c3c05fe45a0"
+
+
+def test_median_roof_sweep_builds_no_map3d(tmp_path, monkeypatch, capsys):
+    # A sweep scores map2d only, so no value builds map3d or its roof
+    # median; the rows repeat and are the bytes they always were.
+    real, calls = _kernels.masked_median, []
+
+    def counted(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(_kernels, "masked_median", counted)
+    scene, truth = sweep_inputs(tmp_path)
+    flags = ["--gsd", "1", "--k2", "3", "--k3", "3", "--overlap", "16"]
+    out = tmp_path / "sweep"
+    argv = ["sweep", scene, "--param", "median_roof", "--values", "0,9", "--truth", truth]
+    assert main([*argv, "--out", str(out), *flags]) == 0
+    assert calls == []
+    table = (out / "sweep.txt").read_bytes()
+    assert hashlib.sha256(table).hexdigest() == MEDIAN_ROOF_SWEEP_SHA256
+    rows = table.decode().splitlines()[2:]
+    assert [r.split()[0] for r in rows] == ["0", "9"]
+    assert rows[0].split()[1:] == rows[1].split()[1:]
+    # A map does build it, through the same kernel.
+    assert main(["map", scene, "--out", str(tmp_path / "map"), "--median-roof", "9", *flags]) == 0
+    assert calls == [9]
+    capsys.readouterr()
 
 
 def test_printed_ratio_lines(tmp_path, capsys):

@@ -202,6 +202,39 @@ def test_roughness_where_matches_oracle_on_its_cells():
         np.testing.assert_array_equal(roughness_grid(field, k2), want)
 
 
+def _slab_edge_cells(shape, k, rng):
+    """Masks that reach the first and last k // 2 rows of a grid: those
+    rows only, every cell, and a sparse random set."""
+    r = k // 2
+    edge = np.zeros(shape, bool)
+    edge[:r + 1] = edge[-r - 1:] = True
+    return [edge, np.ones(shape, bool), rng.random(shape) < 0.15]
+
+
+@pytest.mark.parametrize("block", [1, 7, 40])
+def test_window_slabs_match_oracles(monkeypatch, block):
+    # The window gather copies each band of rows, and k // 2 more on each
+    # side, into its own slab.  Cells in the first and last k // 2 rows
+    # read the pad; a k taller than the grid reads pad above and below
+    # every cell; grids one row high, one column wide and wider than
+    # _BLOCK make bands of one row.
+    monkeypatch.setattr(_kernels, "_BLOCK", block)
+    rng = np.random.default_rng(block)
+    shapes = [(1, 9), (9, 1), (2, 3), (6, 5), (13, 4), (5, block + 3)]
+    for shape in shapes:
+        field = rng.uniform(-4.0, 6.0, shape)
+        for k in (1, 3, 5, 2 * shape[0] + 1):
+            for m in _slab_edge_cells(shape, k, rng):
+                cells = np.flatnonzero(m)
+                want = distinct_scan(round_half_away(field), k).reshape(-1)[cells]
+                got = roughness_at(raster_of(field), k, cells)
+                np.testing.assert_array_equal(got, want, err_msg=f"{shape} k={k}")
+                got = build_3d(raster_of(field), raster_of(m), median_roof=k).values
+                np.testing.assert_array_equal(
+                    got, masked_median_scan(field, m, k), err_msg=f"{shape} k={k}"
+                )
+
+
 @pytest.mark.parametrize("block", [1, 30, 1 << 16])
 def test_roughness_non_finite_heights_count_as_one_value(monkeypatch, block):
     # NaN and infinite heights have no rounded value; all of them in a

@@ -342,19 +342,71 @@ def test_interpolate_matches_allpairs():
         np.testing.assert_array_equal(got.values, nearest_fill_scan(vals, valid))
 
 
+def _band_edge_layouts(block):
+    """Source layouts around the fill's row bands for a given _BLOCK: a
+    void whose nearest source is several bands away, and equidistant
+    sources on either side of each band edge, in grids one column wide,
+    a few columns wide, and wider than _BLOCK (one row per band)."""
+    layouts = []
+    for w in (1, 3, 9, block + 3):
+        rows = max(1, block // w)
+        h = 4 * rows + 3
+        # Sources in the first and last row only, in opposite corners.
+        far = np.zeros((h, w), bool)
+        far[0, 0] = far[-1, -1] = True
+        layouts.append(far)
+        # Every band edge e gets sources t rows above and below row e, in
+        # its own column and a diagonal pair, so row e's void cells tie
+        # between a source of the band above and one of its own or later.
+        tied = np.zeros((h, w), bool)
+        for e in range(rows, h, rows):
+            t = 1 + e % 3
+            c = e % w
+            for dr, dc in ((-t, 0), (t, 0), (-1, 1), (1, -1)):
+                if 0 <= e + dr < h and 0 <= c + dc < w:
+                    tied[e + dr, c + dc] = True
+        layouts.append(tied)
+    row = np.zeros((1, 3 * block + 5), bool)
+    row[0, [1, 2 * block + 3]] = True
+    col = np.zeros((3 * block + 5, 1), bool)
+    col[[1, 2 * block + 3], 0] = True
+    return [*layouts, row, col]
+
+
 @pytest.mark.parametrize("block", [1, 7, 40])
 def test_interpolate_in_bands_and_blocks_matches_allpairs(monkeypatch, block):
     # A small block splits the column pass into bands of columns and the
-    # search into blocks of void cells, as on a large grid.
+    # search into bands of rows, as on a large grid.
     monkeypatch.setattr(_kernels, "_BLOCK", block)
     rng = np.random.default_rng(block)
+    layouts = []
     for _ in range(25):
         shape = (int(rng.integers(1, 20)), int(rng.integers(1, 20)))
         valid = rng.random(shape) < rng.uniform(0.05, 0.9)
         valid.flat[rng.integers(valid.size)] = True
-        vals = np.where(valid, rng.normal(0, 10, shape), np.nan)
+        layouts.append(valid)
+    for valid in [*layouts, *_band_edge_layouts(block)]:
+        assert valid.any()
+        vals = np.where(valid, rng.normal(0, 10, valid.shape), np.nan)
         got = interpolate_nearest(raster_of(vals))
         np.testing.assert_array_equal(got.values, nearest_fill_scan(vals, valid))
+
+
+@pytest.mark.parametrize("block", [1, 7, 40])
+def test_band_edge_ties_go_to_the_earlier_source(monkeypatch, block):
+    # Row e, the first of a band, is void between sources 2 rows above
+    # (in the band before) and 2 rows below, with the same values on
+    # either side of the edge but one: the upper one wins every tie.
+    monkeypatch.setattr(_kernels, "_BLOCK", block)
+    w = 5
+    e = max(1, block // w) * 2
+    vals = np.full((e + 3, w), np.nan)
+    vals[e - 2] = 1.0
+    vals[e + 2] = 2.0
+    got = interpolate_nearest(raster_of(vals)).values
+    np.testing.assert_array_equal(got[:e], 1.0)
+    np.testing.assert_array_equal(got[e], 1.0)
+    np.testing.assert_array_equal(got[e + 1:], 2.0)
 
 
 def test_fill_shape_must_leave_key_room():

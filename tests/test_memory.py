@@ -7,10 +7,18 @@ written plus 25%.  A stage that starts building full-grid temporaries again
 (a dense int64 column pass, shifted float copies, a rounded copy of the
 grid, a whole-file text, one Python string per cell read) breaks its
 budget.  The XYZ load stage reads the scene as text and is held to bytes
-per point, so a Python object per point breaks it.  The rasterize stage
-grids 4,096 points at a time, so the scene spans many blocks and a
-temporary the size of the cloud breaks its budget; so does the load_grid
-stage, which scans the LAS file and grids it as it is read, in chunks of
+per point, so a Python object per point breaks it.  The kernel stages
+and the run stages run with _kernels._BLOCK at 4,096, a sixteenth of the
+grid, so that blocks and bands show.  The rasterize stage then grids
+4,096 points at a time, so the scene spans many blocks and a temporary
+the size of the cloud breaks its budget.  The nearest fills (the fill,
+ground_fill and terrain stages) take bands of 16 columns, then of 16
+rows, and the roughness gather (extract) slabs of 16 rows: an int64 key
+per cell in the fill breaks the fill, ground_fill and run_default
+budgets, and a padded copy of the whole grid in the gather breaks the
+run budget.  A temporary the size of the cloud also
+breaks the budget of the load_grid stage, which scans the LAS file and
+grids it as it is read, in chunks of
 2,048 records, as a map of a LAS file does.  The write stage writes the
 scene's dsm and a float grid whose millimetre keys span the writer's
 whole key table, its largest; the write_map3d stage writes the map3d
@@ -25,7 +33,8 @@ the grid (the default, 16,384, is a quarter of it but a 244th of a
 
 The run stage is a whole one-window run_pipeline of the LAS file, all
 seven grids, nothing written; the run_default stage is the same run with
-the default outputs, which frees dsm and dtm after terrain.  Their
+the default outputs, which frees dsm and dtm after terrain.  Both run
+with the kernels' block at 4,096 too.  Their
 budgets are the value measured plus 0.75 bytes per cell, less than the 1
 of a bool grid such as the occupancy mask, so that a grid kept alive
 past its last reader breaks them.
@@ -66,18 +75,18 @@ BUDGETS = {
     "load_xyz": 34.8,  # measured 27.8
     "load_grid": 13.5,  # measured 10.8
     "rasterize": 13.3,  # measured 10.6
-    "fill": 57.5,  # measured 46.0
-    "ground_fill": 29.5,  # measured 23.6
+    "fill": 14.2,  # measured 11.4
+    "ground_fill": 13.8,  # measured 11.1
     "water": 16.4,  # measured 13.1
-    "terrain": 30.8,  # measured 24.6
-    "extract": 45.8,  # measured 36.6
+    "terrain": 22.5,  # measured 18.0
+    "extract": 15.1,  # measured 12.1
     "write": 9.3,  # measured 7.4
     "write_map3d": 3.0,  # measured 2.4
     "write_distinct": 38.3,  # measured 30.6
     "write_keyed": 27.9,  # measured 22.3
     "read": 21.0,  # measured 17.1; set at 16.8
-    "run": 62.4,  # measured 61.7
-    "run_default": 55.8,  # measured 55.0
+    "run": 37.9,  # measured 37.2
+    "run_default": 26.0,  # measured 25.2
 }
 
 
@@ -137,10 +146,13 @@ def stage_peaks(tmp_path_factory):
     cloud = run("load", lambda: read_las(str(las)))
     spec = grid_from_bounds(*cloud.bounds, GSD)
     assert spec.shape == (SIDE, SIDE)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernels, "_BLOCK", 4096)
-        assert len(cloud) > 10 * _kernels._BLOCK
-        dsm_raw, occ = run("rasterize", lambda: rasterize_min(cloud.points, spec))
+    # The kernels take 4,096 points, cells or values at a time, a
+    # sixteenth of the grid, so that their bands and blocks show here.
+    block = pytest.MonkeyPatch()
+    block.setattr(_kernels, "_BLOCK", 4096)
+    assert len(cloud) > 10 * _kernels._BLOCK
+    dsm_raw, occ = run("rasterize", lambda: rasterize_min(cloud.points, spec))
+    block.undo()
     del cloud
 
     def load_grid():
@@ -154,12 +166,14 @@ def stage_peaks(tmp_path_factory):
     for got, want in zip(streamed, (dsm_raw, occ)):
         np.testing.assert_array_equal(got.values, want.values)
     del streamed
+    block.setattr(_kernels, "_BLOCK", 4096)
     dsm = run("fill", lambda: interpolate_nearest(dsm_raw))
     water = run("water", lambda: detect_water(occ, WaterParams()))
     objects = extract_objects(breakline_map(dsm, 1.0))
     run("ground_fill", lambda: fill_ground(dsm, objects))
     terrain = run("terrain", lambda: derive_terrain(dsm, 1.0))
     res = run("extract", lambda: extract_buildings(terrain, water, ExtractParams()))
+    block.undo()
     assert res.map2d.values.any() and water.mask.values.any()
     # 0.0 and -0.0 to `top` m, NaN and the infinities: the key range sits
     # exactly at the table bound, max(cells, _KEY_TABLE_MIN) entries.
@@ -190,11 +204,13 @@ def stage_peaks(tmp_path_factory):
         run("write_keyed", lambda: write_ascii_grid(str(tmp / "keyed.asc"), keyed))
     run("read", lambda: read_ascii_grid(str(tmp / "dsm.asc")))
     del dsm_raw, occ, dsm, water, objects, terrain, res
+    block.setattr(_kernels, "_BLOCK", 4096)
     result = run("run", lambda: run_pipeline(PipelineConfig(outputs=OUTPUT_NAMES), [str(las)]))
     assert result.windows == 1 and result.spec == spec
     del result
     result = run("run_default", lambda: run_pipeline(PipelineConfig(), [str(las)]))
     assert sorted(result.products) == ["map2d", "map3d", "water"]
+    block.undo()
     return peaks
 
 

@@ -301,10 +301,11 @@ def test_windows_hold_one_window_of_grids_at_a_time(tmp_path, monkeypatch):
 def test_one_window_frees_each_grid_after_its_last_reader(tmp_path, monkeypatch, command):
     # In a one-window run the raw min-z grid is freed once the fill has
     # read it and the occupancy grid once water has; a map of the default
-    # outputs and a sweep, which output neither, free dtm, and dsm unless
-    # map3d is made from it, before extraction, and an external terrain
-    # grid, sampled onto the map's grid, once terrain has read it.  Each
-    # grid is watched through a weak reference.
+    # outputs writes ndhm over dtm, and frees dsm unless map3d is made from
+    # it, before extraction, and a sweep, which makes no map3d, frees dsm
+    # whatever its map3d_source; an external terrain grid, sampled onto
+    # the map's grid, is kept as dtm and freed once terrain has read it.
+    # Each grid is watched through a weak reference.
     refs = {}
     alive_at = {}
 
@@ -324,8 +325,13 @@ def test_one_window_frees_each_grid_after_its_last_reader(tmp_path, monkeypatch,
           lambda out: {"min_z": out[0].values, "occupied": out[1].values})
     watch("interpolate_nearest", pipeline.interpolate_nearest, lambda out: {})
     watch("detect_water", pipeline.detect_water, lambda out: {})
-    watch("derive_terrain", pipeline.derive_terrain,
-          lambda out: {"dsm": out.dsm.values, "dtm": out.dtm.values})
+    kept_dtm = []
+
+    def terrain_grids(out):
+        kept_dtm.append(out.dtm is not None)
+        return {"dsm": out.dsm.values, **({} if out.dtm is None else {"dtm": out.dtm.values})}
+
+    watch("derive_terrain", pipeline.derive_terrain, terrain_grids)
     watch("extract_buildings", pipeline.extract_buildings, lambda out: {})
     watch("_sample_external", pipeline._sample_external,
           lambda out: {"external": out.values})
@@ -347,11 +353,12 @@ def test_one_window_frees_each_grid_after_its_last_reader(tmp_path, monkeypatch,
             "derive_terrain": ["external"],
             "extract_buildings": [],
         }
+        assert kept_dtm == [True]
         return
     else:
         source = "dsm" if command.endswith("dsm") else "ndhm"
         run_sweep(small_cfg(map3d_source=source), "k3", [1, 3], [cloud], truth_path)
-        kept = ["dsm"] if source == "dsm" else []
+        kept = []
     assert alive_at == {
         "rasterize_min_clouds": [],
         "interpolate_nearest": ["min_z", "occupied"],
@@ -359,6 +366,7 @@ def test_one_window_frees_each_grid_after_its_last_reader(tmp_path, monkeypatch,
         "derive_terrain": [],
         "extract_buildings": kept,
     }
+    assert kept_dtm == ["dtm" in kept]
 
 
 def test_empty_window_core_stays_nodata(caplog):
@@ -973,8 +981,10 @@ STAGE_CALLS = {
     "terrain": ("derive_terrain", lambda out: [out.dtm, out.ndhm]),
     "extract": ("extract_buildings", lambda out: [out.map2d, out.map3d, out.difference]),
 }
+# Every grid is an output, so every stage makes all the grids it can.
 DECLARED_BASE = dict(
     k1=3, k2=3, k3=3, water_window=3, water_min_area=20.0, water_buffer=1.0, overlap_m=12.0,
+    outputs=OUTPUT_NAMES,
 )
 # A second valid value of every field; each still gives the scenes one window.
 SECOND_VALUES = {
@@ -1016,7 +1026,10 @@ def test_stage_settings_are_declared(monkeypatch):
         def recorded(*args, _stage=stage, _real=getattr(pipeline, name), _grids=grids, **kw):
             out = _real(*args, **kw)
             assert _stage not in got, f"{_stage} ran twice"
-            got[_stage] = [(g.spec, g.values.dtype, g.values.tobytes()) for g in _grids(out)]
+            got[_stage] = [
+                None if g is None else (g.spec, g.values.dtype, g.values.tobytes())
+                for g in _grids(out)
+            ]
             return out
         monkeypatch.setattr(pipeline, name, recorded)
 
@@ -1035,8 +1048,13 @@ def test_stage_settings_are_declared(monkeypatch):
         for field, value in SECOND_VALUES.items():
             assert getattr(base, field) != value, field
             changed = stages(replace(base, **{field: value}), cloud)
+            # Only a run that writes neither dtm, nor map3d and diff, skips
+            # making them.
+            skipped = [s for s in STAGE_CALLS if None in changed[s]]
+            assert skipped == (["terrain", "extract"] if field == "outputs" else []), field
             for stage in STAGE_CALLS:
-                if changed[stage] != want[stage]:
+                made = [(a, b) for a, b in zip(changed[stage], want[stage]) if a is not None]
+                if any(a != b for a, b in made):
                     assert field in declared_upstream(stage), (terrace, field, stage)
                     moved[stage].add(field)
     for stage, settings in STAGE_SETTINGS.items():

@@ -251,6 +251,22 @@ def test_external_terrain_model_is_used_verbatim():
     assert np.allclose(ts.ndhm.values, np.maximum(field - 12.0, 0.0))
 
 
+def test_ndhm_written_over_an_unkept_dtm():
+    # Without keep_dtm the ndhm takes the ground fill's dtm buffer, bit
+    # for bit the ndhm a kept dtm gives; a supplied model is never written.
+    field = deck_field(with_ramp=True) + box_field(20, 30)
+    kept = derive_terrain(raster_of(field))
+    ts = derive_terrain(raster_of(field), keep_dtm=False)
+    assert ts.dtm is None
+    np.testing.assert_array_equal(ts.ndhm.values.view(np.int64), kept.ndhm.values.view(np.int64))
+    np.testing.assert_array_equal(ts.dsm.values, field)
+    ext_values = np.full((20, 30), 12.0)
+    ext_values.flags.writeable = False
+    ext = raster_of(ext_values)
+    ts = derive_terrain(raster_of(field), external_dtm=ext, keep_dtm=False)
+    assert ts.dtm is ext and (ext.values == 12.0).all()
+
+
 def test_external_terrain_model_must_share_grid():
     field = box_field()
     ext = raster_of(np.zeros((20, 20)), origin=(5.0, 5.0))
